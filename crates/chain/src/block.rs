@@ -79,6 +79,21 @@ impl Block {
     }
 }
 
+/// The header a [`HeaderChain`](crate::HeaderChain) stores a bare header
+/// by: itself.
+impl AsRef<BlockHeader> for BlockHeader {
+    fn as_ref(&self) -> &BlockHeader {
+        self
+    }
+}
+
+/// The header a [`HeaderChain`](crate::HeaderChain) stores a block by.
+impl AsRef<BlockHeader> for Block {
+    fn as_ref(&self) -> &BlockHeader {
+        &self.header
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,8 @@
 //! The chain: block acceptance, validation, and difficulty retargeting.
 
 use crate::block::{Block, BlockHeader};
-use crate::difficulty::{cost_commitment_of, DifficultyRule, EmaRetarget};
+use crate::difficulty::{branch_state, DifficultyRule, EmaRetarget};
+use crate::fork::GENESIS_HASH;
 use hashcore::{MiningInput, Target};
 use hashcore_baselines::{PowFunction, PreparedPow};
 use hashcore_crypto::Digest256;
@@ -24,8 +25,9 @@ pub enum InvalidReason {
     Pow,
     /// The block's embedded target is not the one the difficulty rule
     /// expects at its position on the branch (reported by rule-enforcing
-    /// [`ForkTree`](crate::ForkTree)s and the network layer's target
-    /// policy; the stateless segment validators trust embedded targets).
+    /// [`HeaderChain`](crate::HeaderChain)s and segment validators given a
+    /// [`RuleContext`], and by the network layer's target policy; without
+    /// a rule, embedded targets are trusted).
     Target,
 }
 
@@ -219,9 +221,10 @@ impl<P: PowFunction> Blockchain<P> {
     /// PoW targets.
     ///
     /// Validation fans out across the machine's hardware threads via
-    /// [`validate_blocks_parallel`]; the result — including which block is
-    /// reported when the chain is invalid — is identical to the sequential
-    /// [`validate_blocks`].
+    /// [`validate_segment_parallel`] anchored at [`GENESIS_HASH`]; the
+    /// result — including which block is reported when the chain is
+    /// invalid — is identical to the sequential
+    /// [`validate_segment_with_rule`].
     ///
     /// # Errors
     ///
@@ -231,7 +234,7 @@ impl<P: PowFunction> Blockchain<P> {
         P: PreparedPow + Sync,
     {
         let threads = thread::available_parallelism().map_or(1, |n| n.get());
-        validate_blocks_parallel(&self.pow, &self.blocks, threads)
+        validate_segment_parallel(&self.pow, &self.blocks, threads, GENESIS_HASH)
     }
 }
 
@@ -312,69 +315,16 @@ impl<P: PreparedPow> Blockchain<P> {
     }
 }
 
-/// Validates an arbitrary block sequence (for example one received from a
-/// peer) against `pow`: header linkage, Merkle commitments and PoW targets.
-///
-/// The sequence is anchored at genesis: the first block must link to the
-/// all-zero digest. To validate a partial segment that extends some known
-/// block, use [`validate_segment`].
-///
-/// # Errors
-///
-/// Returns the first [`ChainError::InvalidBlock`] found.
-pub fn validate_blocks<P: PowFunction>(pow: &P, blocks: &[Block]) -> Result<(), ChainError> {
-    validate_segment(pow, blocks, [0u8; 32])
-}
-
-/// Validates a contiguous chain segment whose first block extends the block
-/// with PoW digest `prev_hash` — the sequential entry point segment sync
-/// uses when a peer ships only the blocks past a common ancestor.
-///
-/// Heights in errors are relative to the start of the segment.
-///
-/// # Errors
-///
-/// Returns the first [`ChainError::InvalidBlock`] found.
-pub fn validate_segment<P: PowFunction>(
-    pow: &P,
-    blocks: &[Block],
-    mut prev_hash: Digest256,
-) -> Result<(), ChainError> {
-    for (height, block) in blocks.iter().enumerate() {
-        if block.header.prev_hash != prev_hash {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Linkage,
-            });
-        }
-        if !block.merkle_consistent() {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Merkle,
-            });
-        }
-        let digest = pow.pow_hash(&block.header.bytes());
-        let target = Target::from_threshold(block.header.target);
-        if !target.is_met_by(&digest) {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Pow,
-            });
-        }
-        prev_hash = digest;
-    }
-    Ok(())
-}
-
 /// Rule-enforcement context for the `_with_rule` segment validators: the
 /// difficulty rule to enforce, plus the branch state of the stored block
-/// the segment extends.
+/// the segment extends ([`HeaderChain::rule_context`](crate::HeaderChain::rule_context)
+/// builds it).
 ///
-/// The stateless validators trust embedded targets; with a context they
-/// additionally run every rule check a rule-enforcing
-/// [`ForkTree::apply`](crate::ForkTree::apply) would — expected target,
-/// cost-commitment recurrence, and the per-block cost admission bound — so
-/// a segment that validates cleanly is guaranteed to apply cleanly too
+/// Without a context the validators trust embedded targets; with one they
+/// additionally run the per-block rule check a rule-enforcing
+/// [`ForkTree::apply`](crate::ForkTree::apply) runs — cost-commitment
+/// recurrence, expected target, and the per-block cost admission bound —
+/// so a segment that validates cleanly is guaranteed to apply cleanly too
 /// (apply failures can then only be duplicates).
 #[derive(Debug, Clone, Copy)]
 pub struct RuleContext<'a> {
@@ -387,52 +337,16 @@ pub struct RuleContext<'a> {
     pub anchor: Option<(Target, u64, u16, f64)>,
 }
 
-/// The branch state threaded block-to-block by the rule walk: `(expected
-/// target, timestamp, cost commitment, observed cost ratio)` of the block
-/// just validated.
-type RuleState = Option<(Target, u64, u16, f64)>;
-
-/// One step of the rule walk over a validated block: checks the version
-/// commitment, the expected target, and the cost admission bound, then
-/// advances the branch state. `digest`/`cost_ratio` come from the PoW
-/// evaluation the caller already performed.
-fn rule_check(
-    ctx: &RuleContext<'_>,
-    state: &mut RuleState,
-    header: &BlockHeader,
-    digest: &Digest256,
-    cost_ratio: f64,
-) -> Option<InvalidReason> {
-    let parent_cost = state.map(|(_, _, q, r)| (q, r));
-    if let Some(version) = ctx.rule.expected_version(parent_cost) {
-        if header.version != version {
-            return Some(InvalidReason::Target);
-        }
-    }
-    let prev = state.map(|(target, timestamp, _, _)| (target, timestamp));
-    let expected = ctx
-        .rule
-        .committed_child_target(prev, header.timestamp, header.version);
-    if header.target != *expected.threshold() {
-        return Some(InvalidReason::Target);
-    }
-    if !ctx.rule.admits(expected, digest, cost_ratio) {
-        return Some(InvalidReason::Pow);
-    }
-    *state = Some((
-        expected,
-        header.timestamp,
-        cost_commitment_of(header.version),
-        cost_ratio,
-    ));
-    None
-}
-
-/// [`validate_segment`], additionally enforcing a [`DifficultyRule`] along
-/// the segment when `ctx` is supplied. Per block the check order is:
-/// linkage, Merkle, embedded-target PoW, then the rule checks (version
+/// Validates a contiguous chain segment whose first block extends the block
+/// with PoW digest `prev_hash` ([`GENESIS_HASH`] for a whole chain) — the
+/// sequential reference the parallel validators are held to. Per block the
+/// check order is linkage, Merkle, embedded-target PoW, then, when `ctx` is
+/// supplied, the [`DifficultyRule`] checks along the segment: version
 /// commitment and expected target as [`InvalidReason::Target`], the cost
-/// admission bound as [`InvalidReason::Pow`]).
+/// admission bound as [`InvalidReason::Pow`].
+///
+/// One [`PreparedPow::Scratch`] and one header buffer serve every block.
+/// Heights in errors are relative to the start of the segment.
 ///
 /// # Errors
 ///
@@ -443,37 +357,29 @@ pub fn validate_segment_with_rule<P: PreparedPow>(
     mut prev_hash: Digest256,
     ctx: Option<RuleContext<'_>>,
 ) -> Result<(), ChainError> {
-    let Some(ctx) = ctx else {
-        return validate_segment(pow, blocks, prev_hash);
-    };
     let nominal = pow.nominal_cost();
     let mut scratch = P::Scratch::default();
     let mut header_bytes = Vec::new();
-    let mut state: RuleState = ctx.anchor;
+    let mut state = ctx.and_then(|ctx| ctx.anchor);
     for (height, block) in blocks.iter().enumerate() {
+        let invalid = |reason| Err(ChainError::InvalidBlock { height, reason });
         if block.header.prev_hash != prev_hash {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Linkage,
-            });
+            return invalid(InvalidReason::Linkage);
         }
         if !block.merkle_consistent() {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Merkle,
-            });
+            return invalid(InvalidReason::Merkle);
         }
         block.header.write_bytes(&mut header_bytes);
         let (digest, cost) = pow.pow_hash_cost_scratch(&header_bytes, &mut scratch);
         if !Target::from_threshold(block.header.target).is_met_by(&digest) {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Pow,
-            });
+            return invalid(InvalidReason::Pow);
         }
-        let ratio = cost.ratio(nominal);
-        if let Some(reason) = rule_check(&ctx, &mut state, &block.header, &digest, ratio) {
-            return Err(ChainError::InvalidBlock { height, reason });
+        if let Some(ctx) = &ctx {
+            let ratio = cost.ratio(nominal);
+            if let Err(reason) = ctx.rule.check_child(state, &block.header, &digest, ratio) {
+                return invalid(reason);
+            }
+            state = Some(branch_state(&block.header, ratio));
         }
         prev_hash = digest;
     }
@@ -498,41 +404,11 @@ struct ChunkOutcome {
     observed: Vec<(Digest256, f64)>,
 }
 
-/// Validates a block sequence in parallel, with results — acceptance,
-/// rejection, and the height *and reason* of the first invalid block —
-/// identical to the sequential [`validate_blocks`].
-///
-/// The sequence is split into contiguous chunks, one per worker, fanned out
-/// with `std::thread::scope` exactly like `HashCore::mine_parallel`: each
-/// worker owns one [`PreparedPow::Scratch`] and one header buffer, so
-/// per-block validation performs no steady-state allocation. Workers check
-/// internal linkage, Merkle commitments and PoW targets in the sequential
-/// order; chunk-boundary linkage is stitched afterwards from each chunk's
-/// last digest. Error reporting is deterministic lowest-height-first: every
-/// block below the sequential path's first failure validates cleanly here
-/// too, so the minimum-height failure is exactly the sequential failure,
-/// regardless of thread count or scheduling.
-///
-/// # Errors
-///
-/// Returns the same [`ChainError::InvalidBlock`] the sequential path would.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero, or if a validation worker panics.
-pub fn validate_blocks_parallel<P: PreparedPow + Sync>(
-    pow: &P,
-    blocks: &[Block],
-    threads: usize,
-) -> Result<(), ChainError> {
-    validate_segment_parallel(pow, blocks, threads, [0u8; 32])
-}
-
 /// Validates a contiguous chain segment anchored at `prev_hash` in parallel
-/// — the parallel form of [`validate_segment`], with results identical to it
-/// (see [`validate_blocks_parallel`] for how determinism is maintained).
-/// This is the hot path of segment sync: a node catching up after a
-/// partition fans the received segment out across its hardware threads.
+/// with no difficulty rule — [`validate_segment_parallel_with_rule`] without
+/// a context. This is the hot path of segment sync: a node catching up
+/// after a partition fans the received segment out across its hardware
+/// threads.
 ///
 /// # Errors
 ///
@@ -550,17 +426,25 @@ pub fn validate_segment_parallel<P: PreparedPow + Sync>(
     validate_segment_parallel_with_rule(pow, blocks, threads, prev_hash, None)
 }
 
-/// [`validate_segment_parallel`], additionally enforcing a
-/// [`DifficultyRule`] along the segment when `ctx` is supplied — the
-/// parallel form of [`validate_segment_with_rule`], with identical results.
+/// The parallel form of [`validate_segment_with_rule`], with results —
+/// acceptance, rejection, and the height *and reason* of the first invalid
+/// block — identical to it.
 ///
-/// Workers hash their chunks exactly as before, additionally recording each
-/// block's `(digest, cost ratio)`; the rule walk itself (version
-/// commitment, expected target, cost admission) is pure arithmetic and runs
-/// in the stitch phase over the recorded observations, in sequential order.
-/// Per block the basic checks (linkage, Merkle, embedded-target PoW) come
-/// before the rule checks, so at equal heights a basic failure wins — the
-/// same order the sequential path reports.
+/// The sequence is split into contiguous chunks, one per worker, fanned out
+/// with `std::thread::scope` exactly like `HashCore::mine_parallel`: each
+/// worker owns one [`PreparedPow::Scratch`] and one header buffer, so
+/// per-block validation performs no steady-state allocation. Workers check
+/// internal linkage, Merkle commitments and PoW targets in the sequential
+/// order, recording each block's `(digest, cost ratio)` when a rule is
+/// enforced; chunk-boundary linkage is stitched afterwards from each
+/// chunk's last digest, and the rule walk (version commitment, expected
+/// target, cost admission) is pure arithmetic that runs in the stitch
+/// phase over the recorded observations, in sequential order. Error
+/// reporting is deterministic lowest-height-first, and at equal heights a
+/// basic failure wins over a rule failure: every block below the
+/// sequential path's first failure validates cleanly here too, so the
+/// minimum-height failure is exactly the sequential failure, regardless of
+/// thread count or scheduling.
 ///
 /// # Errors
 ///
@@ -578,7 +462,7 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
 ) -> Result<(), ChainError> {
     assert!(
         threads > 0,
-        "validate_blocks_parallel requires at least one thread"
+        "segment validation requires at least one thread"
     );
     let threads = threads.min(blocks.len());
     if threads <= 1 {
@@ -689,19 +573,19 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
     // lower-height rule failure; at equal heights the basic failure wins,
     // matching the per-block check order of the sequential path.
     if let Some(ctx) = ctx {
-        let mut state: RuleState = ctx.anchor;
+        let mut state = ctx.anchor;
         'walk: for outcome in &outcomes {
             for (i, (digest, ratio)) in outcome.observed.iter().enumerate() {
                 let height = outcome.lo + i;
                 if first.is_some_and(|(h, _)| height >= h) {
                     break 'walk;
                 }
-                if let Some(reason) =
-                    rule_check(&ctx, &mut state, &blocks[height].header, digest, *ratio)
-                {
+                let header = &blocks[height].header;
+                if let Err(reason) = ctx.rule.check_child(state, header, digest, *ratio) {
                     first = Some((height, reason));
                     break 'walk;
                 }
+                state = Some(branch_state(header, *ratio));
             }
         }
     }
@@ -847,7 +731,7 @@ mod tests {
         let chain = mined_chain(12);
         let anchor = Sha256dPow.pow_hash(&chain.blocks()[5].header.bytes());
         let segment = &chain.blocks()[6..];
-        assert!(validate_segment(&Sha256dPow, segment, anchor).is_ok());
+        assert!(validate_segment_with_rule(&Sha256dPow, segment, anchor, None).is_ok());
         for threads in [1usize, 2, 3, 8] {
             assert_eq!(
                 validate_segment_parallel(&Sha256dPow, segment, threads, anchor),
@@ -863,9 +747,9 @@ mod tests {
     /// Asserts the parallel path equals the sequential path for every
     /// interesting thread count (1, fewer/equal/more than the block count).
     fn assert_parallel_matches(blocks: &[Block]) {
-        let sequential = validate_blocks(&Sha256dPow, blocks);
+        let sequential = validate_segment_with_rule(&Sha256dPow, blocks, GENESIS_HASH, None);
         for threads in [1usize, 2, 3, 5, 8, 33, 64] {
-            let parallel = validate_blocks_parallel(&Sha256dPow, blocks, threads);
+            let parallel = validate_segment_parallel(&Sha256dPow, blocks, threads, GENESIS_HASH);
             assert_eq!(parallel, sequential, "{threads} threads");
         }
     }
@@ -874,7 +758,7 @@ mod tests {
     fn parallel_validation_accepts_honest_chains() {
         let chain = mined_chain(33);
         assert_parallel_matches(chain.blocks());
-        assert!(validate_blocks_parallel(&Sha256dPow, &[], 4).is_ok());
+        assert!(validate_segment_parallel(&Sha256dPow, &[], 4, GENESIS_HASH).is_ok());
     }
 
     #[test]
@@ -902,7 +786,8 @@ mod tests {
         chain.blocks[29].header.timestamp += 1;
         chain.blocks[7].transactions[0] = b"forged".to_vec();
         chain.blocks[12].header.prev_hash = [0x55; 32];
-        let err = validate_blocks_parallel(&Sha256dPow, chain.blocks(), 4).unwrap_err();
+        let err =
+            validate_segment_parallel(&Sha256dPow, chain.blocks(), 4, GENESIS_HASH).unwrap_err();
         assert!(matches!(err, ChainError::InvalidBlock { height: 7, .. }));
         assert_parallel_matches(chain.blocks());
     }
@@ -911,6 +796,6 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_validation_threads_rejected() {
         let chain = mined_chain(2);
-        let _ = validate_blocks_parallel(&Sha256dPow, chain.blocks(), 0);
+        let _ = validate_segment_parallel(&Sha256dPow, chain.blocks(), 0, GENESIS_HASH);
     }
 }

@@ -19,8 +19,24 @@
 //!   timestamp-manipulation attacks expressible, and what the
 //!   median-time-past/future-drift validity rule in `hashcore-net` bounds.
 
-use crate::block::Block;
+use crate::block::{Block, BlockHeader};
+use crate::chain::InvalidReason;
 use hashcore::Target;
+use hashcore_crypto::Digest256;
+
+/// What a block's children read of it under a [`DifficultyRule`]: its
+/// `(target, timestamp, cost commitment, observed cost ratio)`.
+pub(crate) type BranchState = (Target, u64, u16, f64);
+
+/// The [`BranchState`] of a block with this header and observed cost ratio.
+pub(crate) fn branch_state(header: &BlockHeader, cost_ratio: f64) -> BranchState {
+    (
+        Target::from_threshold(header.target),
+        header.timestamp,
+        cost_commitment_of(header.version),
+        cost_ratio,
+    )
+}
 
 /// Parameters of the smoothed (EMA) retarget step: scale the target toward
 /// the value that would have made the last block take `target_block_time`.
@@ -367,6 +383,10 @@ impl DifficultyRule {
             DifficultyRule::CostAware(cost) => {
                 let q = cost_commitment_of(child_version);
                 match prev {
+                    // The only commitment a genesis child may carry: its
+                    // target is the initial one exactly, since `scale`
+                    // rounds thresholds wider than an f64 even at 1.0.
+                    None if q == COST_COMMIT_ONE => self.genesis_target(),
                     None => cost
                         .time
                         .initial
@@ -377,6 +397,56 @@ impl DifficultyRule {
                 }
             }
         }
+    }
+
+    /// [`expected_version`](DifficultyRule::expected_version) of a child of
+    /// a block in state `parent` (`None` for a genesis child).
+    pub(crate) fn expected_child_version(&self, parent: Option<BranchState>) -> Option<u32> {
+        self.expected_version(parent.map(|(_, _, q, ratio)| (q, ratio)))
+    }
+
+    /// The target a child of a block in state `parent` (`None` for a
+    /// genesis child) must embed when it carries the version word
+    /// [`expected_child_version`](DifficultyRule::expected_child_version)
+    /// demands.
+    pub(crate) fn expected_child_target(
+        &self,
+        parent: Option<BranchState>,
+        child_timestamp: u64,
+    ) -> Target {
+        self.committed_child_target(
+            parent.map(|(target, timestamp, _, _)| (target, timestamp)),
+            child_timestamp,
+            self.expected_child_version(parent).unwrap_or(1),
+        )
+    }
+
+    /// The per-block rule check every validator runs once a block's parent
+    /// is resolved and its digest meets its embedded target: the version
+    /// word's cost commitment and the expected target (both
+    /// [`InvalidReason::Target`]), then the cost admission bound
+    /// ([`InvalidReason::Pow`]). `parent` is `None` for a genesis child;
+    /// `digest` and `cost_ratio` come from the caller's one hash
+    /// evaluation.
+    pub(crate) fn check_child(
+        &self,
+        parent: Option<BranchState>,
+        header: &BlockHeader,
+        digest: &Digest256,
+        cost_ratio: f64,
+    ) -> Result<(), InvalidReason> {
+        let version = self.expected_child_version(parent);
+        if version.is_some_and(|version| header.version != version) {
+            return Err(InvalidReason::Target);
+        }
+        let expected = self.expected_child_target(parent, header.timestamp);
+        if header.target != *expected.threshold() {
+            return Err(InvalidReason::Target);
+        }
+        if !self.admits(expected, digest, cost_ratio) {
+            return Err(InvalidReason::Pow);
+        }
+        Ok(())
     }
 
     /// `true` when every block of a contiguous segment embeds exactly the

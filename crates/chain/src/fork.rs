@@ -13,13 +13,13 @@
 //! the selected tip depends only on the *set* of blocks stored, never on
 //! their arrival order — the property the convergence proptests pin down.
 
-use crate::block::Block;
-use crate::chain::{validate_segment, ChainError, InvalidReason};
-use crate::difficulty::{cost_commitment_of, DifficultyRule};
+use crate::block::{Block, BlockHeader};
+use crate::chain::{validate_segment_with_rule, ChainError, InvalidReason};
+use crate::difficulty::DifficultyRule;
+use crate::header_chain::{Accepted, Entry, HeaderChain};
 use hashcore::Target;
 use hashcore_baselines::PreparedPow;
 use hashcore_crypto::{Digest256, Sha256};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// The digest a chain's first block links to: the all-zero "genesis" parent.
@@ -165,21 +165,6 @@ impl ApplyOutcome {
     }
 }
 
-/// One stored block plus its position in the tree.
-#[derive(Debug, Clone)]
-struct Entry {
-    block: Block,
-    height: u64,
-    /// Cumulative expected hash attempts from genesis through this block.
-    work: f64,
-    /// The block's own observed verifier-cost ratio (1.0 for PoW functions
-    /// reporting nominal cost). A pure function of the header bytes —
-    /// cached from the apply-time hash so commitment checks and reports
-    /// never re-execute widgets — and deliberately *not* part of
-    /// [`ForkTree::fingerprint`], which it is derivable from.
-    cost_ratio: f64,
-}
-
 /// A complete, self-contained description of a [`ForkTree`]'s logical state
 /// — everything [`ForkTree::restore_from_snapshot`] needs to rebuild a tree
 /// whose [`ForkTree::fingerprint`] is byte-identical to the source tree's.
@@ -277,7 +262,9 @@ fn hash_rule(hasher: &mut Sha256, rule: Option<&DifficultyRule>) {
 }
 
 /// A block store keyed by header PoW digest, with cumulative-work fork
-/// choice.
+/// choice: a [`HeaderChain`] over whole [`Block`]s, plus what only a full
+/// node has — the PoW function to hash with, the Merkle check of each
+/// body, reorg segments, segment serving and snapshots.
 ///
 /// The tree validates each applied block statelessly (Merkle commitment and
 /// the block's own embedded PoW target) and contextually (the parent must be
@@ -294,15 +281,7 @@ fn hash_rule(hasher: &mut Sha256, rule: Option<&DifficultyRule>) {
 /// buffer, so applying a stream of blocks does not allocate per block.
 pub struct ForkTree<P: PreparedPow> {
     pow: P,
-    entries: HashMap<Digest256, Entry>,
-    tip: Digest256,
-    /// The oldest block every stored branch descends from. [`GENESIS_HASH`]
-    /// until the first [`ForkTree::prune`]; afterwards the best-chain block
-    /// at the pruning cutoff. Backward walks stop here instead of genesis.
-    root: Digest256,
-    /// Difficulty policy enforced per branch; `None` trusts embedded
-    /// targets (the historical behaviour).
-    rule: Option<DifficultyRule>,
+    chain: HeaderChain<Block>,
     scratch: P::Scratch,
     header_bytes: Vec<u8>,
 }
@@ -311,8 +290,8 @@ impl<P: PreparedPow + fmt::Debug> fmt::Debug for ForkTree<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ForkTree")
             .field("pow", &self.pow)
-            .field("blocks", &self.entries.len())
-            .field("tip", &hashcore_crypto::hex::encode(&self.tip))
+            .field("blocks", &self.len())
+            .field("tip", &hashcore_crypto::hex::encode(&self.tip()))
             .finish()
     }
 }
@@ -324,10 +303,7 @@ impl<P: PreparedPow> ForkTree<P> {
     pub fn new(pow: P) -> Self {
         Self {
             pow,
-            entries: HashMap::new(),
-            tip: GENESIS_HASH,
-            root: GENESIS_HASH,
-            rule: None,
+            chain: HeaderChain::default(),
             scratch: P::Scratch::default(),
             header_bytes: Vec::new(),
         }
@@ -339,39 +315,34 @@ impl<P: PreparedPow> ForkTree<P> {
     /// branch position.
     pub fn with_rule(pow: P, rule: DifficultyRule) -> Self {
         let mut tree = Self::new(pow);
-        tree.rule = Some(rule);
+        tree.set_rule(rule);
         tree
     }
 
-    /// Installs a difficulty rule on an empty tree (builder-style wiring
-    /// for callers that construct the tree before choosing the policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block is already stored — retroactive enforcement
-    /// would leave unchecked branches behind.
+    /// The header-level state machine the tree runs on: every fork-choice,
+    /// rule and ancestry query.
+    pub fn chain(&self) -> &HeaderChain<Block> {
+        &self.chain
+    }
+
+    /// See [`HeaderChain::set_rule`].
     pub fn set_rule(&mut self, rule: DifficultyRule) {
-        assert!(
-            self.entries.is_empty(),
-            "the difficulty rule must be installed before any block is stored"
-        );
-        self.rule = Some(rule);
+        self.chain.set_rule(rule);
     }
 
-    /// The difficulty rule enforced along every branch, if one was set.
+    /// See [`HeaderChain::rule`].
     pub fn rule(&self) -> Option<&DifficultyRule> {
-        self.rule.as_ref()
+        self.chain.rule()
     }
 
-    /// The oldest stored block every branch descends from: [`GENESIS_HASH`]
-    /// until the tree has been pruned, then the retention root.
+    /// See [`HeaderChain::root`].
     pub fn root(&self) -> Digest256 {
-        self.root
+        self.chain.root()
     }
 
-    /// Height of the retention root (0 until the tree has been pruned).
+    /// See [`HeaderChain::root_height`].
     pub fn root_height(&self) -> u64 {
-        self.height_of(&self.root)
+        self.chain.root_height()
     }
 
     /// The PoW function blocks are validated against.
@@ -379,104 +350,100 @@ impl<P: PreparedPow> ForkTree<P> {
         &self.pow
     }
 
-    /// Number of blocks stored, across every branch.
+    /// See [`HeaderChain::len`].
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.chain.len()
     }
 
-    /// `true` when no block has been stored yet.
+    /// See [`HeaderChain::is_empty`].
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.chain.is_empty()
     }
 
-    /// Digest of the best tip ([`GENESIS_HASH`] for the empty tree).
+    /// See [`HeaderChain::tip`].
     pub fn tip(&self) -> Digest256 {
-        self.tip
+        self.chain.tip()
     }
 
-    /// Height of the best tip (number of blocks on the best chain).
+    /// See [`HeaderChain::tip_height`].
     pub fn tip_height(&self) -> u64 {
-        self.height_of(&self.tip)
-    }
-
-    /// Cumulative expected work of the best chain.
-    pub fn tip_work(&self) -> f64 {
-        self.entries.get(&self.tip).map_or(0.0, |e| e.work)
+        self.chain.tip_height()
     }
 
     /// The best tip's block, if any block has been stored.
     pub fn tip_block(&self) -> Option<&Block> {
-        self.entries.get(&self.tip).map(|e| &e.block)
+        self.block(&self.tip())
     }
 
-    /// `true` when a block with this digest is stored.
+    /// See [`HeaderChain::contains`].
     pub fn contains(&self, digest: &Digest256) -> bool {
-        self.entries.contains_key(digest)
+        self.chain.contains(digest)
     }
 
     /// The stored block with this digest, if any.
     pub fn block(&self, digest: &Digest256) -> Option<&Block> {
-        self.entries.get(digest).map(|e| &e.block)
+        self.chain.get(digest)
     }
 
-    /// Height of a stored block (0 for [`GENESIS_HASH`], which "stores" the
-    /// empty chain).
+    /// See [`HeaderChain::height_of`].
     pub fn height_of(&self, digest: &Digest256) -> u64 {
-        self.entries.get(digest).map_or(0, |e| e.height)
+        self.chain.height_of(digest)
     }
 
-    /// Cumulative expected work through a stored block (0.0 when the digest
-    /// is not stored).
+    /// See [`HeaderChain::work_of`].
     pub fn work_of(&self, digest: &Digest256) -> f64 {
-        self.entries.get(digest).map_or(0.0, |e| e.work)
+        self.chain.work_of(digest)
     }
 
-    /// Height of the highest stored block *not* on the best chain — how
-    /// close the best runner-up branch gets to the tip. 0 when every stored
-    /// block is on the best chain. The adversary harness reports
-    /// `tip_height - max_side_branch_height` as the honest tip's safety
-    /// margin.
+    /// See [`HeaderChain::cost_ratio_of`].
+    pub fn cost_ratio_of(&self, digest: &Digest256) -> f64 {
+        self.chain.cost_ratio_of(digest)
+    }
+
+    /// See [`HeaderChain::max_side_branch_height`].
     pub fn max_side_branch_height(&self) -> u64 {
-        let mut on_best: HashSet<Digest256> = HashSet::new();
-        let mut cursor = self.tip;
-        while cursor != GENESIS_HASH {
-            on_best.insert(cursor);
-            if cursor == self.root {
-                break;
-            }
-            cursor = self.parent_of(&cursor);
-        }
-        self.entries
-            .iter()
-            .filter(|(digest, _)| !on_best.contains(*digest))
-            .map(|(_, entry)| entry.height)
-            .max()
-            .unwrap_or(0)
+        self.chain.max_side_branch_height()
+    }
+
+    /// See [`HeaderChain::expected_child_target`].
+    pub fn expected_child_target(
+        &self,
+        parent: &Digest256,
+        child_timestamp: u64,
+    ) -> Option<Target> {
+        self.chain.expected_child_target(parent, child_timestamp)
+    }
+
+    /// See [`HeaderChain::expected_child_version`].
+    pub fn expected_child_version(&self, parent: &Digest256) -> Option<u32> {
+        self.chain.expected_child_version(parent)
+    }
+
+    /// See [`HeaderChain::locator`].
+    pub fn locator(&self) -> Vec<Digest256> {
+        self.chain.locator()
+    }
+
+    /// See [`HeaderChain::prune`]. Any peer whose locator shares at least
+    /// one digest inside the retained window can still be served exactly
+    /// as before; peers further behind get a clean
+    /// [`SegmentError::Pruned`].
+    pub fn prune(&mut self, keep_depth: u64) -> usize {
+        self.chain.prune(keep_depth)
     }
 
     /// Evaluates the PoW digest that identifies `block`, through the tree's
     /// scratch.
     pub fn digest_of(&mut self, block: &Block) -> Digest256 {
-        self.digest_of_header(&block.header)
-    }
-
-    /// Evaluates the PoW digest of a bare header through the tree's scratch
-    /// — what a light client needs to feed a
-    /// [`HeaderChain`](crate::HeaderChain) without materialising a block.
-    pub fn digest_of_header(&mut self, header: &crate::block::BlockHeader) -> Digest256 {
-        header.write_bytes(&mut self.header_bytes);
-        self.pow
-            .pow_hash_scratch(&self.header_bytes, &mut self.scratch)
+        self.digest_and_cost_of_header(&block.header).0
     }
 
     /// Evaluates the PoW digest of a bare header together with its observed
     /// verifier-cost ratio (cost units over the PoW function's nominal
-    /// budget) — one hash, both observations. The ratio is a pure function
-    /// of the header bytes, so every validator derives the same value.
-    pub fn digest_and_cost_of_header(
-        &mut self,
-        header: &crate::block::BlockHeader,
-    ) -> (Digest256, f64) {
+    /// budget) — one hash, both observations, and what a light client feeds
+    /// a [`HeaderChain`]. The ratio is a pure function of the header bytes,
+    /// so every validator derives the same value.
+    pub fn digest_and_cost_of_header(&mut self, header: &BlockHeader) -> (Digest256, f64) {
         header.write_bytes(&mut self.header_bytes);
         let (digest, cost) = self
             .pow
@@ -484,19 +451,9 @@ impl<P: PreparedPow> ForkTree<P> {
         (digest, cost.ratio(self.pow.nominal_cost()))
     }
 
-    /// The observed verifier-cost ratio of a stored block (1.0 when the
-    /// digest is not stored).
-    pub fn cost_ratio_of(&self, digest: &Digest256) -> f64 {
-        self.entries.get(digest).map_or(1.0, |e| e.cost_ratio)
-    }
-
-    /// Validates and stores a block, advancing the tip if the block's branch
-    /// now carries the most cumulative work.
-    ///
-    /// Fork choice is the lexicographic order on `(cumulative work, digest)`
-    /// — work first, digest as the deterministic tie-break — so the selected
-    /// tip is a function of the stored block set alone, independent of
-    /// arrival order.
+    /// Validates and stores a block through the [`HeaderChain`] acceptance
+    /// sequence (with the Merkle check as the body check), advancing the
+    /// tip if the block's branch now carries the most cumulative work.
     ///
     /// # Errors
     ///
@@ -508,281 +465,39 @@ impl<P: PreparedPow> ForkTree<P> {
     /// ([`InvalidReason::Target`]).
     pub fn apply(&mut self, block: Block) -> Result<ApplyOutcome, ForkError> {
         let (digest, cost_ratio) = self.digest_and_cost_of_header(&block.header);
-        if self.entries.contains_key(&digest) {
-            return Ok(ApplyOutcome::AlreadyKnown { digest });
-        }
-        if !block.merkle_consistent() {
-            return Err(ForkError::InvalidBlock {
-                reason: InvalidReason::Merkle,
-            });
-        }
-        // The branch-independent half of the difficulty policy: a fixed
-        // rule's expectation needs no parent, so a wrong-target block is
-        // rejected before the orphan path could trigger a segment sync.
-        if let Some(flat) = self.rule.as_ref().and_then(DifficultyRule::flat_target) {
-            if block.header.target != *flat.threshold() {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Target,
-                });
-            }
-        }
-        let target = Target::from_threshold(block.header.target);
-        if !target.is_met_by(&digest) {
-            return Err(ForkError::InvalidBlock {
-                reason: InvalidReason::Pow,
-            });
-        }
-        let prev = block.header.prev_hash;
-        let (parent_height, parent_work) = if prev == GENESIS_HASH {
-            (0, 0.0)
-        } else {
-            match self.entries.get(&prev) {
-                Some(parent) => (parent.height, parent.work),
-                None => {
-                    return Err(ForkError::UnknownParent {
-                        digest,
-                        prev_hash: prev,
-                    })
+        let accepted =
+            self.chain
+                .accept_item(block, digest, cost_ratio, Block::merkle_consistent)?;
+        Ok(match accepted {
+            Accepted::Known => ApplyOutcome::AlreadyKnown { digest },
+            Accepted::Side => ApplyOutcome::SideChain { digest },
+            Accepted::Tip { previous } => {
+                let (detached, attached) = self.chain.fork_path(previous, digest);
+                ApplyOutcome::TipChanged {
+                    digest,
+                    reorg: Reorg {
+                        detached: self.blocks(detached),
+                        attached: self.blocks(attached),
+                    },
                 }
             }
-        };
-        // The branch-aware half: with the parent resolved, the rule's
-        // expected target at this exact branch position is computable from
-        // headers alone and must match the embedded one.
-        if let Some(rule) = self.rule {
-            // A cost-aware rule first pins the version word: it must carry
-            // exactly the commitment the recurrence produces from the
-            // parent's committed EMA and the parent's own observed cost.
-            if let Some(version) = self.expected_child_version(&prev) {
-                if block.header.version != version {
-                    return Err(ForkError::InvalidBlock {
-                        reason: InvalidReason::Target,
-                    });
-                }
-            }
-            let expected = self
-                .expected_child_target(&prev, block.header.timestamp)
-                .expect("rule is set and the parent is stored");
-            if block.header.target != *expected.threshold() {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Target,
-                });
-            }
-            // The per-block admission bound: an expensive-to-verify block
-            // must clear a proportionally harder digest bound than its
-            // embedded target — the tax on cost-steering miners.
-            if !rule.admits(expected, &digest, cost_ratio) {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Pow,
-                });
-            }
-        }
-
-        let work = parent_work + target.expected_attempts();
-        self.entries.insert(
-            digest,
-            Entry {
-                block,
-                height: parent_height + 1,
-                work,
-                cost_ratio,
-            },
-        );
-
-        if self.prefers(&digest, work) {
-            let reorg = self.reorg_segments(self.tip, digest);
-            self.tip = digest;
-            Ok(ApplyOutcome::TipChanged { digest, reorg })
-        } else {
-            Ok(ApplyOutcome::SideChain { digest })
-        }
+        })
     }
 
-    /// The target the tree's [`DifficultyRule`] expects of a child of
-    /// `parent` reporting `child_timestamp` — what a miner extending that
-    /// branch must embed (and meet). `None` when the tree enforces no rule
-    /// or `parent` is neither stored nor [`GENESIS_HASH`].
-    pub fn expected_child_target(
-        &self,
-        parent: &Digest256,
-        child_timestamp: u64,
-    ) -> Option<Target> {
-        let rule = self.rule.as_ref()?;
-        if *parent == GENESIS_HASH {
-            return Some(rule.genesis_target());
-        }
-        let entry = self.entries.get(parent)?;
-        let parent_target = Target::from_threshold(entry.block.header.target);
-        let parent_timestamp = entry.block.header.timestamp;
-        match rule.cost_aware() {
-            None => Some(rule.child_target(parent_target, parent_timestamp, child_timestamp)),
-            // The cost-aware expectation runs the commitment recurrence
-            // forward from the parent's embedded commitment and cached
-            // observed cost — the same value the version check pins.
-            Some(cost) => {
-                let q = cost.child_commitment(
-                    cost_commitment_of(entry.block.header.version),
-                    entry.cost_ratio,
-                );
-                Some(cost.child_target(parent_target, parent_timestamp, child_timestamp, q))
-            }
-        }
-    }
-
-    /// The version word the tree's rule expects of a child of `parent` —
-    /// `Some` only under a cost-aware rule, where the version carries the
-    /// branch's cost commitment; `None` means the plain version 1 (no rule,
-    /// or a rule without commitments, or `parent` neither stored nor
-    /// [`GENESIS_HASH`]).
-    pub fn expected_child_version(&self, parent: &Digest256) -> Option<u32> {
-        let rule = self.rule.as_ref()?;
-        if *parent == GENESIS_HASH {
-            return rule.expected_version(None);
-        }
-        let entry = self.entries.get(parent)?;
-        rule.expected_version(Some((
-            cost_commitment_of(entry.block.header.version),
-            entry.cost_ratio,
-        )))
-    }
-
-    /// Reported timestamps of up to `window` blocks ending at `digest` (the
-    /// block itself and its nearest stored ancestors), oldest first — the
-    /// window the median-time-past timestamp-validity rule is computed
-    /// over. Empty when `digest` stores no block; the walk stops at the
-    /// retention root.
-    pub fn ancestor_timestamps(&self, digest: &Digest256, window: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut cursor = *digest;
-        while out.len() < window {
-            let Some(entry) = self.entries.get(&cursor) else {
-                break;
-            };
-            out.push(entry.block.header.timestamp);
-            if cursor == self.root {
-                break;
-            }
-            cursor = entry.block.header.prev_hash;
-        }
-        out.reverse();
-        out
-    }
-
-    /// Median-time-past: the median of the up-to-`window` reported
-    /// timestamps ending at `digest` — the lower bound the
-    /// timestamp-validity rule holds child blocks strictly above, so a
-    /// miner cannot rewind reported time to re-harden (or re-ease) a branch
-    /// retroactively. `None` when `digest` stores no block (a genesis child
-    /// has no history to bound).
-    pub fn median_time_past(&self, digest: &Digest256, window: usize) -> Option<u64> {
-        let mut timestamps = self.ancestor_timestamps(digest, window);
-        if timestamps.is_empty() {
-            return None;
-        }
-        timestamps.sort_unstable();
-        Some(timestamps[(timestamps.len() - 1) / 2])
-    }
-
-    /// `true` when `(work, digest)` beats the current tip in the fork-choice
-    /// order.
-    fn prefers(&self, digest: &Digest256, work: f64) -> bool {
-        if self.tip == GENESIS_HASH {
-            return true;
-        }
-        let tip_work = self.tip_work();
-        work > tip_work || (work == tip_work && *digest < self.tip)
-    }
-
-    /// Parent digest of a stored block ([`GENESIS_HASH`] stays genesis).
-    fn parent_of(&self, digest: &Digest256) -> Digest256 {
-        self.entries
-            .get(digest)
-            .map_or(GENESIS_HASH, |e| e.block.header.prev_hash)
-    }
-
-    /// The detached/attached segments of a tip switch from `old` to `new`,
-    /// found by walking both branches back to their common ancestor.
-    fn reorg_segments(&self, old: Digest256, new: Digest256) -> Reorg {
-        let mut detached = Vec::new();
-        let mut attached = Vec::new();
-        let (mut a, mut b) = (old, new);
-        while self.height_of(&a) > self.height_of(&b) {
-            detached.push(a);
-            a = self.parent_of(&a);
-        }
-        while self.height_of(&b) > self.height_of(&a) {
-            attached.push(b);
-            b = self.parent_of(&b);
-        }
-        while a != b {
-            detached.push(a);
-            a = self.parent_of(&a);
-            attached.push(b);
-            b = self.parent_of(&b);
-        }
-        let to_blocks = |digests: Vec<Digest256>| {
-            let mut blocks: Vec<Block> = digests
-                .into_iter()
-                .rev()
-                .map(|d| self.entries[&d].block.clone())
-                .collect();
-            blocks.shrink_to_fit();
-            blocks
-        };
-        Reorg {
-            detached: to_blocks(detached),
-            attached: to_blocks(attached),
-        }
+    /// Clones the stored blocks with these digests, in order.
+    fn blocks(&self, digests: Vec<Digest256>) -> Vec<Block> {
+        digests
+            .into_iter()
+            .map(|d| self.block(&d).expect("digest is stored").clone())
+            .collect()
     }
 
     /// The best chain, oldest block first: from the genesis child, or — once
     /// the tree has been pruned — from the retention root.
     pub fn best_chain(&self) -> Vec<Block> {
-        let mut digests = Vec::new();
-        let mut cursor = self.tip;
-        while cursor != GENESIS_HASH {
-            digests.push(cursor);
-            if cursor == self.root {
-                break;
-            }
-            cursor = self.parent_of(&cursor);
-        }
-        digests
-            .into_iter()
-            .rev()
-            .map(|d| self.entries[&d].block.clone())
-            .collect()
-    }
-
-    /// A Bitcoin-style block locator for the best chain: the tip, then
-    /// ancestors at exponentially increasing depth, ending with
-    /// [`GENESIS_HASH`]. A peer serving a segment walks back from the wanted
-    /// block until it hits one of these digests, so catch-up sync ships
-    /// `O(missing)` blocks with an `O(log height)`-sized request.
-    pub fn locator(&self) -> Vec<Digest256> {
-        let mut out = Vec::new();
-        let mut cursor = self.tip;
-        let mut step = 1u64;
-        while cursor != GENESIS_HASH && cursor != self.root {
-            out.push(cursor);
-            if out.len() >= 4 {
-                step *= 2;
-            }
-            for _ in 0..step {
-                cursor = self.parent_of(&cursor);
-                if cursor == GENESIS_HASH || cursor == self.root {
-                    break;
-                }
-            }
-        }
-        // A pruned tree's history bottoms out at its retention root; the
-        // trailing genesis digest stays for compatibility (every peer
-        // conceptually "knows" the empty chain).
-        if cursor == self.root && self.root != GENESIS_HASH {
-            out.push(self.root);
-        }
-        out.push(GENESIS_HASH);
-        out
+        let mut digests = self.chain.best_path();
+        digests.reverse();
+        self.blocks(digests)
     }
 
     /// The contiguous segment ending at `want`, walking back until a digest
@@ -803,98 +518,29 @@ impl<P: PreparedPow> ForkTree<P> {
         want: Digest256,
         known: &[Digest256],
     ) -> Result<Vec<Block>, SegmentError> {
-        if !self.entries.contains_key(&want) {
+        if !self.contains(&want) {
             return Err(SegmentError::UnknownBlock { want });
         }
+        let root = self.root();
         let mut out = Vec::new();
         let mut cursor = want;
         while cursor != GENESIS_HASH && !known.contains(&cursor) {
-            let entry = &self.entries[&cursor];
-            out.push(entry.block.clone());
-            let parent = entry.block.header.prev_hash;
-            if cursor == self.root && self.root != GENESIS_HASH {
+            let block = self.block(&cursor).expect("walk stays on stored blocks");
+            out.push(block.clone());
+            let parent = block.header.prev_hash;
+            if cursor == root && root != GENESIS_HASH {
                 // The walk hit the retention root. The full retained chain
                 // is exactly servable iff the requester knows the root's
                 // parent; anything older is gone.
                 if known.contains(&parent) {
                     break;
                 }
-                return Err(SegmentError::Pruned { root: self.root });
+                return Err(SegmentError::Pruned { root });
             }
             cursor = parent;
         }
         out.reverse();
         Ok(out)
-    }
-
-    /// Drops every block more than `keep_depth` below the best tip, plus any
-    /// branch that no longer connects to the retained window — the bound
-    /// that keeps long-horizon (and adversarially spammed) simulations from
-    /// growing without limit.
-    ///
-    /// The best-chain block exactly `keep_depth` below the tip becomes the
-    /// new retention [`ForkTree::root`]: it is kept, every retained block
-    /// descends from it, and backward walks (`best_chain`, `locator`,
-    /// `segment_to`) stop there. Any peer whose locator shares at least one
-    /// digest inside the window can still be served exactly as before;
-    /// peers further behind get a clean [`SegmentError::Pruned`]. A branch
-    /// forking below the root can never be reattached — blocks extending it
-    /// are reported as [`ForkError::UnknownParent`] and their segments no
-    /// longer anchor — which is the usual finality assumption of a pruning
-    /// node.
-    ///
-    /// Returns the number of blocks evicted. Calling with a `keep_depth` of
-    /// at least the tip height — or one that would place the cutoff at or
-    /// below the existing retention root (history already gone) — is a
-    /// no-op.
-    pub fn prune(&mut self, keep_depth: u64) -> usize {
-        let tip_height = self.tip_height();
-        if tip_height <= keep_depth || self.tip == GENESIS_HASH {
-            return 0;
-        }
-        let cutoff = tip_height - keep_depth;
-        // A widened window cannot bring pruned history back: walking for a
-        // root below the current one would step through pruned parents and
-        // land on a phantom digest.
-        if cutoff <= self.root_height() && self.root != GENESIS_HASH {
-            return 0;
-        }
-        // The new root: the best-chain block at the cutoff height.
-        let mut root = self.tip;
-        while self.height_of(&root) > cutoff {
-            root = self.parent_of(&root);
-        }
-        // Keep exactly the blocks whose ancestry stays above the cutoff all
-        // the way to the new root; everything else (older history, branches
-        // forked below the cutoff) is evicted.
-        let mut keep: HashSet<Digest256> = HashSet::with_capacity(self.entries.len());
-        keep.insert(root);
-        let mut path = Vec::new();
-        for digest in self.entries.keys() {
-            let mut cursor = *digest;
-            path.clear();
-            let connected = loop {
-                if keep.contains(&cursor) {
-                    break true;
-                }
-                match self.entries.get(&cursor) {
-                    Some(entry) if entry.height > cutoff => {
-                        path.push(cursor);
-                        cursor = entry.block.header.prev_hash;
-                    }
-                    // Reached the cutoff (or a hole) on a digest that is not
-                    // the root: this branch forked below the window.
-                    _ => break false,
-                }
-            };
-            if connected {
-                keep.extend(path.iter().copied());
-            }
-        }
-        let before = self.entries.len();
-        self.entries.retain(|digest, _| keep.contains(digest));
-        self.root = root;
-        before - self.entries.len()
     }
 
     /// A canonical digest of the tree's complete logical state: the rule,
@@ -906,26 +552,26 @@ impl<P: PreparedPow> ForkTree<P> {
     /// witness the persistence layer's `save → crash → restore` proofs
     /// compare.
     pub fn fingerprint(&self) -> Digest256 {
+        let root = self.root();
         let mut hasher = Sha256::new();
         hasher.update(b"hashcore-forktree-fingerprint-v1");
-        hash_rule(&mut hasher, self.rule.as_ref());
-        hasher.update(&self.root);
+        hash_rule(&mut hasher, self.rule());
+        hasher.update(&root);
         hasher.update(&self.root_height().to_le_bytes());
-        hasher.update(&self.work_of(&self.root).to_bits().to_le_bytes());
-        hasher.update(&self.tip);
-        hasher.update(&(self.entries.len() as u64).to_le_bytes());
-        let mut digests: Vec<&Digest256> = self.entries.keys().collect();
-        digests.sort_unstable();
+        hasher.update(&self.work_of(&root).to_bits().to_le_bytes());
+        hasher.update(&self.tip());
+        hasher.update(&(self.len() as u64).to_le_bytes());
+        let mut entries: Vec<_> = self.chain.entries().collect();
+        entries.sort_unstable_by_key(|(digest, _)| *digest);
         let mut header_bytes = Vec::new();
-        for digest in digests {
-            let entry = &self.entries[digest];
+        for (digest, entry) in entries {
             hasher.update(digest);
             hasher.update(&entry.height.to_le_bytes());
             hasher.update(&entry.work.to_bits().to_le_bytes());
-            entry.block.header.write_bytes(&mut header_bytes);
+            entry.item.header.write_bytes(&mut header_bytes);
             hasher.update(&header_bytes);
-            hasher.update(&(entry.block.transactions.len() as u64).to_le_bytes());
-            for tx in &entry.block.transactions {
+            hasher.update(&(entry.item.transactions.len() as u64).to_le_bytes());
+            for tx in &entry.item.transactions {
                 hasher.update(&(tx.len() as u64).to_le_bytes());
                 hasher.update(tx);
             }
@@ -938,20 +584,20 @@ impl<P: PreparedPow> ForkTree<P> {
     /// root/rule context a restore needs. The inverse of
     /// [`ForkTree::restore_from_snapshot`].
     pub fn snapshot(&self) -> TreeSnapshot {
-        let mut keyed: Vec<(u64, &Digest256)> = self
-            .entries
-            .iter()
-            .map(|(digest, entry)| (entry.height, digest))
+        let mut keyed: Vec<_> = self
+            .chain
+            .entries()
+            .map(|(digest, entry)| (entry.height, digest, &entry.item))
             .collect();
-        keyed.sort_unstable();
+        keyed.sort_unstable_by_key(|&(height, digest, _)| (height, digest));
         TreeSnapshot {
-            root: self.root,
+            root: self.root(),
             root_height: self.root_height(),
-            root_work: self.work_of(&self.root),
-            rule: self.rule,
+            root_work: self.work_of(&self.root()),
+            rule: self.rule().copied(),
             blocks: keyed
                 .into_iter()
-                .map(|(_, digest)| self.entries[digest].block.clone())
+                .map(|(_, _, block)| block.clone())
                 .collect(),
         }
     }
@@ -972,10 +618,7 @@ impl<P: PreparedPow> ForkTree<P> {
     /// to re-apply; the tree is left empty (never half-restored) in that
     /// case.
     pub fn restore_from_snapshot(&mut self, snapshot: &TreeSnapshot) -> Result<(), RestoreError> {
-        self.entries.clear();
-        self.tip = GENESIS_HASH;
-        self.root = GENESIS_HASH;
-        self.rule = snapshot.rule;
+        self.chain.restart(snapshot.rule, None);
         let mut blocks = snapshot.blocks.iter().enumerate();
         if snapshot.root != GENESIS_HASH {
             let Some((_, root_block)) = blocks.next() else {
@@ -996,23 +639,17 @@ impl<P: PreparedPow> ForkTree<P> {
             {
                 return Err(RestoreError::RootPow);
             }
-            self.entries.insert(
-                digest,
-                Entry {
-                    block: root_block.clone(),
-                    height: snapshot.root_height,
-                    work: snapshot.root_work,
-                    cost_ratio,
-                },
-            );
-            self.root = digest;
-            self.tip = digest;
+            let root = Entry {
+                item: root_block.clone(),
+                height: snapshot.root_height,
+                work: snapshot.root_work,
+                cost_ratio,
+            };
+            self.chain.restart(snapshot.rule, Some((digest, root)));
         }
         for (index, block) in blocks {
             if let Err(error) = self.apply(block.clone()) {
-                self.entries.clear();
-                self.tip = GENESIS_HASH;
-                self.root = GENESIS_HASH;
+                self.chain.restart(snapshot.rule, None);
                 return Err(RestoreError::Apply { index, error });
             }
         }
@@ -1039,12 +676,10 @@ impl<P: PreparedPow> ForkTree<P> {
     ///
     /// Returns the first [`ChainError::InvalidBlock`] found.
     pub fn validate_best_chain(&self) -> Result<(), ChainError> {
-        let anchor = if self.root == GENESIS_HASH {
-            GENESIS_HASH
-        } else {
-            self.entries[&self.root].block.header.prev_hash
-        };
-        validate_segment(&self.pow, &self.best_chain(), anchor)
+        let anchor = self
+            .block(&self.root())
+            .map_or(GENESIS_HASH, |root| root.header.prev_hash);
+        validate_segment_with_rule(&self.pow, &self.best_chain(), anchor, None)
     }
 }
 
@@ -1455,15 +1090,18 @@ mod tests {
             prev = digest(&block);
             tree.apply(block).expect("valid");
         }
-        assert_eq!(tree.ancestor_timestamps(&prev, 3), vec![40, 20, 30]);
-        assert_eq!(tree.ancestor_timestamps(&prev, 99).len(), 5);
+        assert_eq!(tree.chain().ancestor_timestamps(&prev, 3), vec![40, 20, 30]);
+        assert_eq!(tree.chain().ancestor_timestamps(&prev, 99).len(), 5);
         // Median of [40, 20, 30] sorted = [20, 30, 40] → 30.
-        assert_eq!(tree.median_time_past(&prev, 3), Some(30));
+        assert_eq!(tree.chain().median_time_past(&prev, 3), Some(30));
         // Even-sized window takes the lower middle: [20, 30, 40, 50]... the
         // last four are [10, 40, 20, 30] → sorted [10, 20, 30, 40] → 20.
-        assert_eq!(tree.median_time_past(&prev, 4), Some(20));
-        assert_eq!(tree.median_time_past(&GENESIS_HASH, 5), None);
-        assert!(tree.ancestor_timestamps(&GENESIS_HASH, 5).is_empty());
+        assert_eq!(tree.chain().median_time_past(&prev, 4), Some(20));
+        assert_eq!(tree.chain().median_time_past(&GENESIS_HASH, 5), None);
+        assert!(tree
+            .chain()
+            .ancestor_timestamps(&GENESIS_HASH, 5)
+            .is_empty());
     }
 
     #[test]

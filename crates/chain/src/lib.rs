@@ -19,16 +19,19 @@
 //!   as a pure function of a branch's header timestamps and targets, so
 //!   difficulty is evaluable (and enforceable) along arbitrary fork-tree
 //!   branches, not just a linear history,
-//! * [`ForkTree`] — a block store keyed by header PoW digest with
-//!   cumulative-work fork choice: competing branches race, tip switches
-//!   report their detached/attached segments, and block locators serve the
-//!   segment-sync protocol of the `hashcore-net` simulation. Built with
-//!   [`ForkTree::with_rule`], it enforces the expected difficulty target
-//!   along every branch,
-//! * [`HeaderChain`] — the header-only counterpart of [`ForkTree`] for
-//!   light clients: identical `(work, digest)` fork choice and per-branch
-//!   difficulty enforcement over bare headers, with no bodies and no
-//!   Merkle re-computation,
+//! * [`HeaderChain`] — the one header-level state machine: items keyed by
+//!   header PoW digest, one acceptance check sequence, `(work, digest)`
+//!   cumulative-work fork choice, per-branch difficulty enforcement,
+//!   median-time-past, locators and pruning. Over bare headers it is what
+//!   a light client stores,
+//! * [`ForkTree`] — that state machine over whole blocks, plus the PoW
+//!   function that hashes them, the Merkle check, reorg segments,
+//!   segment serving for the `hashcore-net` sync protocol, fingerprints
+//!   and snapshots. Built with [`ForkTree::with_rule`], it enforces the
+//!   expected difficulty target along every branch,
+//! * [`validate_segment_with_rule`] / [`validate_segment_parallel`] — the
+//!   sequential and parallel segment validators, byte-identical in their
+//!   verdicts, optionally enforcing a rule along the segment,
 //! * [`market`] — the mining-market model used by experiment E9: miners
 //!   with heterogeneous capital choose hardware whose efficiency depends on
 //!   how ASIC-friendly the PoW's dominant resource is, and the resulting
@@ -59,9 +62,8 @@ pub mod market;
 
 pub use block::{Block, BlockHeader};
 pub use chain::{
-    validate_blocks, validate_blocks_parallel, validate_segment, validate_segment_parallel,
-    validate_segment_parallel_with_rule, validate_segment_with_rule, Blockchain, ChainConfig,
-    ChainError, InvalidReason, RuleContext,
+    validate_segment_parallel, validate_segment_parallel_with_rule, validate_segment_with_rule,
+    Blockchain, ChainConfig, ChainError, InvalidReason, RuleContext,
 };
 pub use difficulty::{
     cost_commitment_of, cost_dequantize, cost_quantize, pack_cost_commitment, CostAwareRetarget,

@@ -1,10 +1,14 @@
 //! Property-based equivalence of parallel and sequential chain validation:
-//! for any corruption pattern and any thread count, `validate_blocks_parallel`
-//! must return exactly what `validate_blocks` returns — acceptance or the
-//! same first-error height and reason.
+//! for any corruption pattern and any thread count,
+//! `validate_segment_parallel` must return exactly what
+//! `validate_segment_with_rule` returns — acceptance or the same
+//! first-error height and reason.
 
 use hashcore_baselines::Sha256dPow;
-use hashcore_chain::{validate_blocks, validate_blocks_parallel, Block, Blockchain, ChainConfig};
+use hashcore_chain::{
+    validate_segment_parallel, validate_segment_with_rule, Block, Blockchain, ChainConfig,
+    GENESIS_HASH,
+};
 use proptest::prelude::*;
 
 fn mined_chain(blocks: usize) -> Blockchain<Sha256dPow> {
@@ -39,8 +43,9 @@ fn arb_corruption() -> impl Strategy<Value = Corruption> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `validate_blocks_parallel` ≡ `validate_blocks` on chains of ≥ 32
-    /// blocks with arbitrary corruption sets, for every thread count.
+    /// `validate_segment_parallel` ≡ `validate_segment_with_rule` on
+    /// genesis-anchored chains of ≥ 32 blocks with arbitrary corruption
+    /// sets, for every thread count.
     #[test]
     fn parallel_validation_matches_sequential(
         corruptions in prop::collection::vec((0usize..36, arb_corruption()), 0..4),
@@ -60,8 +65,8 @@ proptest! {
             }
         }
 
-        let sequential = validate_blocks(&Sha256dPow, &blocks);
-        let parallel = validate_blocks_parallel(&Sha256dPow, &blocks, threads);
+        let sequential = validate_segment_with_rule(&Sha256dPow, &blocks, GENESIS_HASH, None);
+        let parallel = validate_segment_parallel(&Sha256dPow, &blocks, threads, GENESIS_HASH);
         prop_assert_eq!(&parallel, &sequential);
         if corruptions.is_empty() {
             prop_assert!(sequential.is_ok());

@@ -1,13 +1,19 @@
-//! Error-taxonomy tests for `validate_segment` / `validate_segment_parallel`:
-//! one test per rejection class, each asserting the *exact* lowest-height
-//! [`ChainError::InvalidBlock`] — height and [`InvalidReason`] — and that
-//! the parallel verifier reports byte-identically to the sequential one for
-//! every interesting thread count.
+//! Error-taxonomy tests for `validate_segment_with_rule` /
+//! `validate_segment_parallel`: one test per rejection class, each asserting
+//! the *exact* lowest-height [`ChainError::InvalidBlock`] — height and
+//! [`InvalidReason`] — and that the parallel verifier reports
+//! byte-identically to the sequential one for every interesting thread
+//! count. The rule-aware validators are held to the same equivalence, and
+//! to the verdict of replaying the segment through a rule-enforcing
+//! [`ForkTree`], under every [`DifficultyRule`].
 
+use hashcore::Target;
 use hashcore_baselines::{PowFunction, Sha256dPow};
 use hashcore_chain::{
-    validate_segment, validate_segment_parallel, Block, Blockchain, ChainConfig, ChainError,
-    InvalidReason,
+    cost_commitment_of, validate_segment_parallel, validate_segment_parallel_with_rule,
+    validate_segment_with_rule, Block, BlockHeader, Blockchain, ChainConfig, ChainError,
+    CostAwareRetarget, DifficultyRule, EmaRetarget, ForkError, ForkTree, HeaderChain,
+    InvalidReason, RuleContext, GENESIS_HASH,
 };
 use hashcore_crypto::Digest256;
 
@@ -30,7 +36,7 @@ fn segment_fixture() -> (Vec<Block>, Digest256) {
 fn assert_exact_error(blocks: &[Block], anchor: Digest256, height: usize, reason: InvalidReason) {
     let expected = Err(ChainError::InvalidBlock { height, reason });
     assert_eq!(
-        validate_segment(&Sha256dPow, blocks, anchor),
+        validate_segment_with_rule(&Sha256dPow, blocks, anchor, None),
         expected,
         "sequential"
     );
@@ -46,7 +52,10 @@ fn assert_exact_error(blocks: &[Block], anchor: Digest256, height: usize, reason
 #[test]
 fn clean_segment_is_accepted_by_both_paths() {
     let (blocks, anchor) = segment_fixture();
-    assert_eq!(validate_segment(&Sha256dPow, &blocks, anchor), Ok(()));
+    assert_eq!(
+        validate_segment_with_rule(&Sha256dPow, &blocks, anchor, None),
+        Ok(())
+    );
     for threads in THREADS {
         assert_eq!(
             validate_segment_parallel(&Sha256dPow, &blocks, threads, anchor),
@@ -143,4 +152,266 @@ fn reasons_render_the_shared_wording() {
         err.to_string(),
         "block 7 is invalid: merkle root does not commit to the transactions"
     );
+}
+
+/// `0x3fff…ff`: the 2-leading-zero-bit target with every lower bit set — a
+/// threshold wider than an `f64` mantissa, which `Target::scale` rounds.
+fn wide_target() -> Target {
+    let mut threshold = [0xFF; 32];
+    threshold[0] = 0x3F;
+    Target::from_threshold(threshold)
+}
+
+/// Each rule variant over a power-of-two and a non-power-of-two initial
+/// target, on a 1 000 ms block time.
+fn rules() -> Vec<DifficultyRule> {
+    [Target::from_leading_zero_bits(2), wide_target()]
+        .into_iter()
+        .flat_map(|initial| {
+            let time = EmaRetarget::new(initial, 1_000.0, 0.5);
+            [
+                DifficultyRule::Fixed(initial),
+                DifficultyRule::Ema(time),
+                DifficultyRule::CostAware(CostAwareRetarget::new(time, 0.5, 1.0)),
+            ]
+        })
+        .collect()
+}
+
+/// Re-mines `header`'s nonce until its digest meets its embedded target and
+/// `accept` holds for `(digest, cost ratio)`.
+fn remine(
+    tree: &mut ForkTree<Sha256dPow>,
+    header: &mut BlockHeader,
+    accept: impl Fn(&Digest256, f64) -> bool,
+) {
+    let embedded = Target::from_threshold(header.target);
+    loop {
+        let (digest, ratio) = tree.digest_and_cost_of_header(header);
+        if embedded.is_met_by(&digest) && accept(&digest, ratio) {
+            return;
+        }
+        header.nonce += 1;
+    }
+}
+
+/// The rule-consistent child of `tree`'s tip at `timestamp` — or, with
+/// `admissible` false, one that meets its expected target but fails the
+/// cost admission bound.
+fn mine_rule_child(
+    tree: &mut ForkTree<Sha256dPow>,
+    rule: &DifficultyRule,
+    timestamp: u64,
+    admissible: bool,
+) -> Block {
+    let parent = tree.tip();
+    let expected = tree
+        .expected_child_target(&parent, timestamp)
+        .expect("the tree enforces a rule");
+    let transactions = vec![format!("at-{timestamp}").into_bytes()];
+    let mut header = BlockHeader {
+        version: tree.expected_child_version(&parent).unwrap_or(1),
+        prev_hash: parent,
+        merkle_root: Block::merkle_root(&transactions),
+        timestamp,
+        target: *expected.threshold(),
+        nonce: 0,
+    };
+    remine(tree, &mut header, |digest, ratio| {
+        rule.admits(expected, digest, ratio) == admissible
+    });
+    Block {
+        header,
+        transactions,
+    }
+}
+
+/// An honest 8-block chain under `rule`, with uneven gaps so targets and
+/// cost commitments move.
+fn rule_chain(rule: &DifficultyRule) -> Vec<Block> {
+    let mut tree = ForkTree::with_rule(Sha256dPow, *rule);
+    let mut timestamp = 0;
+    [900u64, 2_400, 300, 1_100, 1_000, 700, 1_500, 1_000]
+        .iter()
+        .map(|gap| {
+            timestamp += gap;
+            let block = mine_rule_child(&mut tree, rule, timestamp, true);
+            tree.apply(block.clone()).expect("honest block");
+            block
+        })
+        .collect()
+}
+
+/// The chain with one corruption of `class` at index `at` — every class
+/// the rule can express (only a cost-aware rule has an admission bound).
+fn corrupt(rule: &DifficultyRule, chain: &[Block], class: &str, at: usize) -> Option<Vec<Block>> {
+    let mut tree = ForkTree::with_rule(Sha256dPow, *rule);
+    for block in &chain[..at] {
+        tree.apply(block.clone()).expect("honest prefix");
+    }
+    let mut blocks = chain.to_vec();
+    let block = &mut blocks[at];
+    match class {
+        "linkage" => {
+            block.header.prev_hash = [0xEE; 32];
+            remine(&mut tree, &mut block.header, |_, _| true);
+        }
+        "merkle" => block.transactions[0] = b"forged".to_vec(),
+        "nonce" => {
+            let embedded = Target::from_threshold(block.header.target);
+            while embedded.is_met_by(&tree.digest_of(block)) {
+                block.header.nonce += 1;
+            }
+        }
+        "target" => {
+            block.header.target[31] ^= 1;
+            remine(&mut tree, &mut block.header, |_, _| true);
+        }
+        "commitment" => {
+            block.header.version = block.header.version.wrapping_add(1 << 16);
+            remine(&mut tree, &mut block.header, |_, _| true);
+        }
+        "inadmissible" => {
+            rule.cost_aware()?;
+            *block = mine_rule_child(&mut tree, rule, block.header.timestamp, false);
+        }
+        _ => unreachable!("unknown corruption class {class}"),
+    }
+    Some(blocks)
+}
+
+/// The first `(height, reason)` at which replaying `segment` on top of
+/// `prefix` through a rule-enforcing tree fails; an orphan is the
+/// validators' linkage failure.
+fn tree_replay(
+    rule: &DifficultyRule,
+    prefix: &[Block],
+    segment: &[Block],
+) -> Result<(), ChainError> {
+    let mut tree = ForkTree::with_rule(Sha256dPow, *rule);
+    for block in prefix {
+        tree.apply(block.clone()).expect("honest prefix");
+    }
+    for (height, block) in segment.iter().enumerate() {
+        let reason = match tree.apply(block.clone()) {
+            Ok(_) => continue,
+            Err(ForkError::UnknownParent { .. }) => InvalidReason::Linkage,
+            Err(ForkError::InvalidBlock { reason }) => reason,
+        };
+        return Err(ChainError::InvalidBlock { height, reason });
+    }
+    Ok(())
+}
+
+/// Asserts that the rule-aware validators agree with each other at 1–4
+/// threads and with the tree replay on `blocks[split..]`, anchored at
+/// `blocks[split - 1]` (or genesis for `split` 0); returns their verdict.
+fn assert_rule_validators_agree(
+    rule: &DifficultyRule,
+    blocks: &[Block],
+    split: usize,
+) -> Result<(), ChainError> {
+    let mut tree = ForkTree::with_rule(Sha256dPow, *rule);
+    for block in &blocks[..split] {
+        tree.apply(block.clone()).expect("honest prefix");
+    }
+    let (anchor, state) = match split.checked_sub(1).map(|i| &blocks[i]) {
+        None => (GENESIS_HASH, None),
+        Some(block) => {
+            let digest = tree.digest_of(block);
+            let header = &block.header;
+            let state = (
+                Target::from_threshold(header.target),
+                header.timestamp,
+                cost_commitment_of(header.version),
+                tree.cost_ratio_of(&digest),
+            );
+            (digest, Some(state))
+        }
+    };
+    let ctx = RuleContext {
+        rule,
+        anchor: state,
+    };
+    let segment = &blocks[split..];
+    let sequential = validate_segment_with_rule(&Sha256dPow, segment, anchor, Some(ctx));
+    for threads in 1..=4 {
+        assert_eq!(
+            validate_segment_parallel_with_rule(&Sha256dPow, segment, threads, anchor, Some(ctx)),
+            sequential,
+            "{rule:?}: {threads} threads from split {split}"
+        );
+    }
+    assert_eq!(
+        sequential,
+        tree_replay(rule, &blocks[..split], segment),
+        "{rule:?}: validators vs tree replay from split {split}"
+    );
+    sequential
+}
+
+#[test]
+fn rule_aware_validators_agree_with_the_tree_replay_for_every_rule() {
+    use InvalidReason::{Linkage, Merkle, Pow, Target as Policy};
+    for rule in rules() {
+        let chain = rule_chain(&rule);
+        // A changed version word is dead weight outside the cost-aware
+        // rule: the block stays valid, and its successor no longer links.
+        let commitment = match rule.cost_aware() {
+            Some(_) => (2, Policy),
+            None => (3, Linkage),
+        };
+        for split in [0, 3] {
+            assert_eq!(assert_rule_validators_agree(&rule, &chain, split), Ok(()));
+            for (class, (height, reason)) in [
+                ("linkage", (2, Linkage)),
+                ("merkle", (2, Merkle)),
+                ("nonce", (2, Pow)),
+                ("target", (2, Policy)),
+                ("commitment", commitment),
+                ("inadmissible", (2, Pow)),
+            ] {
+                if let Some(blocks) = corrupt(&rule, &chain, class, split + 2) {
+                    assert_eq!(
+                        assert_rule_validators_agree(&rule, &blocks, split),
+                        Err(ChainError::InvalidBlock { height, reason }),
+                        "{rule:?}: {class} from split {split}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn cost_aware_genesis_child_is_accepted_at_a_wide_initial_target() {
+    // Response 0: every cost factor is exactly 1.0, so the genesis child's
+    // expected target is the initial target itself — which `scale(1.0)`
+    // would round up to 0x4000…00.
+    let time = EmaRetarget::new(wide_target(), 1_000.0, 0.5);
+    let rule = DifficultyRule::CostAware(CostAwareRetarget::new(time, 0.5, 0.0));
+    let mut tree = ForkTree::with_rule(Sha256dPow, rule);
+    let child = mine_rule_child(&mut tree, &rule, 1_000, true);
+    assert_eq!(child.header.target, *wide_target().threshold());
+    let (digest, ratio) = tree.digest_and_cost_of_header(&child.header);
+
+    let mut headers = HeaderChain::with_rule(rule);
+    assert!(headers
+        .accept_observed(child.header.clone(), digest, ratio)
+        .is_ok());
+    let segment = [child.clone()];
+    let ctx = Some(RuleContext {
+        rule: &rule,
+        anchor: None,
+    });
+    assert_eq!(
+        validate_segment_with_rule(&Sha256dPow, &segment, GENESIS_HASH, ctx),
+        Ok(())
+    );
+    assert_eq!(
+        validate_segment_parallel_with_rule(&Sha256dPow, &segment, 1, GENESIS_HASH, ctx),
+        Ok(())
+    );
+    assert!(rule.segment_targets_valid(None, &segment));
+    assert!(tree.apply(child).is_ok());
 }

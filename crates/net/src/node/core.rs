@@ -5,7 +5,10 @@
 use crate::strategy::{Honest, Strategy};
 use hashcore::Target;
 use hashcore_baselines::PreparedPow;
-use hashcore_chain::{ApplyOutcome, Block, DifficultyRule, ForkTree, TreeSnapshot, GENESIS_HASH};
+use hashcore_chain::{
+    ApplyOutcome, Block, BlockHeader, DifficultyRule, ForkTree, HeaderChain, TreeSnapshot,
+    GENESIS_HASH,
+};
 use hashcore_crypto::Digest256;
 use hashcore_store::{ChainStore, RecoveryReport};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -41,7 +44,7 @@ pub(crate) struct Persistence {
 /// — the default [`Honest`] strategy reproduces the pre-strategy node byte
 /// for byte. All hashing — mining and fork-tree application alike — runs
 /// through reusable per-node scratches, the same per-worker discipline as
-/// `HashCore::mine_parallel` and `validate_blocks_parallel`.
+/// `HashCore::mine_parallel` and `validate_segment_parallel`.
 ///
 /// # Hardening
 ///
@@ -508,31 +511,32 @@ where
         block.header.target <= *floor.threshold()
     }
 
-    /// Timestamp validity of one gossiped block under the configured
-    /// [`TimestampRule`] (`true` when no rule is configured).
-    pub(crate) fn block_timestamp_plausible(&self, now_ms: u64, block: &Block) -> bool {
+    /// Timestamp validity of one received header under the configured
+    /// [`TimestampRule`] (`true` when no rule is configured): at most the
+    /// future drift ahead of `now_ms`, and strictly above the
+    /// median-time-past of its parent in `chain` — a full node's fork
+    /// tree or a light client's header chain. A parent `chain` does not
+    /// store (genesis, or an orphan's) bounds nothing.
+    pub(crate) fn timestamp_plausible<T: AsRef<BlockHeader>>(
+        &self,
+        now_ms: u64,
+        header: &BlockHeader,
+        chain: &HeaderChain<T>,
+    ) -> bool {
         let Some(rule) = self.timestamp_rule else {
             return true;
         };
-        if block.header.timestamp > now_ms.saturating_add(rule.max_future_drift_ms) {
-            return false;
-        }
-        let prev = block.header.prev_hash;
-        if prev != GENESIS_HASH {
-            if let Some(mtp) = self.tree.median_time_past(&prev, rule.mtp_window) {
-                if block.header.timestamp <= mtp {
-                    return false;
-                }
-            }
-        }
-        true
+        header.timestamp <= now_ms.saturating_add(rule.max_future_drift_ms)
+            && chain
+                .median_time_past(&header.prev_hash, rule.mtp_window)
+                .is_none_or(|mtp| header.timestamp > mtp)
     }
 
     /// Timestamp validity of a whole received segment: every block is
     /// drift-bounded against `now_ms` and strictly above the
     /// median-time-past of its own rolling ancestor window, seeded with
     /// the anchor's stored ancestry — the same bound
-    /// [`Node::block_timestamp_plausible`] applies per gossiped block.
+    /// [`Node::timestamp_plausible`] applies per gossiped block.
     pub(crate) fn segment_timestamps_plausible(
         &self,
         now_ms: u64,
@@ -546,7 +550,9 @@ where
         let mut window: Vec<u64> = if anchor == GENESIS_HASH {
             Vec::new()
         } else {
-            self.tree.ancestor_timestamps(&anchor, rule.mtp_window)
+            self.tree
+                .chain()
+                .ancestor_timestamps(&anchor, rule.mtp_window)
         };
         for block in blocks {
             if block.header.timestamp > horizon {

@@ -209,7 +209,8 @@ where
             // free with the digest.
             let (digest, cost_ratio) = self.tree.digest_and_cost_of_header(&header);
             self.stats.verify_hash_ops += 1;
-            if !self.header_timestamp_plausible(now_ms, &header) {
+            let light = self.light.as_ref().expect("light role");
+            if !self.timestamp_plausible(now_ms, &header, &light.headers) {
                 self.stats.rejections.timestamp += 1;
                 self.penalize(from);
                 break;
@@ -323,29 +324,5 @@ where
             let tip = light.headers.tip();
             self.request_proof(now_ms, tip)
         }
-    }
-
-    /// Future-drift plus median-time-past over the light header chain —
-    /// the same [`TimestampRule`](super::TimestampRule) full nodes apply,
-    /// evaluated against headers instead of blocks.
-    fn header_timestamp_plausible(&self, now_ms: u64, header: &BlockHeader) -> bool {
-        let Some(rule) = self.timestamp_rule else {
-            return true;
-        };
-        if header.timestamp > now_ms.saturating_add(rule.max_future_drift_ms) {
-            return false;
-        }
-        let light = self.light.as_ref().expect("light role");
-        if header.prev_hash != GENESIS_HASH && light.headers.contains(&header.prev_hash) {
-            if let Some(mtp) = light
-                .headers
-                .median_time_past(&header.prev_hash, rule.mtp_window)
-            {
-                if header.timestamp <= mtp {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }

@@ -235,6 +235,7 @@ where
         let timestamp = if skew == 0 {
             let mtp_floor = self.timestamp_rule.map_or(0, |rule| {
                 self.tree
+                    .chain()
                     .median_time_past(&tip, rule.mtp_window)
                     .map_or(0, |mtp| mtp.saturating_add(1))
             });

@@ -1,11 +1,9 @@
 //! Segment sync: orphan-triggered requests, the timeout/retry round-robin,
 //! and batched segment validation feeding the fork tree.
 
-use hashcore::Target;
 use hashcore_baselines::PreparedPow;
 use hashcore_chain::{
-    cost_commitment_of, validate_segment_parallel_with_rule, ApplyOutcome, Block, ForkError,
-    InvalidReason, Reorg, RuleContext, GENESIS_HASH,
+    validate_segment_parallel_with_rule, ApplyOutcome, Block, ForkError, InvalidReason, Reorg,
 };
 use hashcore_crypto::Digest256;
 use std::time::Instant;
@@ -44,7 +42,7 @@ where
         // parent window's median-time-past when the parent chain is known.
         // (An orphan is only drift-checked here; the segment delivering
         // its ancestry re-walks the full window.)
-        if !self.block_timestamp_plausible(now_ms, &block) {
+        if !self.timestamp_plausible(now_ms, &block.header, self.tree.chain()) {
             self.stats.rejections.timestamp += 1;
             self.penalize(from);
             return Vec::new();
@@ -228,23 +226,21 @@ where
                 return Vec::new();
             }
         }
-        if anchor != GENESIS_HASH && !self.tree.contains(&anchor) {
+        // The rule plus the anchor's branch state; `None` for an anchor
+        // this node does not store.
+        let Some(ctx) = self.tree.chain().rule_context(&anchor) else {
             return Vec::new();
-        }
+        };
         // Branch-aware target policy: with the anchor resolved, every
         // embedded target must equal the difficulty rule's expectation
         // along the segment — still pure header arithmetic, before the
         // verifier burns any hash work. Fixed rules skip this: the flat
         // scan above already proved every target, so the walk cannot fire.
-        if self.rule().flat_target().is_none() {
-            let anchor_state = (anchor != GENESIS_HASH).then(|| {
-                let block = self.tree.block(&anchor).expect("anchor checked above");
-                (
-                    Target::from_threshold(block.header.target),
-                    block.header.timestamp,
-                )
-            });
-            if !self.rule().segment_targets_valid(anchor_state, &blocks) {
+        if ctx.rule.flat_target().is_none() {
+            let anchor_state = ctx
+                .anchor
+                .map(|(target, timestamp, ..)| (target, timestamp));
+            if !ctx.rule.segment_targets_valid(anchor_state, &blocks) {
                 self.stats.rejections.target_policy += 1;
                 self.penalize(from);
                 return Vec::new();
@@ -268,25 +264,13 @@ where
         // about its verification bill is rejected here (and the per-block
         // admission bound is enforced). Rules without a cost component
         // skip the walk entirely — the verifier runs exactly as before.
-        let ctx = self.rule().cost_aware().is_some().then(|| RuleContext {
-            rule: self.rule(),
-            anchor: (anchor != GENESIS_HASH).then(|| {
-                let block = self.tree.block(&anchor).expect("anchor checked above");
-                (
-                    Target::from_threshold(block.header.target),
-                    block.header.timestamp,
-                    cost_commitment_of(block.header.version),
-                    self.tree.cost_ratio_of(&anchor),
-                )
-            }),
-        });
         let started = Instant::now();
         let verdict = validate_segment_parallel_with_rule(
             self.tree.pow(),
             &blocks,
             self.sync_threads,
             anchor,
-            ctx,
+            ctx.rule.cost_aware().is_some().then_some(ctx),
         );
         self.stats.sync_wall_seconds += started.elapsed().as_secs_f64();
         if verdict.is_err() {

@@ -1338,7 +1338,7 @@ where
         } else {
             // One lane per node with work; disjoint `&mut Node` handles
             // fan out across scoped workers, chunked evenly — the same
-            // shape as `validate_blocks_parallel`.
+            // shape as `validate_segment_parallel`.
             let mut slots: Vec<Option<Vec<NodeEvent>>> =
                 (0..self.config.nodes).map(|_| None).collect();
             for (node, events) in work {

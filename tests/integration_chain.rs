@@ -40,8 +40,13 @@ fn tampering_is_detected_regardless_of_the_pow_function() {
 
         let mut received = chain.blocks().to_vec();
         received[1].transactions[0] = b"forged double spend".to_vec();
-        let err = hashcore_chain::validate_blocks(&demo_pow_for(&chain), &received)
-            .expect_err("forgery must be detected");
+        let err = hashcore_chain::validate_segment_with_rule(
+            &demo_pow_for(&chain),
+            &received,
+            hashcore_chain::GENESIS_HASH,
+            None,
+        )
+        .expect_err("forgery must be detected");
         assert!(err.to_string().contains("invalid"));
     }
     // Reuse the chain's own PoW for re-validation of the received blocks.
