@@ -17,10 +17,11 @@
 //!   are *selected* from a fixed pre-generated pool instead of generated at
 //!   run time ([`SelectionPow`]).
 //!
-//! Every baseline implements the common [`PowFunction`] trait so the
-//! experiment harness (E7, E8) can sweep them uniformly, and
-//! [`HashCorePow`] adapts the real `hashcore` implementation to the same
-//! trait.
+//! Every baseline implements the one [`PowFunction`] trait, and
+//! [`HashCorePow`] adapts the real `hashcore` implementation to it, so the
+//! experiment harness (E7, E8), the chain and the network simulation drive
+//! all five through one evaluation and one nonce scan. Code that sweeps
+//! several of them calls one generic function per PoW.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,76 +38,92 @@ pub use sha256d_pow::Sha256dPow;
 
 pub use hashcore::NONCE_LANES;
 use hashcore::{HashCore, MiningInput, Target, VerifyCost};
-use hashcore_crypto::{sha256_x4_parts, Digest256};
+use hashcore_crypto::Digest256;
+use std::convert::Infallible;
 
 /// A Proof-of-Work function: a deterministic map from arbitrary input bytes
-/// to a 256-bit digest, plus enough metadata for comparative reporting.
+/// to a 256-bit digest, evaluated through reusable per-worker scratch
+/// state, plus enough metadata for comparative reporting.
+///
+/// An implementation supplies one evaluation, [`PowFunction::evaluate`],
+/// and may override one lane hook, [`PowFunction::first_hit_in_lanes`].
+/// [`PowFunction::pow_hash`] and [`PowFunction::scan_nonces`] are built on
+/// those two and are never overridden.
 pub trait PowFunction {
+    /// Reusable per-worker evaluation state; `Default` produces a fresh,
+    /// empty scratch whose buffers grow on first use. Batch consumers —
+    /// chain validation, mining loops, experiment sweeps — keep one per
+    /// worker and reuse its buffers across evaluations.
+    type Scratch: Default + Send;
+
     /// Short name used in experiment tables.
     fn name(&self) -> &'static str;
-
-    /// Evaluates the PoW digest for `input`.
-    fn pow_hash(&self, input: &[u8]) -> Digest256;
 
     /// The dominant hardware resource the function stresses, as a coarse
     /// label used by the mining-market model (E9).
     fn dominant_resource(&self) -> ResourceClass;
 
-    /// Mines the first nonce in `0..max_attempts` meeting `target`, if any.
-    fn mine(&self, header: &[u8], target: Target, max_attempts: u64) -> Option<(u64, Digest256)> {
-        for nonce in 0..max_attempts {
-            let mut input = header.to_vec();
-            input.extend_from_slice(&nonce.to_le_bytes());
-            let digest = self.pow_hash(&input);
-            if target.is_met_by(&digest) {
-                return Some((nonce, digest));
-            }
-        }
-        None
+    /// The nominal verifier-cost budget one evaluation of this function is
+    /// expected to pay — what cost-aware difficulty normalises
+    /// [`PowFunction::evaluate`] observations against.
+    fn nominal_cost(&self) -> VerifyCost {
+        VerifyCost::NOMINAL
     }
-}
 
-/// A [`PowFunction`] that can evaluate through reusable per-worker scratch
-/// state.
-///
-/// Batch consumers — `hashcore-chain`'s parallel chain validation, mining
-/// loops, experiment sweeps — evaluate the same function over many inputs
-/// on long-lived workers. This trait lets each worker own one
-/// `Self::Scratch` and reuse its buffers across evaluations, mirroring the
-/// `HashScratch` discipline of the real HashCore hot path. The digest
-/// contract is strict: [`PreparedPow::pow_hash_scratch`] must return exactly
-/// the digest [`PowFunction::pow_hash`] returns for the same input,
-/// whatever state the scratch is in.
-///
-/// This is a separate trait (rather than an associated type on
-/// [`PowFunction`]) so `dyn PowFunction` stays object-safe for the
-/// experiment harnesses that sweep heterogeneous baselines.
-pub trait PreparedPow: PowFunction {
-    /// Reusable per-worker evaluation state; `Default` produces a fresh,
-    /// empty scratch whose buffers grow on first use.
-    type Scratch: Default + Send;
+    /// Evaluates the PoW for `input` through `scratch`, returning the digest
+    /// and the verifier-cost observation of that evaluation.
+    ///
+    /// The digest must not depend on the scratch's prior state. The cost
+    /// must be a pure function of the input — every node observing a header
+    /// must book the same cost, or cost-committing consensus would fork.
+    /// Functions without a meaningful widget stage report their nominal
+    /// budget (cost ratio 1), which makes cost-aware difficulty degrade
+    /// gracefully to time-only retargeting.
+    fn evaluate(&self, input: &[u8], scratch: &mut Self::Scratch) -> (Digest256, VerifyCost);
 
-    /// Evaluates the PoW digest for `input`, reusing `scratch`'s buffers.
-    fn pow_hash_scratch(&self, input: &[u8], scratch: &mut Self::Scratch) -> Digest256;
+    /// The lane hook of [`PowFunction::scan_nonces`]: the first of the
+    /// [`NONCE_LANES`] consecutive `nonces` of the header held in `input`
+    /// whose digest meets `target`.
+    ///
+    /// The default evaluates the nonces one at a time and stops at the
+    /// first hit. A function whose structure lets lanes share work (the
+    /// SHA-256 hash gates) overrides it; an override returns the same hit
+    /// and digest as the default.
+    fn first_hit_in_lanes(
+        &self,
+        input: &mut MiningInput,
+        nonces: [u64; NONCE_LANES],
+        target: Target,
+        scratch: &mut Self::Scratch,
+    ) -> Option<(u64, Digest256)> {
+        nonces.into_iter().find_map(|nonce| {
+            let digest = self.evaluate(input.with_nonce(nonce), scratch).0;
+            target.is_met_by(&digest).then_some((nonce, digest))
+        })
+    }
+
+    /// Evaluates the PoW digest for `input` with a fresh scratch.
+    fn pow_hash(&self, input: &[u8]) -> Digest256 {
+        self.evaluate(input, &mut Self::Scratch::default()).0
+    }
 
     /// Scans `attempts` nonces of the header held in `input` starting at
     /// `start`, returning the first `(nonce, digest)` meeting `target`.
     ///
-    /// This is the shared mining loop of `Blockchain::mine_block` and the
-    /// network simulation's nodes: all per-attempt state lives in the
-    /// caller's `input` and `scratch`, so the scan performs no steady-state
-    /// allocation.
+    /// This is the mining loop of `Blockchain::mine_block` and the network
+    /// simulation's nodes: [`MiningInput::scan`] with this function's lane
+    /// hook for full batches and [`PowFunction::evaluate`] for the
+    /// remainder. All per-attempt state lives in the caller's `input` and
+    /// `scratch`, so the scan performs no steady-state allocation.
     ///
     /// # Nonce order and wraparound
     ///
-    /// This method *defines* the scan sequence every implementation — and
-    /// [`PreparedPow::scan_nonce_batch`] — must follow: attempt `k`
-    /// evaluates nonce `start.wrapping_add(k)`, so the sequence wraps
-    /// through `u64::MAX` to `0` and never revisits a nonce within one call
-    /// (the nonce space is a cycle of length 2⁶⁴ ≥ `attempts`). A caller
-    /// resuming an unfinished scan passes `start.wrapping_add(attempts)` as
-    /// the next start — `start + attempts` would overflow near the top of
-    /// the space and rescan nonces.
+    /// Attempt `k` evaluates nonce `start.wrapping_add(k)`, so the sequence
+    /// wraps through `u64::MAX` to `0` and never revisits a nonce within one
+    /// call (the nonce space is a cycle of length 2⁶⁴ ≥ `attempts`). A
+    /// caller resuming an unfinished scan passes `start.wrapping_add(attempts)`
+    /// as the next start — `start + attempts` would overflow near the top
+    /// of the space and rescan nonces.
     fn scan_nonces(
         &self,
         input: &mut MiningInput,
@@ -115,112 +132,22 @@ pub trait PreparedPow: PowFunction {
         attempts: u64,
         scratch: &mut Self::Scratch,
     ) -> Option<(u64, Digest256)> {
-        for offset in 0..attempts {
-            let nonce = start.wrapping_add(offset);
-            let digest = self.pow_hash_scratch(input.with_nonce(nonce), scratch);
-            if target.is_met_by(&digest) {
-                return Some((nonce, digest));
-            }
-        }
-        None
-    }
-
-    /// Scans exactly the nonce sequence of [`PreparedPow::scan_nonces`] —
-    /// same order, same wraparound, same hit and digest — evaluating
-    /// [`NONCE_LANES`] nonces per batch where the function's structure
-    /// allows lanes to share work.
-    ///
-    /// The default implementation delegates to the scalar scan;
-    /// implementations with a lane-parallel path (the SHA-256 hash gates)
-    /// override it via [`scan_lane_batches`]. Callers may use the two
-    /// methods interchangeably, including resuming a scan started by the
-    /// other at `start.wrapping_add(attempts)`.
-    fn scan_nonce_batch(
-        &self,
-        input: &mut MiningInput,
-        target: Target,
-        start: u64,
-        attempts: u64,
-        scratch: &mut Self::Scratch,
-    ) -> Option<(u64, Digest256)> {
-        self.scan_nonces(input, target, start, attempts, scratch)
-    }
-
-    /// The nominal verifier-cost budget one evaluation of this function is
-    /// expected to pay — what cost-aware difficulty normalises
-    /// [`PreparedPow::pow_hash_cost_scratch`] observations against.
-    fn nominal_cost(&self) -> VerifyCost {
-        VerifyCost::NOMINAL
-    }
-
-    /// Evaluates the PoW digest for `input` together with the
-    /// verifier-cost observation of that evaluation.
-    ///
-    /// The digest contract is as strict as the scratch path's: the returned
-    /// digest must be byte-identical to [`PreparedPow::pow_hash_scratch`]
-    /// for the same input. The cost must be a pure function of the input —
-    /// every node observing a header must book the same cost, or
-    /// cost-committing consensus would fork. Functions without a meaningful
-    /// widget stage report their nominal budget (cost ratio 1), which
-    /// makes cost-aware difficulty degrade gracefully to time-only
-    /// retargeting.
-    fn pow_hash_cost_scratch(
-        &self,
-        input: &[u8],
-        scratch: &mut Self::Scratch,
-    ) -> (Digest256, VerifyCost) {
-        (self.pow_hash_scratch(input, scratch), self.nominal_cost())
+        let found: Result<_, Infallible> = input.scan(
+            target,
+            start,
+            attempts,
+            scratch,
+            |input, nonces, scratch| Ok(self.first_hit_in_lanes(input, nonces, target, scratch)),
+            |input, scratch| Ok(self.evaluate(input, scratch).0),
+        );
+        let Ok(hit) = found;
+        hit
     }
 }
 
-/// Drives a [`PreparedPow::scan_nonce_batch`] override: full batches of
-/// [`NONCE_LANES`] consecutive nonces go through `batch` (which must return
-/// the [`PowFunction::pow_hash`] digest of `header ‖ nonce` per lane, in
-/// lane order), and the `attempts % NONCE_LANES` remainder falls back to the
-/// scalar [`PreparedPow::scan_nonces`]. Nonce order — including wraparound —
-/// is exactly the scalar scan's.
-pub fn scan_lane_batches<P: PreparedPow + ?Sized>(
-    pow: &P,
-    input: &mut MiningInput,
-    target: Target,
-    start: u64,
-    attempts: u64,
-    scratch: &mut P::Scratch,
-    mut batch: impl FnMut(&P, &[u8], [u64; NONCE_LANES], &mut P::Scratch) -> [Digest256; NONCE_LANES],
-) -> Option<(u64, Digest256)> {
-    let mut done = 0u64;
-    while attempts - done >= NONCE_LANES as u64 {
-        let base = start.wrapping_add(done);
-        let nonces: [u64; NONCE_LANES] = std::array::from_fn(|lane| base.wrapping_add(lane as u64));
-        let digests = batch(pow, input.header_bytes(), nonces, scratch);
-        for (nonce, digest) in nonces.into_iter().zip(digests) {
-            done += 1;
-            if target.is_met_by(&digest) {
-                return Some((nonce, digest));
-            }
-        }
-    }
-    pow.scan_nonces(
-        input,
-        target,
-        start.wrapping_add(done),
-        attempts - done,
-        scratch,
-    )
-}
-
-/// Computes the four seeds `G(header ‖ nonce_i)` in one multi-lane pass —
-/// the shared first step of every SHA-256-gated batch scan.
-pub(crate) fn seeds_x4(header: &[u8], nonces: [u64; NONCE_LANES]) -> [Digest256; NONCE_LANES] {
-    let nonce_bytes = nonces.map(u64::to_le_bytes);
-    let parts: [[&[u8]; 2]; NONCE_LANES] = [
-        [header, &nonce_bytes[0]],
-        [header, &nonce_bytes[1]],
-        [header, &nonce_bytes[2]],
-        [header, &nonce_bytes[3]],
-    ];
-    sha256_x4_parts([&parts[0], &parts[1], &parts[2], &parts[3]])
-}
+/// [`PowFunction`] under its earlier name, kept only because the
+/// `benchmark` package imports the trait by both names.
+pub use PowFunction as PreparedPow;
 
 /// Coarse classification of what a PoW function stresses, used by the
 /// mining-market cost model to reason about how much an ASIC can strip away.
@@ -252,30 +179,17 @@ impl HashCorePow {
     }
 }
 
+const WIDGETS_HALT: &str = "generated widgets always execute within their step limit";
+
 impl PowFunction for HashCorePow {
+    type Scratch = hashcore::HashScratch;
+
     fn name(&self) -> &'static str {
         "hashcore"
     }
 
-    fn pow_hash(&self, input: &[u8]) -> Digest256 {
-        self.inner
-            .hash_digest(input)
-            .expect("generated widgets always execute within their step limit")
-    }
-
     fn dominant_resource(&self) -> ResourceClass {
         ResourceClass::GeneralPurpose
-    }
-}
-
-impl PreparedPow for HashCorePow {
-    type Scratch = hashcore::HashScratch;
-
-    fn pow_hash_scratch(&self, input: &[u8], scratch: &mut Self::Scratch) -> Digest256 {
-        self.inner
-            .hash_with_scratch(input, scratch)
-            .expect("generated widgets always execute within their step limit")
-            .digest
     }
 
     /// The profile budget: the generator's target dynamic instructions per
@@ -297,45 +211,27 @@ impl PreparedPow for HashCorePow {
 
     /// The real thing: one full evaluation, with the widget stage's actual
     /// dynamic instructions and output bytes as the cost observation.
-    fn pow_hash_cost_scratch(
-        &self,
-        input: &[u8],
-        scratch: &mut Self::Scratch,
-    ) -> (Digest256, VerifyCost) {
+    fn evaluate(&self, input: &[u8], scratch: &mut Self::Scratch) -> (Digest256, VerifyCost) {
         let out = self
             .inner
             .hash_with_scratch(input, scratch)
-            .expect("generated widgets always execute within their step limit");
+            .expect(WIDGETS_HALT);
         (out.digest, VerifyCost::from_widget(&out.widget))
     }
 
-    /// Full batches run the first hash gate four lanes at a time through
-    /// [`HashCore::hash_nonce_batch_with_scratch`]; the widget stage and
-    /// second gate stay per-lane (widget outputs differ in shape per seed).
-    fn scan_nonce_batch(
+    /// The first hash gate runs four lanes wide; each lane's widget stage
+    /// and second gate run only until a lane hits
+    /// ([`HashCore::first_hit_in_lanes`]).
+    fn first_hit_in_lanes(
         &self,
         input: &mut MiningInput,
+        nonces: [u64; NONCE_LANES],
         target: Target,
-        start: u64,
-        attempts: u64,
         scratch: &mut Self::Scratch,
     ) -> Option<(u64, Digest256)> {
-        scan_lane_batches(
-            self,
-            input,
-            target,
-            start,
-            attempts,
-            scratch,
-            |pow, header, nonces, scratch| {
-                pow.inner
-                    .hash_nonce_batch_with_scratch(header, nonces, scratch)
-                    .map(|lane| {
-                        lane.expect("generated widgets always execute within their step limit")
-                            .digest
-                    })
-            },
-        )
+        self.inner
+            .first_hit_in_lanes(input.header_bytes(), nonces, target, scratch)
+            .expect(WIDGETS_HALT)
     }
 }
 
@@ -344,29 +240,67 @@ mod tests {
     use super::*;
     use hashcore_profile::PerformanceProfile;
 
-    fn all_baselines() -> Vec<Box<dyn PowFunction>> {
+    /// One small instance of each of the five PoWs.
+    fn five_pows() -> (
+        Sha256dPow,
+        MemoryHardPow,
+        RandomxLitePow,
+        SelectionPow,
+        HashCorePow,
+    ) {
         let mut profile = PerformanceProfile::leela_like();
         profile.target_dynamic_instructions = 3_000;
-        vec![
-            Box::new(Sha256dPow),
-            Box::new(MemoryHardPow::new(64 * 1024, 2)),
-            Box::new(RandomxLitePow::new(3_000)),
-            Box::new(SelectionPow::new(profile.clone(), 8, 2)),
-            Box::new(HashCorePow::new(HashCore::new(profile))),
-        ]
+        (
+            Sha256dPow,
+            MemoryHardPow::new(16 * 1024, 2),
+            RandomxLitePow::new(3_000),
+            SelectionPow::new(profile.clone(), 4, 2),
+            HashCorePow::new(HashCore::new(profile)),
+        )
+    }
+
+    /// The first `(nonce, digest)` meeting `target` among `attempts` nonces
+    /// from `start`, one fresh `pow_hash` per nonce: the reference every
+    /// scan is held to.
+    fn reference_scan<P: PowFunction>(
+        pow: &P,
+        header: &[u8],
+        target: Target,
+        start: u64,
+        attempts: u64,
+    ) -> Option<(u64, Digest256)> {
+        (0..attempts).find_map(|k| {
+            let nonce = start.wrapping_add(k);
+            let digest = pow.pow_hash(&HashCore::mining_input(header, nonce));
+            target.is_met_by(&digest).then_some((nonce, digest))
+        })
+    }
+
+    /// Checks `pow` is deterministic and input-sensitive, and returns its
+    /// name with the digest of a fixed input.
+    fn checked_digest<P: PowFunction>(pow: &P) -> (&'static str, Digest256) {
+        let input = b"comparative input";
+        let digest = pow.pow_hash(input);
+        assert_eq!(
+            digest,
+            pow.pow_hash(input),
+            "{} must be deterministic",
+            pow.name()
+        );
+        assert_ne!(digest, pow.pow_hash(b"other input"), "{}", pow.name());
+        (pow.name(), digest)
     }
 
     #[test]
     fn all_pow_functions_are_deterministic_and_distinct() {
-        let input = b"comparative input";
-        let mut digests = Vec::new();
-        for pow in all_baselines() {
-            let a = pow.pow_hash(input);
-            let b = pow.pow_hash(input);
-            assert_eq!(a, b, "{} must be deterministic", pow.name());
-            assert_ne!(a, pow.pow_hash(b"other input"), "{}", pow.name());
-            digests.push((pow.name(), a));
-        }
+        let (sha, memory, randomx, selection, hashcore) = five_pows();
+        let digests = [
+            checked_digest(&sha),
+            checked_digest(&memory),
+            checked_digest(&randomx),
+            checked_digest(&selection),
+            checked_digest(&hashcore),
+        ];
         for i in 0..digests.len() {
             for j in i + 1..digests.len() {
                 assert_ne!(
@@ -380,23 +314,33 @@ mod tests {
 
     #[test]
     fn names_and_resources_are_assigned() {
-        let names: Vec<&str> = all_baselines().iter().map(|p| p.name()).collect();
-        assert!(names.contains(&"sha256d"));
-        assert!(names.contains(&"memory_hard"));
-        assert!(names.contains(&"randomx_lite"));
-        assert!(names.contains(&"widget_selection"));
-        assert!(names.contains(&"hashcore"));
-        assert_eq!(Sha256dPow.dominant_resource(), ResourceClass::FixedFunction);
+        let (sha, memory, randomx, selection, hashcore) = five_pows();
+        let names = [
+            sha.name(),
+            memory.name(),
+            randomx.name(),
+            selection.name(),
+            hashcore.name(),
+        ];
         assert_eq!(
-            MemoryHardPow::new(1 << 16, 1).dominant_resource(),
-            ResourceClass::Memory
+            names,
+            [
+                "sha256d",
+                "memory_hard",
+                "randomx_lite",
+                "widget_selection",
+                "hashcore"
+            ]
         );
+        assert_eq!(sha.dominant_resource(), ResourceClass::FixedFunction);
+        assert_eq!(memory.dominant_resource(), ResourceClass::Memory);
+        assert_eq!(hashcore.dominant_resource(), ResourceClass::GeneralPurpose);
     }
 
-    fn assert_scratch_matches<P: PreparedPow>(pow: &P) {
+    fn assert_scratch_reuse_matches_fresh<P: PowFunction>(pow: &P) {
         let mut scratch = P::Scratch::default();
-        // One reused scratch over a stream of inputs must reproduce the
-        // plain path digest every time.
+        // One reused scratch over a stream of inputs must reproduce what a
+        // fresh scratch gives every time — digest and cost alike.
         for input in [
             b"one".as_ref(),
             b"two".as_ref(),
@@ -404,8 +348,8 @@ mod tests {
             b"one".as_ref(),
         ] {
             assert_eq!(
-                pow.pow_hash_scratch(input, &mut scratch),
-                pow.pow_hash(input),
+                pow.evaluate(input, &mut scratch),
+                pow.evaluate(input, &mut P::Scratch::default()),
                 "{} diverged on {input:?}",
                 pow.name()
             );
@@ -414,41 +358,49 @@ mod tests {
 
     #[test]
     fn scratch_path_matches_plain_path_for_every_baseline() {
-        let mut profile = PerformanceProfile::leela_like();
-        profile.target_dynamic_instructions = 3_000;
-        assert_scratch_matches(&Sha256dPow);
-        assert_scratch_matches(&MemoryHardPow::new(16 * 1024, 2));
-        assert_scratch_matches(&RandomxLitePow::new(3_000));
-        assert_scratch_matches(&SelectionPow::new(profile.clone(), 4, 2));
-        assert_scratch_matches(&HashCorePow::new(HashCore::new(profile)));
+        let (sha, memory, randomx, selection, hashcore) = five_pows();
+        assert_scratch_reuse_matches_fresh(&sha);
+        assert_scratch_reuse_matches_fresh(&memory);
+        assert_scratch_reuse_matches_fresh(&randomx);
+        assert_scratch_reuse_matches_fresh(&selection);
+        assert_scratch_reuse_matches_fresh(&hashcore);
     }
 
     #[test]
     fn default_mine_finds_easy_targets() {
         let target = Target::from_leading_zero_bits(4);
-        let found = Sha256dPow.mine(b"hdr", target, 256).expect("easy target");
+        let found = Sha256dPow
+            .scan_nonces(&mut MiningInput::new(b"hdr"), target, 0, 256, &mut ())
+            .expect("easy target");
         assert!(target.is_met_by(&found.1));
+        assert_eq!(
+            Some(found),
+            reference_scan(&Sha256dPow, b"hdr", target, 0, 256)
+        );
     }
 
     #[test]
     fn scan_nonces_matches_the_naive_mine_and_resumes() {
         let target = Target::from_leading_zero_bits(4);
-        let naive = Sha256dPow.mine(b"hdr", target, 256).expect("easy target");
-        let mut input = MiningInput::new(b"hdr");
-        let mut scratch = MemoryHardScratch::default();
         let pow = MemoryHardPow::new(16 * 1024, 2);
-        let mem_naive = pow.mine(b"hdr", target, 256).expect("easy target");
-        let mem_scanned = pow
-            .scan_nonces(&mut input, target, 0, 256, &mut scratch)
-            .expect("easy target");
-        assert_eq!(mem_scanned, mem_naive);
+        let mem_scanned = pow.scan_nonces(
+            &mut MiningInput::new(b"hdr"),
+            target,
+            0,
+            256,
+            &mut MemoryHardScratch::default(),
+        );
+        assert_eq!(mem_scanned, reference_scan(&pow, b"hdr", target, 0, 256));
 
         let scanned = Sha256dPow
             .scan_nonces(&mut MiningInput::new(b"hdr"), target, 0, 256, &mut ())
             .expect("easy target");
-        assert_eq!(scanned, naive);
+        assert_eq!(
+            Some(scanned),
+            reference_scan(&Sha256dPow, b"hdr", target, 0, 256)
+        );
         // Resuming past the hit finds the next qualifying nonce, exactly as
-        // a fresh scan starting there would.
+        // the reference starting there would.
         let resumed = Sha256dPow.scan_nonces(
             &mut MiningInput::new(b"hdr"),
             target,
@@ -456,95 +408,109 @@ mod tests {
             256,
             &mut (),
         );
-        let fresh = Sha256dPow.scan_nonces(
-            &mut MiningInput::new(b"hdr"),
-            target,
-            scanned.0 + 1,
-            256,
-            &mut (),
+        assert_eq!(
+            resumed,
+            reference_scan(&Sha256dPow, b"hdr", target, scanned.0 + 1, 256)
         );
-        assert_eq!(resumed, fresh);
         assert!(resumed.expect("easy target").0 > scanned.0);
     }
 
-    /// Every nonce the scalar scan would visit — in order, across the u64
-    /// wrap — is what the batch scan visits, so both find the same hit and
-    /// a resume at `start.wrapping_add(attempts)` continues either.
+    /// Every nonce the reference would visit — in order, across the u64
+    /// wrap — is what the scan visits, and a resume at
+    /// `start.wrapping_add(attempts)` continues it.
     #[test]
     fn scan_wraps_through_nonce_space_without_rescanning() {
         let target = Target::from_leading_zero_bits(4);
         let pow = Sha256dPow;
         let start = u64::MAX - 5;
-        // Enumerate the expected sequence directly: MAX-5 .. MAX, 0, 1, ...
-        let expected = (0..64u64)
-            .map(|k| start.wrapping_add(k))
-            .find_map(|nonce| {
-                let digest = pow.pow_hash(&HashCore::mining_input(b"hdr", nonce));
-                target.is_met_by(&digest).then_some((nonce, digest))
-            })
-            .expect("easy target within 64 nonces");
-        let scalar = pow
-            .scan_nonces(&mut MiningInput::new(b"hdr"), target, start, 64, &mut ())
-            .expect("easy target");
-        let batch = pow
-            .scan_nonce_batch(&mut MiningInput::new(b"hdr"), target, start, 64, &mut ())
-            .expect("easy target");
-        assert_eq!(scalar, expected);
-        assert_eq!(batch, expected);
+        let expected = reference_scan(&pow, b"hdr", target, start, 64);
+        assert!(expected.is_some(), "easy target within 64 nonces");
+        let scanned = pow.scan_nonces(&mut MiningInput::new(b"hdr"), target, start, 64, &mut ());
+        assert_eq!(scanned, expected);
 
         // A miss followed by a wrapped resume covers the same 64 nonces.
         let hard = Target::from_leading_zero_bits(255);
         assert_eq!(
-            pow.scan_nonce_batch(&mut MiningInput::new(b"hdr"), hard, start, 32, &mut ()),
+            pow.scan_nonces(&mut MiningInput::new(b"hdr"), hard, start, 32, &mut ()),
             None
         );
-        let resumed = pow.scan_nonce_batch(
+        let resumed = pow.scan_nonces(
             &mut MiningInput::new(b"hdr"),
             target,
             start.wrapping_add(32),
             32,
             &mut (),
         );
-        let expected_resume = (32..64u64)
-            .map(|k| start.wrapping_add(k))
-            .find_map(|nonce| {
-                let digest = pow.pow_hash(&HashCore::mining_input(b"hdr", nonce));
-                target.is_met_by(&digest).then_some((nonce, digest))
-            });
-        assert_eq!(resumed, expected_resume);
+        assert_eq!(
+            resumed,
+            reference_scan(&pow, b"hdr", target, start.wrapping_add(32), 32)
+        );
     }
 
-    fn assert_batch_scan_matches<P: PreparedPow>(pow: &P, attempts: u64) {
+    fn assert_scan_matches_reference<P: PowFunction>(pow: &P, attempts: u64) {
         let target = Target::from_leading_zero_bits(4);
+        let mut scratch = P::Scratch::default();
         for start in [0u64, 3, u64::MAX - 2] {
-            let mut scalar_scratch = P::Scratch::default();
-            let mut batch_scratch = P::Scratch::default();
-            let scalar = pow.scan_nonces(
+            let scanned = pow.scan_nonces(
                 &mut MiningInput::new(b"hdr"),
                 target,
                 start,
                 attempts,
-                &mut scalar_scratch,
+                &mut scratch,
             );
-            let batch = pow.scan_nonce_batch(
-                &mut MiningInput::new(b"hdr"),
-                target,
-                start,
-                attempts,
-                &mut batch_scratch,
+            assert_eq!(
+                scanned,
+                reference_scan(pow, b"hdr", target, start, attempts),
+                "{} start {start}",
+                pow.name()
             );
-            assert_eq!(batch, scalar, "{} start {start}", pow.name());
         }
     }
 
     #[test]
     fn batch_scan_matches_scalar_scan_for_every_baseline() {
-        let mut profile = PerformanceProfile::leela_like();
-        profile.target_dynamic_instructions = 3_000;
-        assert_batch_scan_matches(&Sha256dPow, 64);
-        assert_batch_scan_matches(&MemoryHardPow::new(16 * 1024, 2), 32);
-        assert_batch_scan_matches(&RandomxLitePow::new(3_000), 24);
-        assert_batch_scan_matches(&SelectionPow::new(profile.clone(), 4, 2), 24);
-        assert_batch_scan_matches(&HashCorePow::new(HashCore::new(profile)), 24);
+        let (sha, memory, randomx, selection, hashcore) = five_pows();
+        assert_scan_matches_reference(&sha, 64);
+        assert_scan_matches_reference(&memory, 32);
+        assert_scan_matches_reference(&randomx, 24);
+        assert_scan_matches_reference(&selection, 24);
+        assert_scan_matches_reference(&hashcore, 24);
+    }
+
+    /// A PoW whose scratch counts its evaluations and whose digest meets
+    /// every target.
+    struct CountingPow;
+
+    impl PowFunction for CountingPow {
+        type Scratch = u64;
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn dominant_resource(&self) -> ResourceClass {
+            ResourceClass::FixedFunction
+        }
+
+        fn evaluate(&self, _input: &[u8], evaluations: &mut u64) -> (Digest256, VerifyCost) {
+            *evaluations += 1;
+            ([0; 32], VerifyCost::NOMINAL)
+        }
+    }
+
+    /// The default lane hook is lazy: with every nonce hitting, a scan of
+    /// two full lane batches evaluates the first nonce and stops.
+    #[test]
+    fn default_lane_hook_stops_at_the_first_hit() {
+        let mut evaluations = 0u64;
+        let hit = CountingPow.scan_nonces(
+            &mut MiningInput::new(b"hdr"),
+            Target::from_leading_zero_bits(0),
+            7,
+            2 * NONCE_LANES as u64,
+            &mut evaluations,
+        );
+        assert_eq!(hit, Some((7, [0; 32])));
+        assert_eq!(evaluations, 1);
     }
 }

@@ -12,8 +12,8 @@
 //! each visited block depends on the current state, so the scratchpad cannot
 //! be streamed or recomputed cheaply.
 
-use crate::{PowFunction, PreparedPow, ResourceClass};
-use hashcore::{MiningInput, Target};
+use crate::{PowFunction, ResourceClass};
+use hashcore::VerifyCost;
 use hashcore_crypto::{sha256, sha512, Digest256};
 
 const BLOCK_BYTES: usize = 64;
@@ -50,24 +50,23 @@ impl MemoryHardPow {
     }
 }
 
+/// Every stage is a serial dependency chain — the fill iterates SHA-512 on
+/// its own output, and the mixing walk's next address depends on the state
+/// just produced — and lanes would each need their own scratchpad. That
+/// sequential, memory-resident structure is the point of the design, so
+/// nonce scans use the default one-nonce-at-a-time lane hook.
 impl PowFunction for MemoryHardPow {
+    type Scratch = MemoryHardScratch;
+
     fn name(&self) -> &'static str {
         "memory_hard"
-    }
-
-    fn pow_hash(&self, input: &[u8]) -> Digest256 {
-        self.pow_hash_scratch(input, &mut MemoryHardScratch::default())
     }
 
     fn dominant_resource(&self) -> ResourceClass {
         ResourceClass::Memory
     }
-}
 
-impl PreparedPow for MemoryHardPow {
-    type Scratch = MemoryHardScratch;
-
-    fn pow_hash_scratch(&self, input: &[u8], scratch: &mut Self::Scratch) -> Digest256 {
+    fn evaluate(&self, input: &[u8], scratch: &mut Self::Scratch) -> (Digest256, VerifyCost) {
         let blocks = (self.scratchpad_bytes / BLOCK_BYTES).max(1);
 
         // Phase 1: sequential fill (every slot is overwritten, so reusing
@@ -98,25 +97,7 @@ impl PreparedPow for MemoryHardPow {
             }
         }
 
-        sha256(&state)
-    }
-
-    /// Delegates to the scalar scan, deliberately: every stage here is a
-    /// serial dependency chain — the fill iterates SHA-512 on its own
-    /// output, and the mixing walk's next address depends on the state just
-    /// produced — and lanes would each need their own `blocks`-sized
-    /// scratchpad. That sequential, memory-resident structure is the whole
-    /// point of the design, so there is nothing for lanes to share. The
-    /// batch entry point still follows the common nonce-order contract.
-    fn scan_nonce_batch(
-        &self,
-        input: &mut MiningInput,
-        target: Target,
-        start: u64,
-        attempts: u64,
-        scratch: &mut Self::Scratch,
-    ) -> Option<(u64, Digest256)> {
-        self.scan_nonces(input, target, start, attempts, scratch)
+        (sha256(&state), self.nominal_cost())
     }
 }
 

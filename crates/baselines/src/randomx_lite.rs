@@ -9,8 +9,8 @@
 //! uniformly (every class equally represented) rather than profile-matched,
 //! and the program output is hashed exactly as HashCore's widgets are.
 
-use crate::{scan_lane_batches, PowFunction, PreparedPow, ResourceClass};
-use hashcore::{MiningInput, Target};
+use crate::{PowFunction, ResourceClass, NONCE_LANES};
+use hashcore::{lane_seeds, MiningInput, Target, VerifyCost};
 use hashcore_crypto::{sha256, Digest256, Sha256};
 use hashcore_gen::{GeneratorConfig, PipelineScratch, WidgetGenerator};
 use hashcore_isa::OpClass;
@@ -18,7 +18,6 @@ use hashcore_profile::{
     BasicBlockProfile, BranchProfile, DependencyProfile, HashSeed, InstructionMix, MemoryProfile,
     NoiseConfig, PerformanceProfile,
 };
-use hashcore_vm::Executor;
 
 /// A RandomX-like PoW: uniformly random program generation over the widget
 /// virtual machine, followed by a hash of the program output.
@@ -80,9 +79,9 @@ impl RandomxLitePow {
         }
     }
 
-    /// The seed-onward tail of [`PreparedPow::pow_hash_scratch`]: random
-    /// program generation, execution and the output hash. The batch scan
-    /// computes the four seeds lane-parallel and enters here per lane.
+    /// The seed-onward tail of [`PowFunction::evaluate`]: random program
+    /// generation, execution and the output hash. The lane hook computes
+    /// the four seeds lane-parallel and enters here per lane.
     fn hash_from_seed(&self, seed: HashSeed, scratch: &mut PipelineScratch) -> Digest256 {
         scratch
             .run(&self.generator, &seed, false)
@@ -95,62 +94,39 @@ impl RandomxLitePow {
 }
 
 impl PowFunction for RandomxLitePow {
+    /// Reusable generate→prepare→execute state, the same composition as
+    /// HashCore's own hash scratch.
+    type Scratch = PipelineScratch;
+
     fn name(&self) -> &'static str {
         "randomx_lite"
-    }
-
-    fn pow_hash(&self, input: &[u8]) -> Digest256 {
-        let seed = HashSeed::new(sha256(input));
-        let widget = self.generator.generate(&seed);
-        let execution = Executor::new(hashcore_vm::ExecConfig {
-            collect_trace: false,
-            ..widget.exec_config()
-        })
-        .execute(&widget.program)
-        .expect("random programs always halt within the step limit");
-        let mut gate = Sha256::new();
-        gate.update(seed.as_bytes());
-        gate.update(&execution.output);
-        gate.finalize()
     }
 
     fn dominant_resource(&self) -> ResourceClass {
         ResourceClass::GeneralPurpose
     }
-}
 
-impl PreparedPow for RandomxLitePow {
-    /// Reusable generate→prepare→execute state, the same composition as
-    /// HashCore's own hash scratch.
-    type Scratch = PipelineScratch;
-
-    fn pow_hash_scratch(&self, input: &[u8], scratch: &mut Self::Scratch) -> Digest256 {
-        self.hash_from_seed(HashSeed::new(sha256(input)), scratch)
+    fn evaluate(&self, input: &[u8], scratch: &mut Self::Scratch) -> (Digest256, VerifyCost) {
+        let digest = self.hash_from_seed(HashSeed::new(sha256(input)), scratch);
+        (digest, self.nominal_cost())
     }
 
     /// The seed derivation runs four lanes wide; program generation and
-    /// execution stay per-lane (each lane's random program is shaped by its
-    /// own seed), sharing the one pipeline scratch.
-    fn scan_nonce_batch(
+    /// execution stay per lane (each lane's random program is shaped by its
+    /// own seed), sharing the one pipeline scratch, and stop at the first
+    /// hit.
+    fn first_hit_in_lanes(
         &self,
         input: &mut MiningInput,
+        nonces: [u64; NONCE_LANES],
         target: Target,
-        start: u64,
-        attempts: u64,
         scratch: &mut Self::Scratch,
     ) -> Option<(u64, Digest256)> {
-        scan_lane_batches(
-            self,
-            input,
-            target,
-            start,
-            attempts,
-            scratch,
-            |pow, header, nonces, scratch| {
-                crate::seeds_x4(header, nonces)
-                    .map(|seed| pow.hash_from_seed(HashSeed::new(seed), scratch))
-            },
-        )
+        let seeds = lane_seeds(input.header_bytes(), nonces);
+        nonces.into_iter().zip(seeds).find_map(|(nonce, seed)| {
+            let digest = self.hash_from_seed(HashSeed::new(seed), scratch);
+            target.is_met_by(&digest).then_some((nonce, digest))
+        })
     }
 }
 

@@ -8,8 +8,8 @@
 //! a larger share of the total work. Experiment E7 quantifies exactly that
 //! tradeoff with this implementation.
 
-use crate::{scan_lane_batches, PowFunction, PreparedPow, ResourceClass};
-use hashcore::{MiningInput, Target};
+use crate::{PowFunction, ResourceClass, NONCE_LANES};
+use hashcore::{lane_seeds, MiningInput, Target, VerifyCost};
 use hashcore_crypto::{hmac::HmacStream, sha256, Digest256, Sha256};
 use hashcore_gen::{GeneratedWidget, WidgetGenerator};
 use hashcore_profile::{HashSeed, PerformanceProfile};
@@ -75,8 +75,8 @@ impl SelectionPow {
             .sum()
     }
 
-    /// The seed-onward tail of [`PreparedPow::pow_hash_scratch`]: widget
-    /// selection, execution and the output hash. The batch scan computes
+    /// The seed-onward tail of [`PowFunction::evaluate`]: widget
+    /// selection, execution and the output hash. The lane hook computes
     /// the four seeds lane-parallel and enters here per lane.
     fn hash_from_seed(&self, seed: HashSeed, scratch: &mut ExecScratch) -> Digest256 {
         // The seed drives an HMAC stream that picks the ordered widget subset.
@@ -102,51 +102,38 @@ impl SelectionPow {
 }
 
 impl PowFunction for SelectionPow {
+    /// Selection executes pre-decoded pool programs, so the only per-worker
+    /// state is the execution scratch.
+    type Scratch = ExecScratch;
+
     fn name(&self) -> &'static str {
         "widget_selection"
-    }
-
-    fn pow_hash(&self, input: &[u8]) -> Digest256 {
-        self.pow_hash_scratch(input, &mut ExecScratch::new())
     }
 
     fn dominant_resource(&self) -> ResourceClass {
         ResourceClass::GeneralPurpose
     }
-}
 
-impl PreparedPow for SelectionPow {
-    /// Selection executes pre-decoded pool programs, so the only per-worker
-    /// state is the execution scratch.
-    type Scratch = ExecScratch;
-
-    fn pow_hash_scratch(&self, input: &[u8], scratch: &mut Self::Scratch) -> Digest256 {
-        self.hash_from_seed(HashSeed::new(sha256(input)), scratch)
+    fn evaluate(&self, input: &[u8], scratch: &mut Self::Scratch) -> (Digest256, VerifyCost) {
+        let digest = self.hash_from_seed(HashSeed::new(sha256(input)), scratch);
+        (digest, self.nominal_cost())
     }
 
     /// The seed derivation runs four lanes wide; selection and execution
-    /// stay per-lane (each lane's seed picks its own widget subset),
-    /// sharing the one execution scratch.
-    fn scan_nonce_batch(
+    /// stay per lane (each lane's seed picks its own widget subset),
+    /// sharing the one execution scratch, and stop at the first hit.
+    fn first_hit_in_lanes(
         &self,
         input: &mut MiningInput,
+        nonces: [u64; NONCE_LANES],
         target: Target,
-        start: u64,
-        attempts: u64,
         scratch: &mut Self::Scratch,
     ) -> Option<(u64, Digest256)> {
-        scan_lane_batches(
-            self,
-            input,
-            target,
-            start,
-            attempts,
-            scratch,
-            |pow, header, nonces, scratch| {
-                crate::seeds_x4(header, nonces)
-                    .map(|seed| pow.hash_from_seed(HashSeed::new(seed), scratch))
-            },
-        )
+        let seeds = lane_seeds(input.header_bytes(), nonces);
+        nonces.into_iter().zip(seeds).find_map(|(nonce, seed)| {
+            let digest = self.hash_from_seed(HashSeed::new(seed), scratch);
+            target.is_met_by(&digest).then_some((nonce, digest))
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! The Bitcoin-style double-SHA-256 PoW baseline.
 
-use crate::{scan_lane_batches, PowFunction, PreparedPow, ResourceClass};
-use hashcore::{MiningInput, Target, VerifyCost};
+use crate::{PowFunction, ResourceClass, NONCE_LANES};
+use hashcore::{lane_seeds, MiningInput, Target, VerifyCost};
 use hashcore_crypto::{sha256_x4, sha256d, Digest256};
 
 /// `SHA256(SHA256(input))` — the PoW function the paper's introduction uses
@@ -11,56 +11,19 @@ use hashcore_crypto::{sha256_x4, sha256d, Digest256};
 pub struct Sha256dPow;
 
 impl PowFunction for Sha256dPow {
+    /// Double SHA-256 runs entirely in fixed-size state; there is nothing
+    /// to reuse between evaluations.
+    type Scratch = ();
+
     fn name(&self) -> &'static str {
         "sha256d"
-    }
-
-    fn pow_hash(&self, input: &[u8]) -> Digest256 {
-        sha256d(input)
     }
 
     fn dominant_resource(&self) -> ResourceClass {
         ResourceClass::FixedFunction
     }
-}
 
-impl PreparedPow for Sha256dPow {
-    /// Double SHA-256 runs entirely in fixed-size state; there is nothing
-    /// to reuse between evaluations.
-    type Scratch = ();
-
-    fn pow_hash_scratch(&self, input: &[u8], _scratch: &mut ()) -> Digest256 {
-        self.pow_hash(input)
-    }
-
-    /// Both SHA-256 applications run four lanes wide: the inner hash over
-    /// `header ‖ nonce` via the parts interface, the outer hash over the
-    /// four fixed-size inner digests. This is the ASIC-friendly extreme —
-    /// the *entire* function vectorises, which is exactly the contrast the
-    /// bench's `simd_vs_scalar` metric quantifies against HashCore.
-    fn scan_nonce_batch(
-        &self,
-        input: &mut MiningInput,
-        target: Target,
-        start: u64,
-        attempts: u64,
-        scratch: &mut Self::Scratch,
-    ) -> Option<(u64, Digest256)> {
-        scan_lane_batches(
-            self,
-            input,
-            target,
-            start,
-            attempts,
-            scratch,
-            |_, header, nonces, _| {
-                let inner = crate::seeds_x4(header, nonces);
-                sha256_x4([&inner[0], &inner[1], &inner[2], &inner[3]])
-            },
-        )
-    }
-
-    /// Synthetic verifier cost, derived deterministically from the digest.
+    /// The digest with a synthetic verifier cost derived from it.
     ///
     /// Double SHA-256 has no widget stage, so the cost-steering
     /// experiments model per-seed widget variance instead: the ratio
@@ -69,14 +32,34 @@ impl PreparedPow for Sha256dPow {
     /// leading bytes only, so the tail stays uniform at every difficulty,
     /// and every node derives the identical observation from the header
     /// alone.
-    fn pow_hash_cost_scratch(&self, input: &[u8], _scratch: &mut ()) -> (Digest256, VerifyCost) {
-        let digest = self.pow_hash(input);
+    fn evaluate(&self, input: &[u8], _scratch: &mut ()) -> (Digest256, VerifyCost) {
+        let digest = sha256d(input);
         (digest, synthetic_cost(&digest))
+    }
+
+    /// Both SHA-256 applications run four lanes wide: the inner hash over
+    /// `header ‖ nonce` via [`lane_seeds`], the outer hash over the four
+    /// fixed-size inner digests. This is the ASIC-friendly extreme — the
+    /// *entire* function vectorises, which is exactly the contrast the
+    /// bench's `simd_vs_scalar` metric quantifies against HashCore.
+    fn first_hit_in_lanes(
+        &self,
+        input: &mut MiningInput,
+        nonces: [u64; NONCE_LANES],
+        target: Target,
+        _scratch: &mut (),
+    ) -> Option<(u64, Digest256)> {
+        let inner = lane_seeds(input.header_bytes(), nonces);
+        let digests = sha256_x4(inner.each_ref().map(|digest| digest.as_slice()));
+        nonces
+            .into_iter()
+            .zip(digests)
+            .find(|(_, digest)| target.is_met_by(digest))
     }
 }
 
 /// The log-uniform synthetic cost of one digest (see
-/// [`PreparedPow::pow_hash_cost_scratch`] on [`Sha256dPow`]): ratio
+/// [`PowFunction::evaluate`] on [`Sha256dPow`]): ratio
 /// `2^(4u − 2)` with `u` uniform in `[0, 1)` from the digest tail, scaled
 /// onto the nominal budget.
 fn synthetic_cost(digest: &Digest256) -> VerifyCost {
@@ -112,11 +95,11 @@ mod tests {
         let mut below = 0usize;
         for i in 0..256u32 {
             let input = i.to_le_bytes();
-            let (digest, cost) = Sha256dPow.pow_hash_cost_scratch(&input, &mut ());
+            let (digest, cost) = Sha256dPow.evaluate(&input, &mut ());
             // The digest contract: identical to the plain path.
             assert_eq!(digest, Sha256dPow.pow_hash(&input));
             // Replay gives the same observation — cost is input-pure.
-            assert_eq!(Sha256dPow.pow_hash_cost_scratch(&input, &mut ()).1, cost);
+            assert_eq!(Sha256dPow.evaluate(&input, &mut ()).1, cost);
             let ratio = cost.ratio(nominal);
             assert!(
                 (0.25..=4.0).contains(&ratio),

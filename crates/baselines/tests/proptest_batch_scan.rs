@@ -1,15 +1,16 @@
-//! Property tests for `scan_nonce_batch` vs `scan_nonces` equivalence.
+//! Property tests holding the lane-batched `scan_nonces` to a per-nonce
+//! reference.
 //!
-//! The batch scan's contract is that it visits *exactly* the scalar scan's
-//! nonce sequence — same start, same wraparound through `u64::MAX`, same
-//! first hit and digest — for every baseline PoW. Random starts (including
-//! points that wrap mid-scan), attempt counts straddling the lane width,
-//! and leading-zero targets from "every nonce hits" to "no nonce hits"
-//! exercise the batch/remainder split and the resume arithmetic.
+//! The scan's contract is that it visits *exactly* the nonce sequence of
+//! one fresh `pow_hash` per nonce — same start, same wraparound through
+//! `u64::MAX`, same first hit and digest — for every baseline PoW. Random
+//! starts (including points that wrap mid-scan), attempt counts straddling
+//! the lane width, and leading-zero targets from "every nonce hits" to "no
+//! nonce hits" exercise the lane-batch/remainder split and the lane hooks.
 
 use hashcore::{HashCore, MiningInput, Target};
 use hashcore_baselines::{
-    HashCorePow, MemoryHardPow, PreparedPow, RandomxLitePow, SelectionPow, Sha256dPow,
+    HashCorePow, MemoryHardPow, PowFunction, RandomxLitePow, SelectionPow, Sha256dPow,
 };
 use hashcore_profile::PerformanceProfile;
 use proptest::prelude::*;
@@ -23,7 +24,7 @@ fn starts() -> impl Strategy<Value = u64> {
     ]
 }
 
-fn assert_equivalent<P: PreparedPow>(
+fn assert_equivalent<P: PowFunction>(
     pow: &P,
     header: &[u8],
     start: u64,
@@ -31,14 +32,12 @@ fn assert_equivalent<P: PreparedPow>(
     zero_bits: u32,
 ) -> Result<(), TestCaseError> {
     let target = Target::from_leading_zero_bits(zero_bits);
-    let scalar = pow.scan_nonces(
-        &mut MiningInput::new(header),
-        target,
-        start,
-        attempts,
-        &mut P::Scratch::default(),
-    );
-    let batch = pow.scan_nonce_batch(
+    let reference = (0..attempts).find_map(|k| {
+        let nonce = start.wrapping_add(k);
+        let digest = pow.pow_hash(&HashCore::mining_input(header, nonce));
+        target.is_met_by(&digest).then_some((nonce, digest))
+    });
+    let scanned = pow.scan_nonces(
         &mut MiningInput::new(header),
         target,
         start,
@@ -46,14 +45,14 @@ fn assert_equivalent<P: PreparedPow>(
         &mut P::Scratch::default(),
     );
     prop_assert!(
-        batch == scalar,
+        scanned == reference,
         "{} start {} attempts {} bits {}: {:?} vs {:?}",
         pow.name(),
         start,
         attempts,
         zero_bits,
-        batch,
-        scalar
+        scanned,
+        reference
     );
     Ok(())
 }

@@ -32,7 +32,7 @@
 //! ```
 
 use hashcore::{HashCore, HashScratch, MiningInput, Target, NONCE_LANES};
-use hashcore_baselines::{PreparedPow, Sha256dPow};
+use hashcore_baselines::{PowFunction, Sha256dPow};
 use hashcore_profile::PerformanceProfile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -240,14 +240,16 @@ fn main() {
 
     // 4. Pure hash-gate scan, scalar vs 4-lane: the sha256d baseline is all
     //    gate and no widget, so this pair isolates the multi-lane SHA-256
-    //    gain itself. Far more nonces — a sha256d evaluation is ~1000x
-    //    cheaper than a HashCore one.
+    //    gain itself. The scalar row evaluates one nonce at a time; the x4
+    //    row is the lane-batched `scan_nonces`. Far more nonces — a sha256d
+    //    evaluation is ~1000x cheaper than a HashCore one.
     let gate_nonces = (nonces * 2_048).max(1 << 18);
     let mut gate_input = MiningInput::new(header);
     let started = Instant::now();
-    assert!(Sha256dPow
-        .scan_nonces(&mut gate_input, unreachable, 0, gate_nonces, &mut ())
-        .is_none());
+    for nonce in 0..gate_nonces {
+        let (digest, _) = Sha256dPow.evaluate(gate_input.with_nonce(nonce), &mut ());
+        assert!(!unreachable.is_met_by(&digest));
+    }
     measurements.push(Measurement {
         mode: "sha256d_scalar",
         threads: 1,
@@ -256,7 +258,7 @@ fn main() {
     });
     let started = Instant::now();
     assert!(Sha256dPow
-        .scan_nonce_batch(&mut gate_input, unreachable, 0, gate_nonces, &mut ())
+        .scan_nonces(&mut gate_input, unreachable, 0, gate_nonces, &mut ())
         .is_none());
     measurements.push(Measurement {
         mode: "sha256d_x4",

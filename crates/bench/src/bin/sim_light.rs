@@ -302,7 +302,7 @@ fn render_json(
         let _ = writeln!(json, "      \"fake_proofs_sent\": {},", r.fake_proofs_sent);
         let _ = writeln!(
             json,
-            "      \"fake_proofs_rejected\": {},",
+            "      \"invalid_proofs\": {},",
             r.rejections.invalid_proof
         );
         let _ = writeln!(json, "      \"quota_refusals\": {},", r.quota_refusals);

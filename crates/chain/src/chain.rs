@@ -4,7 +4,7 @@ use crate::block::{Block, BlockHeader};
 use crate::difficulty::{branch_state, DifficultyRule, EmaRetarget};
 use crate::fork::GENESIS_HASH;
 use hashcore::{MiningInput, Target};
-use hashcore_baselines::{PowFunction, PreparedPow};
+use hashcore_baselines::PowFunction;
 use hashcore_crypto::Digest256;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -231,21 +231,18 @@ impl<P: PowFunction> Blockchain<P> {
     /// Returns the first [`ChainError::InvalidBlock`] found.
     pub fn validate(&self) -> Result<(), ChainError>
     where
-        P: PreparedPow + Sync,
+        P: Sync,
     {
         let threads = thread::available_parallelism().map_or(1, |n| n.get());
         validate_segment_parallel(&self.pow, &self.blocks, threads, GENESIS_HASH)
     }
-}
 
-impl<P: PreparedPow> Blockchain<P> {
     /// Mines and appends the next block containing `transactions`.
     ///
-    /// The nonce search runs on the scratch path ([`MiningInput`] +
-    /// [`PreparedPow::pow_hash_scratch`]): one input buffer and one scratch
-    /// are built per call and reused across every attempt, so steady-state
-    /// mining performs no per-nonce heap allocation — the same discipline as
-    /// `HashCore::mine`.
+    /// The nonce search runs through [`PowFunction::scan_nonces`]: one
+    /// input buffer and one scratch are built per call and reused across
+    /// every attempt, so steady-state mining performs no per-nonce heap
+    /// allocation — the same discipline as `HashCore::mine`.
     ///
     /// # Errors
     ///
@@ -296,9 +293,7 @@ impl<P: PreparedPow> Blockchain<P> {
 
     /// Scans nonces `0..max_attempts` against the current target, returning
     /// `(nonce, attempts, digest)` of the first hit. All per-attempt state
-    /// lives in one [`MiningInput`] and one [`PreparedPow::Scratch`]; full
-    /// batches run through the PoW's lane-parallel
-    /// [`PreparedPow::scan_nonce_batch`] path.
+    /// lives in one [`MiningInput`] and one [`PowFunction::Scratch`].
     fn search_nonce(
         &self,
         header: &BlockHeader,
@@ -310,7 +305,7 @@ impl<P: PreparedPow> Blockchain<P> {
         let mut scratch = P::Scratch::default();
         let (nonce, digest) =
             self.pow
-                .scan_nonce_batch(&mut input, self.target, 0, max_attempts, &mut scratch)?;
+                .scan_nonces(&mut input, self.target, 0, max_attempts, &mut scratch)?;
         Some((nonce, nonce + 1, digest))
     }
 }
@@ -345,13 +340,13 @@ pub struct RuleContext<'a> {
 /// commitment and expected target as [`InvalidReason::Target`], the cost
 /// admission bound as [`InvalidReason::Pow`].
 ///
-/// One [`PreparedPow::Scratch`] and one header buffer serve every block.
+/// One [`PowFunction::Scratch`] and one header buffer serve every block.
 /// Heights in errors are relative to the start of the segment.
 ///
 /// # Errors
 ///
 /// Returns the first [`ChainError::InvalidBlock`] found.
-pub fn validate_segment_with_rule<P: PreparedPow>(
+pub fn validate_segment_with_rule<P: PowFunction>(
     pow: &P,
     blocks: &[Block],
     mut prev_hash: Digest256,
@@ -370,7 +365,7 @@ pub fn validate_segment_with_rule<P: PreparedPow>(
             return invalid(InvalidReason::Merkle);
         }
         block.header.write_bytes(&mut header_bytes);
-        let (digest, cost) = pow.pow_hash_cost_scratch(&header_bytes, &mut scratch);
+        let (digest, cost) = pow.evaluate(&header_bytes, &mut scratch);
         if !Target::from_threshold(block.header.target).is_met_by(&digest) {
             return invalid(InvalidReason::Pow);
         }
@@ -417,7 +412,7 @@ struct ChunkOutcome {
 /// # Panics
 ///
 /// Panics if `threads` is zero, or if a validation worker panics.
-pub fn validate_segment_parallel<P: PreparedPow + Sync>(
+pub fn validate_segment_parallel<P: PowFunction + Sync>(
     pow: &P,
     blocks: &[Block],
     threads: usize,
@@ -432,7 +427,7 @@ pub fn validate_segment_parallel<P: PreparedPow + Sync>(
 ///
 /// The sequence is split into contiguous chunks, one per worker, fanned out
 /// with `std::thread::scope` exactly like `HashCore::mine_parallel`: each
-/// worker owns one [`PreparedPow::Scratch`] and one header buffer, so
+/// worker owns one [`PowFunction::Scratch`] and one header buffer, so
 /// per-block validation performs no steady-state allocation. Workers check
 /// internal linkage, Merkle commitments and PoW targets in the sequential
 /// order, recording each block's `(digest, cost ratio)` when a rule is
@@ -453,7 +448,7 @@ pub fn validate_segment_parallel<P: PreparedPow + Sync>(
 /// # Panics
 ///
 /// Panics if `threads` is zero, or if a validation worker panics.
-pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
+pub fn validate_segment_parallel_with_rule<P: PowFunction + Sync>(
     pow: &P,
     blocks: &[Block],
     threads: usize,
@@ -519,14 +514,10 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
                             cutoff.fetch_min(height, Ordering::AcqRel);
                         }
                         block.header.write_bytes(&mut header_bytes);
-                        let digest = if observe {
-                            let (digest, cost) =
-                                pow.pow_hash_cost_scratch(&header_bytes, &mut scratch);
+                        let (digest, cost) = pow.evaluate(&header_bytes, &mut scratch);
+                        if observe {
                             observed.push((digest, cost.ratio(nominal)));
-                            digest
-                        } else {
-                            pow.pow_hash_scratch(&header_bytes, &mut scratch)
-                        };
+                        }
                         if first_error.is_none()
                             && !Target::from_threshold(block.header.target).is_met_by(&digest)
                         {

@@ -18,7 +18,7 @@ use crate::chain::{validate_segment_with_rule, ChainError, InvalidReason};
 use crate::difficulty::DifficultyRule;
 use crate::header_chain::{Accepted, Entry, HeaderChain};
 use hashcore::Target;
-use hashcore_baselines::PreparedPow;
+use hashcore_baselines::PowFunction;
 use hashcore_crypto::{Digest256, Sha256};
 use std::fmt;
 
@@ -277,16 +277,16 @@ fn hash_rule(hasher: &mut Sha256, rule: Option<&DifficultyRule>) {
 /// branches are scored by the expected attempts their embedded targets
 /// imply.
 ///
-/// Hashing runs through one owned [`PreparedPow::Scratch`] and one header
+/// Hashing runs through one owned [`PowFunction::Scratch`] and one header
 /// buffer, so applying a stream of blocks does not allocate per block.
-pub struct ForkTree<P: PreparedPow> {
+pub struct ForkTree<P: PowFunction> {
     pow: P,
     chain: HeaderChain<Block>,
     scratch: P::Scratch,
     header_bytes: Vec<u8>,
 }
 
-impl<P: PreparedPow + fmt::Debug> fmt::Debug for ForkTree<P> {
+impl<P: PowFunction + fmt::Debug> fmt::Debug for ForkTree<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ForkTree")
             .field("pow", &self.pow)
@@ -296,7 +296,7 @@ impl<P: PreparedPow + fmt::Debug> fmt::Debug for ForkTree<P> {
     }
 }
 
-impl<P: PreparedPow> ForkTree<P> {
+impl<P: PowFunction> ForkTree<P> {
     /// Creates an empty tree whose tip is [`GENESIS_HASH`]. Embedded
     /// targets are trusted; use [`ForkTree::with_rule`] to enforce a
     /// difficulty policy along every branch.
@@ -445,9 +445,7 @@ impl<P: PreparedPow> ForkTree<P> {
     /// so every validator derives the same value.
     pub fn digest_and_cost_of_header(&mut self, header: &BlockHeader) -> (Digest256, f64) {
         header.write_bytes(&mut self.header_bytes);
-        let (digest, cost) = self
-            .pow
-            .pow_hash_cost_scratch(&self.header_bytes, &mut self.scratch);
+        let (digest, cost) = self.pow.evaluate(&self.header_bytes, &mut self.scratch);
         (digest, cost.ratio(self.pow.nominal_cost()))
     }
 

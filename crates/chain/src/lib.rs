@@ -73,5 +73,5 @@ pub use fork::{
     ApplyOutcome, ForkError, ForkTree, Reorg, RestoreError, SegmentError, TreeSnapshot,
     GENESIS_HASH,
 };
-pub use hashcore_baselines::{PowFunction, PreparedPow};
+pub use hashcore_baselines::PowFunction;
 pub use header_chain::{HeaderChain, HeaderOutcome};

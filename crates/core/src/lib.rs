@@ -26,8 +26,10 @@
 //!
 //! * [`HashCore`] — the PoW function over SHA-256 gates and the
 //!   `hashcore-gen` widget pipeline,
-//! * [`Target`] and [`HashCore::mine`] / [`HashCore::verify`] — the PoW
-//!   interface a blockchain consumes (`hashcore-chain` builds on it),
+//! * [`Target`], [`HashCore::mine`] and the one nonce-scan loop
+//!   [`MiningInput::scan`] with its four-lane first gate [`lane_seeds`] —
+//!   the PoW interface a blockchain consumes (`hashcore-chain` builds on
+//!   it; verifying a block is evaluating the hash again),
 //! * [`security`] — an executable rendering of Theorem 1: the generic
 //!   construction, the CRHF security game, and the reduction `B` from the
 //!   appendix proof, tested end-to-end with a deliberately weak toy gate.
@@ -56,7 +58,7 @@ pub mod security;
 mod target;
 
 pub use pow::{
-    HashCore, HashCoreConfig, HashCoreError, HashCoreOutput, HashScratch, MiningInput,
-    MiningResult, MiningSession, VerifyCost, VerifyScratch, WidgetReport, NONCE_LANES,
+    lane_seeds, HashCore, HashCoreConfig, HashCoreError, HashCoreOutput, HashScratch, MiningInput,
+    MiningResult, MiningSession, VerifyCost, WidgetReport, NONCE_LANES,
 };
 pub use target::Target;

@@ -9,9 +9,21 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-/// Number of nonces one [`HashCore::hash_nonce_batch_with_scratch`] call
-/// evaluates: the lane width of the multi-lane hash gate.
+/// Number of consecutive nonces one lane batch evaluates: the lane width of
+/// the multi-lane hash gate.
 pub const NONCE_LANES: usize = SHA256_LANES;
+
+/// The first hash gate of [`NONCE_LANES`] nonces sharing one header:
+/// `G(header ‖ nonce_i)` per lane, in one multi-lane SHA-256 pass that
+/// hashes `header ‖ nonce` without materialising four input buffers.
+///
+/// Lane `i` equals `sha256(&HashCore::mining_input(header, nonces[i]))`.
+pub fn lane_seeds(header: &[u8], nonces: [u64; NONCE_LANES]) -> [Digest256; NONCE_LANES] {
+    let nonce_bytes = nonces.map(u64::to_le_bytes);
+    let parts: [[&[u8]; 2]; NONCE_LANES] =
+        std::array::from_fn(|lane| [header, nonce_bytes[lane].as_slice()]);
+    sha256_x4_parts(parts.each_ref().map(|lane| lane.as_slice()))
+}
 
 /// Configuration of a [`HashCore`] instance.
 #[derive(Debug, Clone)]
@@ -242,59 +254,36 @@ impl MiningSession {
     /// again to resume). Stepping past a hit resumes the scan at the next
     /// nonce.
     ///
-    /// Full batches of [`NONCE_LANES`] nonces run through the lane-parallel
-    /// gate ([`HashCore::hash_nonce_batch_with_scratch`]); the remainder
-    /// runs scalar. Hit nonce, digest and attempt count are identical to
-    /// the per-nonce scan either way.
+    /// The nonces run through [`MiningInput::scan`] with
+    /// [`HashCore::first_hit_in_lanes`] as the lane hook.
     ///
     /// # Errors
     ///
-    /// Propagates widget-execution failures.
+    /// Propagates widget-execution failures; a failed step leaves the
+    /// session where the step began.
     pub fn step(
         &mut self,
         pow: &HashCore,
         budget: u64,
     ) -> Result<Option<MiningResult>, HashCoreError> {
-        let mut remaining = budget;
-        while remaining >= NONCE_LANES as u64 {
-            let nonces: [u64; NONCE_LANES] = std::array::from_fn(|lane| {
-                self.start
-                    .wrapping_add(self.scanned)
-                    .wrapping_add(lane as u64)
-            });
-            let results = pow.hash_nonce_batch_with_scratch(
-                self.input.header_bytes(),
-                nonces,
-                &mut self.scratch,
-            );
-            for (nonce, result) in nonces.into_iter().zip(results) {
-                let digest = result?.digest;
-                self.scanned += 1;
-                remaining -= 1;
-                if self.target.is_met_by(&digest) {
-                    return Ok(Some(MiningResult {
-                        nonce,
-                        digest,
-                        attempts: self.scanned,
-                    }));
-                }
-            }
-        }
-        for _ in 0..remaining {
-            let nonce = self.start.wrapping_add(self.scanned);
-            let digest = pow
-                .hash_with_scratch(self.input.with_nonce(nonce), &mut self.scratch)?
-                .digest;
-            self.scanned += 1;
-            if self.target.is_met_by(&digest) {
-                return Ok(Some(MiningResult {
-                    nonce,
-                    digest,
-                    attempts: self.scanned,
-                }));
-            }
-        }
-        Ok(None)
+        let first = self.start.wrapping_add(self.scanned);
+        let hit = pow.scan(
+            &mut self.input,
+            self.target,
+            first,
+            budget,
+            &mut self.scratch,
+        )?;
+        let Some((nonce, digest)) = hit else {
+            self.scanned += budget;
+            return Ok(None);
+        };
+        self.scanned += nonce.wrapping_sub(first) + 1;
+        Ok(Some(MiningResult {
+            nonce,
+            digest,
+            attempts: self.scanned,
+        }))
     }
 }
 
@@ -339,8 +328,7 @@ impl MiningInput {
     }
 
     /// The header portion of the buffer — everything except the 8-byte nonce
-    /// tail. The batch scan passes this to
-    /// [`HashCore::hash_nonce_batch_with_scratch`], which appends each
+    /// tail. Lane hooks pass this to [`lane_seeds`], which appends each
     /// lane's nonce itself instead of overwriting the tail in place.
     ///
     /// A default-constructed buffer with no header set behaves as if the
@@ -351,25 +339,55 @@ impl MiningInput {
             None => b"",
         }
     }
-}
 
-/// Reusable state for the verification path: the mining-input buffer plus a
-/// full [`HashScratch`].
-///
-/// A full node re-verifying many `(header, nonce)` pairs — block validation
-/// re-evaluates one PoW per block — owns one of these per worker and calls
-/// [`HashCore::verify_with_scratch`], so steady-state verification is as
-/// allocation-free as steady-state mining.
-#[derive(Debug, Clone, Default)]
-pub struct VerifyScratch {
-    input: MiningInput,
-    hash: HashScratch,
-}
-
-impl VerifyScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
+    /// The one nonce-scan loop: scans `attempts` nonces of this buffer's
+    /// header from `start` and returns the first `(nonce, digest)` meeting
+    /// `target`.
+    ///
+    /// Attempt `k` evaluates nonce `start.wrapping_add(k)`, so the scan
+    /// wraps through `u64::MAX` to `0` and never revisits a nonce within one
+    /// call; a caller resuming an unfinished scan passes
+    /// `start.wrapping_add(attempts)`. Each full batch of [`NONCE_LANES`]
+    /// consecutive nonces goes to `lanes`, which returns the first of them
+    /// whose digest meets the target (evaluating lanes in nonce order, as
+    /// far as the first hit). The `attempts % NONCE_LANES` remainder is
+    /// hashed one nonce at a time by `single` over the full
+    /// `header ‖ nonce` input. Both closures share `scratch`; the first
+    /// error either returns ends the scan.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of `lanes` or `single`.
+    pub fn scan<S, E>(
+        &mut self,
+        target: Target,
+        start: u64,
+        attempts: u64,
+        scratch: &mut S,
+        mut lanes: impl FnMut(
+            &mut Self,
+            [u64; NONCE_LANES],
+            &mut S,
+        ) -> Result<Option<(u64, Digest256)>, E>,
+        mut single: impl FnMut(&[u8], &mut S) -> Result<Digest256, E>,
+    ) -> Result<Option<(u64, Digest256)>, E> {
+        let mut done = 0;
+        while attempts - done >= NONCE_LANES as u64 {
+            let base = start.wrapping_add(done);
+            let nonces = std::array::from_fn(|lane| base.wrapping_add(lane as u64));
+            if let Some(hit) = lanes(self, nonces, scratch)? {
+                return Ok(Some(hit));
+            }
+            done += NONCE_LANES as u64;
+        }
+        for offset in done..attempts {
+            let nonce = start.wrapping_add(offset);
+            let digest = single(self.with_nonce(nonce), scratch)?;
+            if target.is_met_by(&digest) {
+                return Ok(Some((nonce, digest)));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -443,23 +461,14 @@ impl HashCore {
         scratch: &mut HashScratch,
     ) -> Result<HashCoreOutput, HashCoreError> {
         // First hash gate: s = G(x).
-        self.hash_from_seed_with_scratch(HashSeed::new(sha256(input)), scratch)
+        self.hash_from_seed(HashSeed::new(sha256(input)), scratch)
     }
 
-    /// Evaluates the widget stage and second hash gate from an
-    /// already-computed first-gate output `s = G(x)`.
-    ///
-    /// This is the tail of [`HashCore::hash_with_scratch`]: callers that
-    /// compute the first gate themselves — the batch scan runs it four
-    /// lanes at a time through [`sha256_x4_parts`] — enter the pipeline
-    /// here. `hash_from_seed_with_scratch(HashSeed::new(sha256(x)), ..)` is
-    /// byte-identical to `hash_with_scratch(x, ..)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HashCoreError::WidgetExecution`] if a generated widget
-    /// fails to execute within its step limit.
-    pub fn hash_from_seed_with_scratch(
+    /// The widget stage and second hash gate from an already-computed
+    /// first-gate output `s = G(x)`: the tail of
+    /// [`HashCore::hash_with_scratch`], entered directly by the lane paths,
+    /// which compute the first gate four lanes at a time.
+    fn hash_from_seed(
         &self,
         seed: HashSeed,
         scratch: &mut HashScratch,
@@ -524,28 +533,18 @@ impl HashCore {
         })
     }
 
-    /// Convenience: evaluates the PoW and returns only the digest.
-    ///
-    /// # Errors
-    ///
-    /// See [`HashCore::hash`].
-    pub fn hash_digest(&self, input: &[u8]) -> Result<Digest256, HashCoreError> {
-        Ok(self.hash(input)?.digest)
-    }
-
     /// Evaluates `H(header ‖ nonce)` for [`NONCE_LANES`] nonces sharing one
     /// header, running the first hash gate four lanes at a time.
     ///
     /// Lane `i`'s result is byte-identical to
     /// [`HashCore::hash_with_scratch`] over
-    /// [`HashCore::mining_input`]`(header, nonces[i])`: the seeds
-    /// `s_i = G(header ‖ nonce_i)` come out of one [`sha256_x4_parts`] pass
-    /// (the gate hashes `header ‖ nonce` without materialising four input
-    /// buffers), and the widget stage plus second gate then run per lane
-    /// out of the single shared `scratch` — widget outputs differ in shape
-    /// per seed, so those stages stay sequential while the fixed-shape gate
-    /// is where the lanes pay off. Nothing here allocates once the scratch
-    /// is warm.
+    /// [`HashCore::mining_input`]`(header, nonces[i])`: the seeds come out
+    /// of one [`lane_seeds`] pass, and the widget stage plus second gate
+    /// then run per lane out of the single shared `scratch` — widget
+    /// outputs differ in shape per seed, so those stages stay sequential
+    /// while the fixed-shape gate is where the lanes pay off. Nothing here
+    /// allocates once the scratch is warm. Every lane is evaluated; a scan
+    /// that stops at its first hit uses [`HashCore::first_hit_in_lanes`].
     ///
     /// # Errors
     ///
@@ -561,29 +560,67 @@ impl HashCore {
         nonces: [u64; NONCE_LANES],
         scratch: &mut HashScratch,
     ) -> [Result<HashCoreOutput, HashCoreError>; NONCE_LANES] {
-        // First hash gate, all lanes at once: s_i = G(header ‖ nonce_i).
-        let nonce_bytes = nonces.map(u64::to_le_bytes);
-        let lane_parts: [[&[u8]; 2]; NONCE_LANES] = [
-            [header, &nonce_bytes[0]],
-            [header, &nonce_bytes[1]],
-            [header, &nonce_bytes[2]],
-            [header, &nonce_bytes[3]],
-        ];
-        let seeds = sha256_x4_parts([
-            &lane_parts[0],
-            &lane_parts[1],
-            &lane_parts[2],
-            &lane_parts[3],
-        ]);
-
+        let seeds = lane_seeds(header, nonces);
         let mut first_error: Option<HashCoreError> = None;
         std::array::from_fn(|lane| {
             if let Some(error) = &first_error {
                 return Err(error.clone());
             }
-            self.hash_from_seed_with_scratch(HashSeed::new(seeds[lane]), scratch)
+            self.hash_from_seed(HashSeed::new(seeds[lane]), scratch)
                 .inspect_err(|error| first_error = Some(error.clone()))
         })
+    }
+
+    /// The lane hook of every HashCore nonce scan: the first of `nonces`
+    /// (consecutive nonces of `header`) whose digest meets `target`.
+    ///
+    /// The first hash gate runs four lanes wide ([`lane_seeds`]); each
+    /// lane's widget stage and second gate run only while no earlier lane
+    /// has met the target, so a hit in lane `i` costs `i + 1` widget
+    /// stages. Digests are byte-identical to [`HashCore::hash_with_scratch`]
+    /// over [`HashCore::mining_input`]`(header, nonce)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first widget-execution failure among the lanes
+    /// evaluated.
+    pub fn first_hit_in_lanes(
+        &self,
+        header: &[u8],
+        nonces: [u64; NONCE_LANES],
+        target: Target,
+        scratch: &mut HashScratch,
+    ) -> Result<Option<(u64, Digest256)>, HashCoreError> {
+        for (nonce, seed) in nonces.into_iter().zip(lane_seeds(header, nonces)) {
+            let digest = self.hash_from_seed(HashSeed::new(seed), scratch)?.digest;
+            if target.is_met_by(&digest) {
+                return Ok(Some((nonce, digest)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// [`MiningInput::scan`] with this function's lane hook: the scan of
+    /// [`MiningSession::step`] and of every [`HashCore::mine_parallel`]
+    /// worker.
+    fn scan(
+        &self,
+        input: &mut MiningInput,
+        target: Target,
+        start: u64,
+        attempts: u64,
+        scratch: &mut HashScratch,
+    ) -> Result<Option<(u64, Digest256)>, HashCoreError> {
+        input.scan(
+            target,
+            start,
+            attempts,
+            scratch,
+            |input, nonces, scratch| {
+                self.first_hit_in_lanes(input.header_bytes(), nonces, target, scratch)
+            },
+            |input, scratch| Ok(self.hash_with_scratch(input, scratch)?.digest),
+        )
     }
 
     /// Builds the canonical mining input for a header and nonce.
@@ -599,7 +636,9 @@ impl HashCore {
     ///
     /// This is a single-shot [`MiningSession`]: callers that need to
     /// interleave the search with other work (the network simulation's
-    /// nodes) hold a session and spend the budget in slices.
+    /// nodes) hold a session and spend the budget in slices. Verifying a
+    /// mined nonce is evaluating [`HashCore::hash`] over
+    /// [`HashCore::mining_input`] again and checking the target.
     ///
     /// # Errors
     ///
@@ -618,8 +657,9 @@ impl HashCore {
     /// Searches nonces `start..start + max_attempts` for a digest meeting
     /// `target`, sharding the nonce space across `threads` OS threads.
     ///
-    /// Workers scan interleaved offsets (worker `w` evaluates offsets `w`,
-    /// `w + threads`, …) with their own [`HashScratch`], and an atomic
+    /// Workers claim consecutive ranges of [`NONCE_LANES`] offsets in
+    /// increasing order and scan each with the same loop as
+    /// [`HashCore::mine`], each out of its own [`HashScratch`]. An atomic
     /// cutoff stops every worker as soon as no lower qualifying nonce can
     /// remain unscanned. The result is **deterministic and identical to
     /// [`HashCore::mine`]**: the lowest qualifying nonce in the range wins
@@ -648,77 +688,50 @@ impl HashCore {
         // A worker per nonce is the most the range can use; surplus threads
         // would spawn only to exit immediately.
         let threads = threads.min(usize::try_from(max_attempts).unwrap_or(usize::MAX));
-        if threads <= 1 || max_attempts <= 1 {
+        if threads <= 1 {
             return self.mine(header, target, start, max_attempts);
         }
 
-        // Lowest offset whose evaluation was decisive (qualifying digest or
-        // execution error). Workers never scan past it, and every offset
-        // below the final cutoff is guaranteed to have been evaluated.
-        let cutoff = AtomicU64::new(u64::MAX);
+        // `next` hands out range starts; it publishes no other data. The
+        // cutoff is the lowest decisive offset found so far: a hit's own
+        // offset, or the start of a range whose scan failed (ranges are
+        // disjoint and each scan stops at its first decisive nonce, so the
+        // range start orders a failure correctly against every other
+        // range). No range at or past the cutoff is claimed, and every
+        // range below the final cutoff is scanned to its end.
+        let next = AtomicU64::new(0);
+        let cutoff = AtomicU64::new(max_attempts);
         type Outcome = (u64, Result<(u64, Digest256), HashCoreError>);
 
         let outcomes: Vec<Option<Outcome>> = thread::scope(|scope| {
-            let cutoff = &cutoff;
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        let stride = threads as u64;
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
                         let mut scratch = HashScratch::new();
                         let mut input = MiningInput::new(header);
-                        let mut offset = worker;
                         loop {
-                            let limit = max_attempts.min(cutoff.load(Ordering::Acquire));
+                            let offset = next.fetch_add(NONCE_LANES as u64, Ordering::Relaxed);
+                            let limit = cutoff.load(Ordering::Acquire);
                             if offset >= limit {
                                 return None;
                             }
-                            // Batch the worker's next NONCE_LANES strided
-                            // offsets through the lane-parallel gate when
-                            // they all fit below the limit; fall back to a
-                            // scalar step for the tail (or on the
-                            // astronomically unlikely offset overflow).
-                            let last = offset.checked_add(stride * (NONCE_LANES as u64 - 1));
-                            if last.is_some_and(|last| last < limit) {
-                                let offsets: [u64; NONCE_LANES] =
-                                    std::array::from_fn(|lane| offset + stride * lane as u64);
-                                let nonces = offsets.map(|o| start.wrapping_add(o));
-                                let results = self.hash_nonce_batch_with_scratch(
-                                    input.header_bytes(),
-                                    nonces,
-                                    &mut scratch,
-                                );
-                                for (lane, result) in results.into_iter().enumerate() {
-                                    match result {
-                                        Ok(out) if target.is_met_by(&out.digest) => {
-                                            cutoff.fetch_min(offsets[lane], Ordering::AcqRel);
-                                            return Some((
-                                                offsets[lane],
-                                                Ok((nonces[lane], out.digest)),
-                                            ));
-                                        }
-                                        Ok(_) => {}
-                                        Err(error) => {
-                                            cutoff.fetch_min(offsets[lane], Ordering::AcqRel);
-                                            return Some((offsets[lane], Err(error)));
-                                        }
-                                    }
+                            let attempts = (limit - offset).min(NONCE_LANES as u64);
+                            let first = start.wrapping_add(offset);
+                            let outcome = match self.scan(
+                                &mut input,
+                                target,
+                                first,
+                                attempts,
+                                &mut scratch,
+                            ) {
+                                Ok(None) => continue,
+                                Ok(Some((nonce, digest))) => {
+                                    (nonce.wrapping_sub(start), Ok((nonce, digest)))
                                 }
-                                offset += stride * NONCE_LANES as u64;
-                                continue;
-                            }
-                            let nonce = start.wrapping_add(offset);
-                            match self.hash_with_scratch(input.with_nonce(nonce), &mut scratch) {
-                                Ok(out) if target.is_met_by(&out.digest) => {
-                                    cutoff.fetch_min(offset, Ordering::AcqRel);
-                                    return Some((offset, Ok((nonce, out.digest))));
-                                }
-                                Ok(_) => {}
-                                Err(error) => {
-                                    cutoff.fetch_min(offset, Ordering::AcqRel);
-                                    return Some((offset, Err(error)));
-                                }
-                            }
-                            offset += stride;
+                                Err(error) => (offset, Err(error)),
+                            };
+                            cutoff.fetch_min(outcome.0, Ordering::AcqRel);
+                            return Some(outcome);
                         }
                     })
                 })
@@ -744,52 +757,6 @@ impl HashCore {
             })),
             Some((_, Err(error))) => Err(error),
         }
-    }
-
-    /// Verifies that `(header, nonce)` meets `target`, returning the digest
-    /// on success.
-    ///
-    /// Verification is simply re-evaluation of the PoW function — exactly
-    /// what makes a PoW function usable by every full node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates widget-execution failures.
-    pub fn verify(
-        &self,
-        header: &[u8],
-        nonce: u64,
-        target: Target,
-    ) -> Result<Option<Digest256>, HashCoreError> {
-        self.verify_with_scratch(header, nonce, target, &mut VerifyScratch::new())
-    }
-
-    /// Verifies `(header, nonce)` against `target` using reusable scratch
-    /// state.
-    ///
-    /// Identical to [`HashCore::verify`] — same digest, byte for byte — but
-    /// the mining input is assembled in the scratch's reusable buffer (no
-    /// fresh `Vec` per call, unlike [`HashCore::mining_input`]) and the
-    /// whole hash pipeline runs out of the scratch's [`HashScratch`]. Batch
-    /// verifiers re-checking a chain segment call this once per block with
-    /// one long-lived scratch per worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates widget-execution failures.
-    pub fn verify_with_scratch(
-        &self,
-        header: &[u8],
-        nonce: u64,
-        target: Target,
-        scratch: &mut VerifyScratch,
-    ) -> Result<Option<Digest256>, HashCoreError> {
-        let VerifyScratch { input, hash } = scratch;
-        input.set_header(header);
-        let digest = self
-            .hash_with_scratch(input.with_nonce(nonce), hash)?
-            .digest;
-        Ok(target.is_met_by(&digest).then_some(digest))
     }
 }
 
@@ -859,18 +826,11 @@ mod tests {
             .unwrap()
             .expect("an easy target should be met within 64 nonces");
         assert!(target.is_met_by(&result.digest));
-        let verified = pow.verify(b"block-42", result.nonce, target).unwrap();
-        assert_eq!(verified, Some(result.digest));
-        // A wrong nonce (almost surely) fails, and a harder target rejects.
-        assert_eq!(
-            pow.verify(
-                b"block-42",
-                result.nonce,
-                Target::from_leading_zero_bits(255)
-            )
-            .unwrap(),
-            None
-        );
+        // Verification is re-evaluation over the same header and nonce.
+        let input = HashCore::mining_input(b"block-42", result.nonce);
+        assert_eq!(pow.hash(&input).unwrap().digest, result.digest);
+        // A harder target rejects the same digest.
+        assert!(!Target::from_leading_zero_bits(255).is_met_by(&result.digest));
     }
 
     #[test]
@@ -917,27 +877,6 @@ mod tests {
         for input in [b"a".as_ref(), b"b".as_ref(), b"".as_ref(), b"a".as_ref()] {
             let fresh = pow.hash(input).unwrap();
             let reused = pow.hash_with_scratch(input, &mut scratch).unwrap();
-            assert_eq!(fresh, reused);
-        }
-    }
-
-    #[test]
-    fn verify_scratch_path_matches_verify_across_headers() {
-        let pow = fast_pow();
-        let target = Target::from_leading_zero_bits(1);
-        let mut scratch = VerifyScratch::new();
-        // One scratch serves verifications of different headers and nonces
-        // (the chain-validation usage), including header-length changes.
-        for (header, nonce) in [
-            (b"header-a".as_ref(), 0u64),
-            (b"a-much-longer-header-b".as_ref(), 7),
-            (b"h".as_ref(), u64::MAX),
-            (b"header-a".as_ref(), 0),
-        ] {
-            let fresh = pow.verify(header, nonce, target).unwrap();
-            let reused = pow
-                .verify_with_scratch(header, nonce, target, &mut scratch)
-                .unwrap();
             assert_eq!(fresh, reused);
         }
     }
@@ -1074,6 +1013,49 @@ mod tests {
         assert!(parallel.unwrap().nonce >= 1_000);
     }
 
+    /// `mine` and `mine_parallel` at every thread count find the first hit
+    /// of a per-nonce enumeration, with its attempt count, for starts that
+    /// wrap through `u64::MAX`, budgets on both sides of the lane width and
+    /// targets from every nonce hitting to none.
+    #[test]
+    fn mining_matches_a_per_nonce_reference_across_the_wrap() {
+        let pow = fast_pow();
+        let header = b"reference-block";
+        for start in [0u64, u64::MAX - 5] {
+            let digests: Vec<Digest256> = (0..11u64)
+                .map(|k| {
+                    let input = HashCore::mining_input(header, start.wrapping_add(k));
+                    pow.hash(&input).unwrap().digest
+                })
+                .collect();
+            for bits in [0u32, 2, 255] {
+                let target = Target::from_leading_zero_bits(bits);
+                for attempts in [1u64, 3, 4, 7, 11] {
+                    let expected = digests[..attempts as usize]
+                        .iter()
+                        .position(|digest| target.is_met_by(digest))
+                        .map(|k| MiningResult {
+                            nonce: start.wrapping_add(k as u64),
+                            digest: digests[k],
+                            attempts: k as u64 + 1,
+                        });
+                    let case = format!("start {start} bits {bits} attempts {attempts}");
+                    assert_eq!(
+                        pow.mine(header, target, start, attempts).unwrap(),
+                        expected,
+                        "{case}"
+                    );
+                    for threads in [2usize, 3] {
+                        let parallel = pow
+                            .mine_parallel(header, target, start, attempts, threads)
+                            .unwrap();
+                        assert_eq!(parallel, expected, "{case} threads {threads}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_mining_threads_rejected() {
@@ -1083,8 +1065,8 @@ mod tests {
     #[test]
     fn avalanche_between_adjacent_nonces() {
         let pow = fast_pow();
-        let a = pow.hash_digest(&HashCore::mining_input(b"hdr", 1)).unwrap();
-        let b = pow.hash_digest(&HashCore::mining_input(b"hdr", 2)).unwrap();
+        let a = pow.hash(&HashCore::mining_input(b"hdr", 1)).unwrap().digest;
+        let b = pow.hash(&HashCore::mining_input(b"hdr", 2)).unwrap().digest;
         let differing: u32 = a
             .iter()
             .zip(b.iter())

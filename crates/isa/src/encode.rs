@@ -79,6 +79,12 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// Bytes not yet consumed: an upper bound on the items still to come
+    /// (every block and every instruction encodes to at least one byte),
+    /// so a declared count never sizes an allocation beyond it.
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.pos + n > self.data.len() {
             return Err(DecodeError::UnexpectedEnd);
@@ -472,10 +478,10 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
     let memory_size = r.u64()? as usize;
     let entry = BlockId(r.u32()?);
     let block_count = r.u32()? as usize;
-    let mut blocks = Vec::with_capacity(block_count);
+    let mut blocks = Vec::with_capacity(block_count.min(r.remaining()));
     for id in 0..block_count {
         let inst_count = r.u32()? as usize;
-        let mut instructions = Vec::with_capacity(inst_count);
+        let mut instructions = Vec::with_capacity(inst_count.min(r.remaining()));
         for _ in 0..inst_count {
             instructions.push(decode_instruction(&mut r)?);
         }
@@ -572,6 +578,24 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn huge_declared_counts_are_rejected_without_allocating_for_them() {
+        // 20 bytes declaring u32::MAX blocks: the count must not size an
+        // allocation before the input runs out.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&4096u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 20);
+        assert_eq!(decode(&bytes), Err(DecodeError::UnexpectedEnd));
+        // The same for one block declaring u32::MAX instructions.
+        let mut one_block = bytes[..16].to_vec();
+        one_block.extend_from_slice(&1u32.to_le_bytes());
+        one_block.extend_from_slice(&u32::MAX.to_le_bytes());
+        one_block.push(14); // one snapshot instruction, then the input ends
+        assert_eq!(decode(&one_block), Err(DecodeError::UnexpectedEnd));
     }
 
     #[test]

@@ -197,3 +197,44 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes decode to a program or an error without panicking —
+    /// half of them behind the magic prefix, so the declared counts are
+    /// reached and must not size an allocation beyond the input.
+    #[test]
+    fn arbitrary_bytes_decode_without_panicking(
+        magic in any::<bool>(),
+        body in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut bytes = if magic { b"HCW1".to_vec() } else { Vec::new() };
+        bytes.extend_from_slice(&body);
+        let _ = decode(&bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every truncation of a valid encoding, and every 1-byte mutation of
+    /// it to a drawn value, decodes to a program or an error without
+    /// panicking.
+    #[test]
+    fn mutated_and_truncated_encodings_decode_without_panicking(
+        program in arb_program(),
+        value in any::<u8>(),
+    ) {
+        let bytes = encode(&program);
+        for cut in 0..bytes.len() {
+            let _ = decode(&bytes[..cut]);
+        }
+        let mut mutated = bytes.clone();
+        for position in 0..bytes.len() {
+            mutated[position] = value;
+            let _ = decode(&mutated);
+            mutated[position] = bytes[position];
+        }
+    }
+}

@@ -4,7 +4,7 @@
 
 use crate::strategy::{Honest, Strategy};
 use hashcore::Target;
-use hashcore_baselines::PreparedPow;
+use hashcore_baselines::PowFunction;
 use hashcore_chain::{
     ApplyOutcome, Block, BlockHeader, DifficultyRule, ForkTree, HeaderChain, TreeSnapshot,
     GENESIS_HASH,
@@ -57,7 +57,7 @@ pub(crate) struct Persistence {
 /// peer (deterministic round-robin, excluding peers that already stalled)
 /// until it succeeds or the retry budget is spent.
 #[derive(Debug)]
-pub struct Node<P: PreparedPow>
+pub struct Node<P: PowFunction>
 where
     P: std::fmt::Debug,
     P::Scratch: std::fmt::Debug,
@@ -123,7 +123,7 @@ where
     pub(crate) stats: NodeStats,
 }
 
-impl<P: PreparedPow + Sync + std::fmt::Debug> Node<P>
+impl<P: PowFunction + Sync + std::fmt::Debug> Node<P>
 where
     P::Scratch: std::fmt::Debug,
 {

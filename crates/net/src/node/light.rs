@@ -13,7 +13,7 @@
 //! to every node, and server selection is a deterministic rotation — no
 //! randomness, so light traffic replays byte-identically.
 
-use hashcore_baselines::PreparedPow;
+use hashcore_baselines::PowFunction;
 use hashcore_chain::{
     BlockHeader, DifficultyRule, ForkError, HeaderChain, HeaderOutcome, InvalidReason, GENESIS_HASH,
 };
@@ -113,7 +113,7 @@ impl LightState {
     }
 }
 
-impl<P: PreparedPow + Sync + std::fmt::Debug> Node<P>
+impl<P: PowFunction + Sync + std::fmt::Debug> Node<P>
 where
     P::Scratch: std::fmt::Debug,
 {

@@ -3,7 +3,7 @@
 
 use crate::strategy::{MinedAction, MiningMode};
 use hashcore::{MiningInput, Target};
-use hashcore_baselines::PreparedPow;
+use hashcore_baselines::PowFunction;
 use hashcore_chain::{Block, BlockHeader, GENESIS_HASH};
 use hashcore_crypto::Digest256;
 
@@ -56,7 +56,7 @@ pub(crate) fn fake_parent_digest(id: usize, counter: u64) -> Digest256 {
     digest
 }
 
-impl<P: PreparedPow + Sync + std::fmt::Debug> Node<P>
+impl<P: PowFunction + Sync + std::fmt::Debug> Node<P>
 where
     P::Scratch: std::fmt::Debug,
 {
@@ -141,7 +141,7 @@ where
             let start = self.miner.next_nonce;
             let found = {
                 let Self { tree, miner, .. } = &mut *self;
-                tree.pow().scan_nonce_batch(
+                tree.pow().scan_nonces(
                     &mut miner.input,
                     target,
                     start,
@@ -274,7 +274,7 @@ where
         let target = self.target;
         let found = {
             let Self { tree, miner, .. } = &mut *self;
-            tree.pow().scan_nonce_batch(
+            tree.pow().scan_nonces(
                 &mut miner.input,
                 target,
                 miner.next_nonce,

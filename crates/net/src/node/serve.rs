@@ -4,13 +4,13 @@
 
 use crate::strategy::{Corruption, ProofAction, ServeAction};
 use hashcore::Target;
-use hashcore_baselines::PreparedPow;
+use hashcore_baselines::PowFunction;
 use hashcore_chain::Block;
 use hashcore_crypto::{Digest256, MerkleTree};
 
 use super::{Message, Node, Outgoing, Role, MAX_HEADERS_PER_MSG};
 
-impl<P: PreparedPow + Sync + std::fmt::Debug> Node<P>
+impl<P: PowFunction + Sync + std::fmt::Debug> Node<P>
 where
     P::Scratch: std::fmt::Debug,
 {

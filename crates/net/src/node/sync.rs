@@ -1,7 +1,7 @@
 //! Segment sync: orphan-triggered requests, the timeout/retry round-robin,
 //! and batched segment validation feeding the fork tree.
 
-use hashcore_baselines::PreparedPow;
+use hashcore_baselines::PowFunction;
 use hashcore_chain::{
     validate_segment_parallel_with_rule, ApplyOutcome, Block, ForkError, InvalidReason, Reorg,
 };
@@ -21,7 +21,7 @@ pub(crate) struct PendingRequest {
     pub(crate) tried: Vec<usize>,
 }
 
-impl<P: PreparedPow + Sync + std::fmt::Debug> Node<P>
+impl<P: PowFunction + Sync + std::fmt::Debug> Node<P>
 where
     P::Scratch: std::fmt::Debug,
 {

@@ -6,7 +6,7 @@ use crate::sched::{Scheduled, ShardedQueue};
 use crate::strategy::{Honest, Strategy};
 use crate::topology::{Overlay, TopologyConfig};
 use hashcore::Target;
-use hashcore_baselines::PreparedPow;
+use hashcore_baselines::PowFunction;
 use hashcore_chain::{CostAwareRetarget, DifficultyRule, EmaRetarget, GENESIS_HASH};
 use hashcore_crypto::Digest256;
 use hashcore_gen::WidgetRng;
@@ -642,7 +642,7 @@ impl SimReport {
 /// present or replaced by [`crate::Silent`] — the property that lets the
 /// adversary proptests compare honest fork choice against a baseline run.
 #[derive(Debug)]
-pub struct Simulation<P: PreparedPow + std::fmt::Debug>
+pub struct Simulation<P: PowFunction + std::fmt::Debug>
 where
     P::Scratch: std::fmt::Debug,
 {
@@ -675,7 +675,7 @@ where
     run_wall_seconds: f64,
 }
 
-impl<P: PreparedPow + Send + Sync + std::fmt::Debug> Simulation<P>
+impl<P: PowFunction + Send + Sync + std::fmt::Debug> Simulation<P>
 where
     P::Scratch: std::fmt::Debug,
 {

@@ -56,7 +56,7 @@ pub use log::{ScanOutcome, SegmentLog, TailFault};
 pub use snapshot::SnapshotFault;
 pub use tempdir::TempDir;
 
-use hashcore_chain::{Block, DifficultyRule, ForkTree, PreparedPow, RestoreError, TreeSnapshot};
+use hashcore_chain::{Block, DifficultyRule, ForkTree, PowFunction, RestoreError, TreeSnapshot};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -361,7 +361,7 @@ fn list_seqs(dir: &Path, prefix: &str, ext: &str) -> io::Result<Vec<u64>> {
 /// [`RestoreError`] only when the base snapshot itself cannot be restored
 /// (tampered root or a block that fails validation) — the caller should
 /// treat this like a corrupt snapshot and reopen after deleting it.
-pub fn rebuild<P: PreparedPow>(
+pub fn rebuild<P: PowFunction>(
     pow: P,
     genesis_rule: Option<DifficultyRule>,
     recovered: &Recovered,

@@ -17,30 +17,28 @@ fn main() {
     let mut profile = PerformanceProfile::leela_like();
     profile.target_dynamic_instructions = 10_000;
 
-    let functions: Vec<Box<dyn PowFunction>> = vec![
-        Box::new(Sha256dPow),
-        Box::new(MemoryHardPow::new(512 << 10, 2)),
-        Box::new(RandomxLitePow::new(10_000)),
-        Box::new(SelectionPow::new(profile.clone(), 8, 1)),
-        Box::new(HashCorePow::new(HashCore::new(profile))),
-    ];
-
-    let input = b"the same block header for every function";
     println!(
         "{:<18} {:>12} {:>20}   digest",
         "function", "ms / hash", "dominant resource"
     );
-    for pow in &functions {
-        let start = Instant::now();
-        let digest = pow.pow_hash(input);
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        println!(
-            "{:<18} {:>12.3} {:>20}   {}…",
-            pow.name(),
-            elapsed,
-            format!("{:?}", pow.dominant_resource()),
-            &hex::encode(&digest)[..16]
-        );
-    }
+    report(&Sha256dPow);
+    report(&MemoryHardPow::new(512 << 10, 2));
+    report(&RandomxLitePow::new(10_000));
+    report(&SelectionPow::new(profile.clone(), 8, 1));
+    report(&HashCorePow::new(HashCore::new(profile)));
     println!("\nSee `cargo run --release -p hashcore-bench --bin exp8_pow_comparison` for the full table.");
+}
+
+/// Hashes the shared input once with `pow` and prints its row.
+fn report<P: PowFunction>(pow: &P) {
+    let start = Instant::now();
+    let digest = pow.pow_hash(b"the same block header for every function");
+    let elapsed = start.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "{:<18} {:>12.3} {:>20}   {}…",
+        pow.name(),
+        elapsed,
+        format!("{:?}", pow.dominant_resource()),
+        &hex::encode(&digest)[..16]
+    );
 }

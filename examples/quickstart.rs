@@ -40,12 +40,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hex::encode(&result.digest)
     );
 
-    // 5. Verify, as every full node would: re-generate and re-execute the
-    //    widget from the header alone.
-    let verified = pow.verify(header, result.nonce, target)?;
+    // 5. Verify, as every full node would: evaluate the hash again over
+    //    the header and nonce, re-generating and re-executing the widget
+    //    from them alone, and check the target.
+    let verified = pow.hash(&HashCore::mining_input(header, result.nonce))?;
     println!(
         "verification:     {}",
-        if verified.is_some() { "OK" } else { "FAILED" }
+        if verified.digest == result.digest && target.is_met_by(&verified.digest) {
+            "OK"
+        } else {
+            "FAILED"
+        }
     );
     Ok(())
 }

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Declarative acceptance gates over the BENCH_*.json artifacts.
 #
-# Each gate is one `<artifact>|<literal line fragment>` entry below: the
-# artifact must exist, be non-empty, and contain the fragment verbatim
-# (fixed-string grep, so JSON quotes need no escaping). CI invokes this
+# Each gate is one `<artifact>|<"key": value>` entry below. It holds when
+# the artifact exists and is non-empty, its `"key":` occurs at least once,
+# and every line carrying that key — with indentation and a trailing comma
+# stripped — equals the fragment exactly (fixed-string matching, so JSON
+# quotes need no escaping). A gate is therefore universal over every
+# scenario that reports the key: one passing line cannot hide another
+# scenario's failure. CI invokes this
 # script once per bench step with the artifact name as the argument —
 # only that artifact's gates run, keeping failure attribution per step —
 # and a bare invocation checks every artifact at once for local runs.
@@ -67,11 +71,16 @@ for gate in "${selected[@]}"; do
     failures=$((failures + 1))
     continue
   fi
-  if grep -qF "$fragment" "$artifact"; then
-    echo "  ok $artifact: $fragment"
-  else
-    echo "FAIL $artifact: $fragment" >&2
+  key=${fragment%%:*}
+  carrying=$(grep -F "$key:" "$artifact" | sed -e 's/^[[:space:]]*//' -e 's/,[[:space:]]*$//' || true)
+  if [[ -z "$carrying" ]]; then
+    echo "FAIL $artifact: no line carries $key" >&2
     failures=$((failures + 1))
+  elif differing=$(grep -vxF -- "$fragment" <<<"$carrying"); then
+    echo "FAIL $artifact: $fragment (also found: $(tr '\n' ' ' <<<"$differing"))" >&2
+    failures=$((failures + 1))
+  else
+    echo "  ok $artifact: $fragment ($(wc -l <<<"$carrying") line(s))"
   fi
 done
 

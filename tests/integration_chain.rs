@@ -31,7 +31,7 @@ fn tampering_is_detected_regardless_of_the_pow_function() {
     // The tamper-evidence property comes from the chain structure and holds
     // for every PoW function behind the common trait: validate a received
     // block sequence after forging one transaction.
-    fn tampered_chain_fails<P: hashcore_chain::PreparedPow + Sync>(pow: P) {
+    fn tampered_chain_fails<P: PowFunction + Sync>(pow: P) {
         let mut chain = Blockchain::new(pow, ChainConfig::fast_test());
         for _ in 0..3 {
             chain.mine_block(&[b"tx".to_vec()], 100_000).expect("mine");
