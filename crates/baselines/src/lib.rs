@@ -110,11 +110,12 @@ pub trait PowFunction {
     /// Scans `attempts` nonces of the header held in `input` starting at
     /// `start`, returning the first `(nonce, digest)` meeting `target`.
     ///
-    /// This is the mining loop of `Blockchain::mine_block` and the network
-    /// simulation's nodes: [`MiningInput::scan`] with this function's lane
-    /// hook for full batches and [`PowFunction::evaluate`] for the
-    /// remainder. All per-attempt state lives in the caller's `input` and
-    /// `scratch`, so the scan performs no steady-state allocation.
+    /// This is the mining loop of `ForkTree::mine_next` in `hashcore-chain`
+    /// and of the network simulation's nodes: [`MiningInput::scan`] with
+    /// this function's lane hook for full batches and
+    /// [`PowFunction::evaluate`] for the remainder. All per-attempt state
+    /// lives in the caller's `input` and `scratch`, so the scan performs no
+    /// steady-state allocation.
     ///
     /// # Nonce order and wraparound
     ///

@@ -3,17 +3,22 @@
 //! Mines a short blockchain whose PoW is the full HashCore function
 //! (hash gate → widget generation → widget execution → hash gate), prints
 //! the difficulty trajectory, and re-validates the whole chain — the
-//! end-to-end integration the paper's Section I context assumes.
+//! end-to-end integration the paper's Section I context assumes. Exits
+//! non-zero if mining gives up or re-validation fails.
 //!
 //! Usage: `exp10_chain_difficulty [blocks]` (default 8).
 
-use hashcore::HashCore;
+use hashcore::{HashCore, Target};
 use hashcore_baselines::HashCorePow;
 use hashcore_bench::{widget_count_from_args, Experiment};
-use hashcore_chain::{Blockchain, ChainConfig};
+use hashcore_chain::{DifficultyRule, EmaRetarget, ForkTree};
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
+/// Simulated seconds of mining work one hash attempt stands for.
+const SECONDS_PER_ATTEMPT: u64 = 5;
+
+fn main() -> ExitCode {
     let blocks = widget_count_from_args(8);
     let experiment = Experiment::standard();
     println!(
@@ -21,15 +26,13 @@ fn main() {
     );
 
     let pow = HashCorePow::new(HashCore::new(experiment.reference.clone()));
-    let mut chain = Blockchain::new(
-        pow,
-        ChainConfig {
-            target_block_time: 15,
-            initial_difficulty_bits: 2,
-            retarget_gain: 0.3,
-            seconds_per_attempt: 5.0,
-        },
-    );
+    let rule = DifficultyRule::Ema(EmaRetarget {
+        initial: Target::from_leading_zero_bits(2),
+        target_block_time: 15.0,
+        gain: 0.3,
+    });
+    let mut tree = ForkTree::with_rule(pow, rule);
+    let mut clock = 0;
 
     println!(
         "{:>6} {:>10} {:>18} {:>14} {:>12}",
@@ -38,40 +41,49 @@ fn main() {
     for height in 0..blocks {
         let start = Instant::now();
         let transactions = vec![format!("coinbase-{height}").into_bytes()];
-        let difficulty = chain.current_difficulty();
-        match chain
-            .mine_block(&transactions, 4_096)
-            .map(|block| block.header.nonce)
-        {
-            Ok(nonce) => {
+        let difficulty = tree
+            .expected_child_target(&tree.tip(), clock)
+            .expect("the tree enforces a rule")
+            .expected_attempts();
+        match tree.mine_next(&transactions, clock, 4_096) {
+            Ok(block) => {
+                let nonce = block.header.nonce;
+                clock += (nonce + 1) * SECONDS_PER_ATTEMPT;
                 println!(
                     "{:>6} {:>10} {:>18.1} {:>14} {:>12.2}",
                     height + 1,
                     nonce,
                     difficulty,
-                    chain.now(),
+                    clock,
                     start.elapsed().as_secs_f64()
                 );
             }
             Err(e) => {
                 println!("mining stopped at height {height}: {e}");
-                break;
+                return ExitCode::FAILURE;
             }
         }
     }
 
-    match chain.validate() {
-        Ok(()) => println!("\nfull chain re-validation: OK ({} blocks)", chain.height()),
-        Err(e) => println!("\nfull chain re-validation FAILED: {e}"),
+    if let Err(e) = tree.validate_best_chain() {
+        println!("\nfull chain re-validation FAILED: {e}");
+        return ExitCode::FAILURE;
     }
     println!(
+        "\nfull chain re-validation: OK ({} blocks)",
+        tree.tip_height()
+    );
+    println!(
         "difficulty history (expected hashes per block): {:?}",
-        chain
-            .difficulty_history()
+        tree.best_chain()
             .iter()
-            .map(|d| (*d * 10.0).round() / 10.0)
+            .map(|block| {
+                let difficulty = Target::from_threshold(block.header.target).expected_attempts();
+                (difficulty * 10.0).round() / 10.0
+            })
             .collect::<Vec<_>>()
     );
     println!("\nEvery verification above re-generated and re-executed the block's widget");
     println!("from the header alone — the property that makes HashCore usable as a PoW.");
+    ExitCode::SUCCESS
 }

@@ -1,9 +1,10 @@
-//! The chain: block acceptance, validation, and difficulty retargeting.
+//! Block validation: the rejection taxonomy shared by every validator, and
+//! the sequential and parallel segment validators that re-check a received
+//! block sequence, optionally enforcing a [`DifficultyRule`] along it.
 
-use crate::block::{Block, BlockHeader};
-use crate::difficulty::{branch_state, DifficultyRule, EmaRetarget};
-use crate::fork::GENESIS_HASH;
-use hashcore::{MiningInput, Target};
+use crate::block::Block;
+use crate::difficulty::{branch_state, DifficultyRule};
+use hashcore::Target;
 use hashcore_baselines::PowFunction;
 use hashcore_crypto::Digest256;
 use std::fmt;
@@ -42,46 +43,6 @@ impl fmt::Display for InvalidReason {
     }
 }
 
-/// Chain parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChainConfig {
-    /// Desired seconds between blocks (the paper cites Ethereum's sub-minute
-    /// block times as the constraint on widget runtime).
-    pub target_block_time: u64,
-    /// Initial difficulty, in leading zero bits.
-    pub initial_difficulty_bits: u32,
-    /// Exponential-moving-average weight used when retargeting (0 = never
-    /// adjust, 1 = jump straight to the implied difficulty).
-    pub retarget_gain: f64,
-    /// Simulated seconds of mining work represented by one hash attempt;
-    /// lets the simulated clock advance deterministically in tests.
-    pub seconds_per_attempt: f64,
-}
-
-impl ChainConfig {
-    /// Parameters for fast deterministic tests: very low difficulty, 15 s
-    /// blocks.
-    pub fn fast_test() -> Self {
-        Self {
-            target_block_time: 15,
-            initial_difficulty_bits: 2,
-            retarget_gain: 0.3,
-            seconds_per_attempt: 1.0,
-        }
-    }
-}
-
-impl Default for ChainConfig {
-    fn default() -> Self {
-        Self {
-            target_block_time: 15,
-            initial_difficulty_bits: 8,
-            retarget_gain: 0.25,
-            seconds_per_attempt: 0.05,
-        }
-    }
-}
-
 /// Errors returned by chain operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChainError {
@@ -114,202 +75,6 @@ impl fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// A blockchain driven by an arbitrary [`PowFunction`].
-#[derive(Debug)]
-pub struct Blockchain<P> {
-    pow: P,
-    config: ChainConfig,
-    blocks: Vec<Block>,
-    target: Target,
-    clock: u64,
-    /// Fractional seconds of mining work not yet reflected in `clock`.
-    /// Carried across blocks so configs with small `seconds_per_attempt`
-    /// do not systematically lose the sub-second part of every block.
-    clock_remainder: f64,
-    /// PoW digest of the chain tip, maintained incrementally so `tip_hash`
-    /// does not re-evaluate a full PoW hash on every call.
-    tip_digest: Digest256,
-    /// Difficulty (expected attempts) history, one entry per mined block.
-    difficulty_history: Vec<f64>,
-}
-
-impl<P: PowFunction> Blockchain<P> {
-    /// Creates an empty chain (height 0) with the genesis difficulty.
-    pub fn new(pow: P, config: ChainConfig) -> Self {
-        Self {
-            pow,
-            target: Target::from_leading_zero_bits(config.initial_difficulty_bits),
-            config,
-            blocks: Vec::new(),
-            clock: 0,
-            clock_remainder: 0.0,
-            tip_digest: [0u8; 32],
-            difficulty_history: Vec::new(),
-        }
-    }
-
-    /// Number of blocks in the chain.
-    pub fn height(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// The blocks accepted so far.
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    /// The current difficulty target.
-    pub fn current_target(&self) -> Target {
-        self.target
-    }
-
-    /// Expected hash attempts per block at the current difficulty.
-    pub fn current_difficulty(&self) -> f64 {
-        self.target.expected_attempts()
-    }
-
-    /// Per-block difficulty history (expected attempts).
-    pub fn difficulty_history(&self) -> &[f64] {
-        &self.difficulty_history
-    }
-
-    /// The simulated clock, in seconds.
-    pub fn now(&self) -> u64 {
-        self.clock
-    }
-
-    /// Hash of the chain tip (all zeros for the empty chain).
-    ///
-    /// The digest is cached when each block is mined, so this is a constant
-    /// time lookup rather than a full PoW evaluation.
-    pub fn tip_hash(&self) -> Digest256 {
-        self.tip_digest
-    }
-
-    /// The chain's retarget policy as a shared, branch-evaluable
-    /// [`DifficultyRule`] — the exact rule [`Blockchain::mine_block`]
-    /// applies after every block, extracted so fork trees and the network
-    /// simulation can enforce it along arbitrary branches.
-    ///
-    /// Branch enforcement re-derives elapsed time from *header timestamp
-    /// deltas*. `Blockchain` itself retargets on the exact fractional
-    /// elapsed seconds while its header timestamps advance by floored
-    /// whole seconds (the remainder is carried), so a rule-enforcing
-    /// [`ForkTree`](crate::ForkTree) only accepts chains whose timestamps
-    /// carry the exact elapsed time — as `hashcore-net`'s millisecond
-    /// clock does. Do not feed a `Blockchain`-mined chain with fractional
-    /// per-block elapsed into `ForkTree::with_rule(_, chain.difficulty_rule())`.
-    pub fn difficulty_rule(&self) -> DifficultyRule {
-        DifficultyRule::Ema(EmaRetarget {
-            initial: Target::from_leading_zero_bits(self.config.initial_difficulty_bits),
-            target_block_time: self.config.target_block_time as f64,
-            gain: self.config.retarget_gain,
-        })
-    }
-
-    /// Ethereum-style smoothed retargeting: scale the target toward the
-    /// value that would have made the last block take `target_block_time`.
-    /// `elapsed` is the exact (fractional) seconds of mining work the block
-    /// represents — no truncation, so small `seconds_per_attempt` configs
-    /// retarget on the work actually performed. One step of
-    /// [`Blockchain::difficulty_rule`].
-    fn retarget(&mut self, elapsed: f64) {
-        self.target = self.difficulty_rule().next_target(self.target, elapsed);
-    }
-
-    /// Re-validates the entire chain: header linkage, Merkle commitments and
-    /// PoW targets.
-    ///
-    /// Validation fans out across the machine's hardware threads via
-    /// [`validate_segment_parallel`] anchored at [`GENESIS_HASH`]; the
-    /// result — including which block is reported when the chain is
-    /// invalid — is identical to the sequential
-    /// [`validate_segment_with_rule`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ChainError::InvalidBlock`] found.
-    pub fn validate(&self) -> Result<(), ChainError>
-    where
-        P: Sync,
-    {
-        let threads = thread::available_parallelism().map_or(1, |n| n.get());
-        validate_segment_parallel(&self.pow, &self.blocks, threads, GENESIS_HASH)
-    }
-
-    /// Mines and appends the next block containing `transactions`.
-    ///
-    /// The nonce search runs through [`PowFunction::scan_nonces`]: one
-    /// input buffer and one scratch are built per call and reused across
-    /// every attempt, so steady-state mining performs no per-nonce heap
-    /// allocation — the same discipline as `HashCore::mine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChainError::MiningExhausted`] if no nonce within
-    /// `max_attempts` meets the current target.
-    pub fn mine_block(
-        &mut self,
-        transactions: &[Vec<u8>],
-        max_attempts: u64,
-    ) -> Result<&Block, ChainError> {
-        let txs: Vec<Vec<u8>> = transactions.to_vec();
-        let header_template = BlockHeader {
-            version: 1,
-            prev_hash: self.tip_digest,
-            merkle_root: Block::merkle_root(&txs),
-            timestamp: self.clock,
-            target: *self.target.threshold(),
-            nonce: 0,
-        };
-        let (nonce, attempts, digest) = self.search_nonce(&header_template, max_attempts).ok_or(
-            ChainError::MiningExhausted {
-                attempts: max_attempts,
-            },
-        )?;
-
-        // Advance the simulated clock by the work that was performed,
-        // carrying the fractional remainder to the next block instead of
-        // truncating it away.
-        let elapsed = attempts as f64 * self.config.seconds_per_attempt;
-        let exact = elapsed + self.clock_remainder;
-        let whole = exact.floor();
-        self.clock += whole as u64;
-        self.clock_remainder = exact - whole;
-
-        let header = BlockHeader {
-            nonce,
-            ..header_template
-        };
-        self.difficulty_history.push(self.current_difficulty());
-        self.tip_digest = digest;
-        self.blocks.push(Block {
-            header,
-            transactions: txs,
-        });
-        self.retarget(elapsed);
-        Ok(self.blocks.last().expect("just pushed"))
-    }
-
-    /// Scans nonces `0..max_attempts` against the current target, returning
-    /// `(nonce, attempts, digest)` of the first hit. All per-attempt state
-    /// lives in one [`MiningInput`] and one [`PowFunction::Scratch`].
-    fn search_nonce(
-        &self,
-        header: &BlockHeader,
-        max_attempts: u64,
-    ) -> Option<(u64, u64, Digest256)> {
-        let mut header_bytes = Vec::new();
-        header.write_pow_input(&mut header_bytes);
-        let mut input = MiningInput::new(&header_bytes);
-        let mut scratch = P::Scratch::default();
-        let (nonce, digest) =
-            self.pow
-                .scan_nonces(&mut input, self.target, 0, max_attempts, &mut scratch)?;
-        Some((nonce, nonce + 1, digest))
-    }
-}
-
 /// Rule-enforcement context for the `_with_rule` segment validators: the
 /// difficulty rule to enforce, plus the branch state of the stored block
 /// the segment extends ([`HeaderChain::rule_context`](crate::HeaderChain::rule_context)
@@ -333,9 +98,10 @@ pub struct RuleContext<'a> {
 }
 
 /// Validates a contiguous chain segment whose first block extends the block
-/// with PoW digest `prev_hash` ([`GENESIS_HASH`] for a whole chain) — the
-/// sequential reference the parallel validators are held to. Per block the
-/// check order is linkage, Merkle, embedded-target PoW, then, when `ctx` is
+/// with PoW digest `prev_hash` ([`GENESIS_HASH`](crate::GENESIS_HASH) for a
+/// whole chain) — the sequential reference the parallel validators are
+/// held to. Per block the check order is linkage, Merkle, embedded-target
+/// PoW, then, when `ctx` is
 /// supplied, the [`DifficultyRule`] checks along the segment: version
 /// commitment and expected target as [`InvalidReason::Target`], the cost
 /// admission bound as [`InvalidReason::Pow`].
@@ -589,32 +355,68 @@ pub fn validate_segment_parallel_with_rule<P: PowFunction + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::difficulty::EmaRetarget;
+    use crate::fork::{ForkTree, GENESIS_HASH};
     use hashcore_baselines::Sha256dPow;
 
-    fn mined_chain(blocks: usize) -> Blockchain<Sha256dPow> {
-        let mut chain = Blockchain::new(Sha256dPow, ChainConfig::fast_test());
-        for i in 0..blocks {
-            chain
-                .mine_block(&[format!("tx-{i}").into_bytes()], 1_000_000)
-                .expect("mining at trivial difficulty succeeds");
+    /// Simulated seconds one hash attempt stands for on the miner's clock.
+    const SECONDS_PER_ATTEMPT: u64 = 1;
+
+    /// The retarget the test chains are mined under: 2-bit genesis target,
+    /// 15 s blocks, gain 0.3.
+    fn ema() -> EmaRetarget {
+        EmaRetarget {
+            initial: Target::from_leading_zero_bits(2),
+            target_block_time: 15.0,
+            gain: 0.3,
         }
-        chain
+    }
+
+    /// A single miner's tree of `blocks` blocks; its clock advances by the
+    /// attempts each block took.
+    fn mined_tree(blocks: usize) -> ForkTree<Sha256dPow> {
+        let mut tree = ForkTree::with_rule(Sha256dPow, DifficultyRule::Ema(ema()));
+        let mut clock = 0;
+        for i in 0..blocks {
+            let nonce = tree
+                .mine_next(&[format!("tx-{i}").into_bytes()], clock, 1_000_000)
+                .expect("mining at trivial difficulty succeeds")
+                .header
+                .nonce;
+            clock += (nonce + 1) * SECONDS_PER_ATTEMPT;
+        }
+        tree
+    }
+
+    /// The best chain of a [`mined_tree`], as a received block sequence.
+    fn mined_chain(blocks: usize) -> Vec<Block> {
+        mined_tree(blocks).best_chain()
+    }
+
+    /// Re-validates a received whole chain, trusting embedded targets.
+    fn validate(blocks: &[Block]) -> Result<(), ChainError> {
+        validate_segment_with_rule(&Sha256dPow, blocks, GENESIS_HASH, None)
     }
 
     #[test]
     fn mining_extends_and_validates() {
-        let chain = mined_chain(5);
-        assert_eq!(chain.height(), 5);
-        assert!(chain.validate().is_ok());
-        assert_eq!(chain.difficulty_history().len(), 5);
-        assert!(chain.now() > 0);
+        let tree = mined_tree(5);
+        assert_eq!(tree.tip_height(), 5);
+        assert!(tree.validate_best_chain().is_ok());
+        let chain = tree.best_chain();
+        assert_eq!(chain.len(), 5);
+        assert!(chain[4].header.timestamp > 0);
+        // Every embedded target is the one the rule expects along the chain.
+        let ctx = tree.chain().rule_context(&GENESIS_HASH);
+        assert!(ctx.is_some());
+        assert!(validate_segment_with_rule(&Sha256dPow, &chain, GENESIS_HASH, ctx).is_ok());
     }
 
     #[test]
     fn tampering_with_a_transaction_is_detected() {
         let mut chain = mined_chain(3);
-        chain.blocks[1].transactions[0] = b"double spend".to_vec();
-        let err = chain.validate().unwrap_err();
+        chain[1].transactions[0] = b"double spend".to_vec();
+        let err = validate(&chain).unwrap_err();
         assert!(matches!(err, ChainError::InvalidBlock { height: 1, .. }));
         assert!(err.to_string().contains("merkle"));
     }
@@ -622,18 +424,21 @@ mod tests {
     #[test]
     fn tampering_with_a_header_breaks_linkage_or_pow() {
         let mut chain = mined_chain(3);
-        chain.blocks[1].header.timestamp += 999;
-        assert!(chain.validate().is_err());
+        chain[1].header.timestamp += 999;
+        assert!(validate(&chain).is_err());
     }
 
     #[test]
     fn difficulty_rises_when_blocks_come_too_fast() {
-        // seconds_per_attempt = 1 and target_block_time = 15: at difficulty
-        // 2 bits blocks take ~4 attempts ≈ 4 s < 15 s, so retargeting should
+        // One second per attempt and a 15 s block time: at difficulty 2
+        // bits blocks take ~4 attempts ≈ 4 s < 15 s, so retargeting should
         // make the target harder (expected attempts grow) over time.
-        let chain = mined_chain(30);
-        let early: f64 = chain.difficulty_history()[..5].iter().sum::<f64>() / 5.0;
-        let late: f64 = chain.difficulty_history()[25..].iter().sum::<f64>() / 5.0;
+        let difficulty: Vec<f64> = mined_chain(30)
+            .iter()
+            .map(|block| Target::from_threshold(block.header.target).expected_attempts())
+            .collect();
+        let early: f64 = difficulty[..5].iter().sum::<f64>() / 5.0;
+        let late: f64 = difficulty[25..].iter().sum::<f64>() / 5.0;
         assert!(
             late > early,
             "difficulty should rise: early {early}, late {late}"
@@ -642,41 +447,27 @@ mod tests {
 
     #[test]
     fn mining_exhaustion_is_reported() {
-        let mut chain = Blockchain::new(
-            Sha256dPow,
-            ChainConfig {
-                initial_difficulty_bits: 64,
-                ..ChainConfig::fast_test()
-            },
-        );
-        let err = chain.mine_block(&[b"tx".to_vec()], 10).unwrap_err();
+        let rule = DifficultyRule::Ema(EmaRetarget {
+            initial: Target::from_leading_zero_bits(64),
+            ..ema()
+        });
+        let mut tree = ForkTree::with_rule(Sha256dPow, rule);
+        let err = tree.mine_next(&[b"tx".to_vec()], 0, 10).unwrap_err();
         assert_eq!(err, ChainError::MiningExhausted { attempts: 10 });
-        assert_eq!(chain.height(), 0);
+        assert!(tree.is_empty());
+        assert_eq!(tree.tip(), GENESIS_HASH);
     }
 
     #[test]
     fn empty_chain_validates() {
-        let chain = Blockchain::new(Sha256dPow, ChainConfig::fast_test());
-        assert!(chain.validate().is_ok());
-        assert_eq!(chain.tip_hash(), [0u8; 32]);
-    }
-
-    #[test]
-    fn tip_hash_cache_matches_the_pow_digest_of_the_last_header() {
-        let mut chain = Blockchain::new(Sha256dPow, ChainConfig::fast_test());
-        for i in 0..4 {
-            chain
-                .mine_block(&[format!("tx-{i}").into_bytes()], 1_000_000)
-                .expect("trivial difficulty");
-            let last = chain.blocks().last().expect("just mined");
-            assert_eq!(chain.tip_hash(), Sha256dPow.pow_hash(&last.header.bytes()));
-        }
+        let tree = ForkTree::with_rule(Sha256dPow, DifficultyRule::Ema(ema()));
+        assert!(tree.validate_best_chain().is_ok());
+        assert_eq!(tree.tip(), GENESIS_HASH);
     }
 
     #[test]
     fn scratch_mining_finds_the_same_nonce_as_a_naive_scan() {
-        let chain = mined_chain(4);
-        for block in chain.blocks() {
+        for block in mined_chain(4) {
             let base = block.header.pow_input();
             let target = Target::from_threshold(block.header.target);
             let naive = (0u64..1_000_000).find(|n| {
@@ -689,39 +480,10 @@ mod tests {
     }
 
     #[test]
-    fn fractional_mining_time_carries_across_blocks() {
-        // Each attempt is worth a quarter second; the clock must advance by
-        // the floor of the *accumulated* mining time, not the per-block sum
-        // of truncated (or 1-second-clamped) values.
-        let mut chain = Blockchain::new(
-            Sha256dPow,
-            ChainConfig {
-                target_block_time: 15,
-                initial_difficulty_bits: 0,
-                retarget_gain: 0.0,
-                seconds_per_attempt: 0.25,
-            },
-        );
-        for i in 0..8 {
-            chain
-                .mine_block(&[format!("tx-{i}").into_bytes()], 64)
-                .expect("0-bit difficulty");
-        }
-        let total_attempts: u64 = chain.blocks().iter().map(|b| b.header.nonce + 1).sum();
-        assert_eq!(chain.now(), (total_attempts as f64 * 0.25) as u64);
-        // The truncating clock counted at least one second per block.
-        assert!(
-            chain.now() < 8,
-            "clock {} attempts {total_attempts}",
-            chain.now()
-        );
-    }
-
-    #[test]
     fn segment_validation_accepts_a_mid_chain_suffix() {
         let chain = mined_chain(12);
-        let anchor = Sha256dPow.pow_hash(&chain.blocks()[5].header.bytes());
-        let segment = &chain.blocks()[6..];
+        let anchor = Sha256dPow.pow_hash(&chain[5].header.bytes());
+        let segment = &chain[6..];
         assert!(validate_segment_with_rule(&Sha256dPow, segment, anchor, None).is_ok());
         for threads in [1usize, 2, 3, 8] {
             assert_eq!(
@@ -748,7 +510,7 @@ mod tests {
     #[test]
     fn parallel_validation_accepts_honest_chains() {
         let chain = mined_chain(33);
-        assert_parallel_matches(chain.blocks());
+        assert_parallel_matches(&chain);
         assert!(validate_segment_parallel(&Sha256dPow, &[], 4, GENESIS_HASH).is_ok());
     }
 
@@ -758,35 +520,34 @@ mod tests {
         // edge heights.
         for height in [0usize, 1, 10, 16, 17, 31, 32] {
             let mut chain = mined_chain(33);
-            chain.blocks[height].transactions[0] = b"double spend".to_vec();
-            assert_parallel_matches(chain.blocks());
+            chain[height].transactions[0] = b"double spend".to_vec();
+            assert_parallel_matches(&chain);
 
             let mut chain = mined_chain(33);
-            chain.blocks[height].header.timestamp += 999;
-            assert_parallel_matches(chain.blocks());
+            chain[height].header.timestamp += 999;
+            assert_parallel_matches(&chain);
 
             let mut chain = mined_chain(33);
-            chain.blocks[height].header.prev_hash = [0xaa; 32];
-            assert_parallel_matches(chain.blocks());
+            chain[height].header.prev_hash = [0xaa; 32];
+            assert_parallel_matches(&chain);
         }
     }
 
     #[test]
     fn parallel_validation_with_multiple_corruptions_reports_the_lowest() {
         let mut chain = mined_chain(33);
-        chain.blocks[29].header.timestamp += 1;
-        chain.blocks[7].transactions[0] = b"forged".to_vec();
-        chain.blocks[12].header.prev_hash = [0x55; 32];
-        let err =
-            validate_segment_parallel(&Sha256dPow, chain.blocks(), 4, GENESIS_HASH).unwrap_err();
+        chain[29].header.timestamp += 1;
+        chain[7].transactions[0] = b"forged".to_vec();
+        chain[12].header.prev_hash = [0x55; 32];
+        let err = validate_segment_parallel(&Sha256dPow, &chain, 4, GENESIS_HASH).unwrap_err();
         assert!(matches!(err, ChainError::InvalidBlock { height: 7, .. }));
-        assert_parallel_matches(chain.blocks());
+        assert_parallel_matches(&chain);
     }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_validation_threads_rejected() {
         let chain = mined_chain(2);
-        let _ = validate_segment_parallel(&Sha256dPow, chain.blocks(), 0, GENESIS_HASH);
+        let _ = validate_segment_parallel(&Sha256dPow, &chain, 0, GENESIS_HASH);
     }
 }

@@ -1,23 +1,16 @@
-//! The difficulty-retarget rule, extracted from
-//! [`Blockchain`](crate::Blockchain) into a pure function of a branch's
-//! header timestamps and targets — so a [`ForkTree`](crate::ForkTree) can
-//! compute the *expected* target at every block of every branch, and the
-//! network simulation can race adaptive-difficulty chains.
+//! The difficulty-retarget rule as a pure function of a branch's header
+//! timestamps and targets — so a [`ForkTree`](crate::ForkTree) can compute
+//! the *expected* target at every block of every branch, a single miner can
+//! mine against it ([`ForkTree::mine_next`](crate::ForkTree::mine_next)),
+//! and the network simulation can race adaptive-difficulty chains.
 //!
-//! Two deployments share the same step:
-//!
-//! * [`Blockchain`](crate::Blockchain) retargets on the exact (fractional)
-//!   seconds of mining work each block represents — its historical
-//!   behaviour, unchanged by the extraction.
-//! * A [`ForkTree`](crate::ForkTree) built with
-//!   [`with_rule`](crate::ForkTree::with_rule) evaluates the rule along
-//!   each branch from header timestamps alone: the expected target of a
-//!   child block is [`DifficultyRule::child_target`] of its parent's
-//!   (already-enforced) target and the timestamp delta between them.
-//!   Headers carry integer timestamps, so branch evaluation observes the
-//!   elapsed time a miner *reported* — which is exactly what makes
-//!   timestamp-manipulation attacks expressible, and what the
-//!   median-time-past/future-drift validity rule in `hashcore-net` bounds.
+//! The expected target of a child block is
+//! [`DifficultyRule::child_target`] of its parent's (already-enforced)
+//! target and the timestamp delta between them. Headers carry integer
+//! timestamps, so branch evaluation observes the elapsed time a miner
+//! *reported* — which is exactly what makes timestamp-manipulation attacks
+//! expressible, and what the median-time-past/future-drift validity rule
+//! in `hashcore-net` bounds.
 
 use crate::block::{Block, BlockHeader};
 use crate::chain::InvalidReason;
@@ -41,8 +34,8 @@ pub(crate) fn branch_state(header: &BlockHeader, cost_ratio: f64) -> BranchState
 /// Parameters of the smoothed (EMA) retarget step: scale the target toward
 /// the value that would have made the last block take `target_block_time`.
 ///
-/// The time unit is whatever the caller's timestamps use — seconds for
-/// [`Blockchain`](crate::Blockchain), simulated milliseconds in
+/// The time unit is whatever the caller's timestamps use — simulated
+/// seconds in the single-miner experiments, simulated milliseconds in
 /// `hashcore-net` — as long as `target_block_time` and the elapsed values
 /// agree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +47,7 @@ pub struct EmaRetarget {
     pub target_block_time: f64,
     /// Exponential-moving-average weight (0 = never adjust, 1 = jump
     /// straight to the implied difficulty); clamped to `[0, 1]` when
-    /// applied, exactly as `Blockchain` always has.
+    /// applied.
     pub gain: f64,
 }
 
@@ -315,20 +308,6 @@ impl DifficultyRule {
         }
     }
 
-    /// The target for the successor of a block mined at `current`
-    /// difficulty in `elapsed` time units — the step
-    /// [`Blockchain`](crate::Blockchain) applies after every mined block.
-    /// `Blockchain` has no verifier-cost observations, so under
-    /// [`CostAware`](DifficultyRule::CostAware) this is the time step
-    /// alone.
-    pub fn next_target(&self, current: Target, elapsed: f64) -> Target {
-        match self {
-            DifficultyRule::Fixed(target) => *target,
-            DifficultyRule::Ema(ema) => ema.step(current, elapsed),
-            DifficultyRule::CostAware(cost) => cost.time.step(current, elapsed),
-        }
-    }
-
     /// The expected target of a child block, from its parent's (enforced)
     /// target and the reported timestamps of both — the branch-evaluable
     /// form [`ForkTree`](crate::ForkTree) enforces along every branch.
@@ -503,12 +482,12 @@ mod tests {
     fn negative_and_zero_elapsed_apply_the_full_hardening_clamp() {
         let rule = DifficultyRule::Ema(ema());
         let t = Target::from_leading_zero_bits(12);
-        let zero = rule.next_target(t, 0.0);
+        let zero = rule.child_target(t, 1_000, 1_000);
         assert_eq!(zero, t.scale(0.25));
         // A child timestamp behind its parent's is clamped to zero elapsed,
         // never a NaN scale factor.
         assert_eq!(rule.child_target(t, 1_000, 400), zero);
-        assert_eq!(rule.next_target(t, -123.0), zero);
+        assert_eq!(rule.child_target(t, 1_123, 1_000), zero);
     }
 
     #[test]
@@ -520,8 +499,7 @@ mod tests {
         assert_eq!(frozen.step(t, 1_000.0), t.scale(1.0));
         let full = EmaRetarget { gain: 1.0, ..ema() };
         assert_eq!(full.step(t, 30.0), t.scale(2.0));
-        // Out-of-range gains clamp to the boundaries, as Blockchain always
-        // has.
+        // Out-of-range gains clamp to the boundaries.
         let below = EmaRetarget {
             gain: -3.0,
             ..ema()
@@ -532,12 +510,44 @@ mod tests {
     }
 
     #[test]
+    fn repeated_zero_elapsed_steps_saturate_at_the_hardest_target() {
+        // Each zero-elapsed step quarters the threshold; from 2 leading zero
+        // bits, 200 steps pass the hardest representable threshold (1),
+        // which absorbs every further step.
+        let rule = ema();
+        let mut target = Target::from_leading_zero_bits(2);
+        for _ in 0..200 {
+            target = rule.step(target, 0.0);
+        }
+        let mut hardest = [0u8; 32];
+        hardest[31] = 1;
+        assert_eq!(*target.threshold(), hardest);
+        assert_eq!(rule.step(target, 0.0), target);
+    }
+
+    #[test]
+    fn huge_elapsed_steps_saturate_at_the_easiest_target() {
+        // Each catastrophically slow step quadruples the threshold; from 16
+        // leading zero bits, 12 steps pass the easiest representable
+        // threshold (2^255), which absorbs every further step.
+        let rule = EmaRetarget { gain: 1.0, ..ema() };
+        let mut target = Target::from_leading_zero_bits(16);
+        for _ in 0..12 {
+            target = rule.step(target, 1e9);
+        }
+        let mut easiest = [0u8; 32];
+        easiest[0] = 0x80;
+        assert_eq!(*target.threshold(), easiest);
+        assert_eq!(rule.step(target, 1e12), target);
+    }
+
+    #[test]
     fn fixed_rule_expects_its_target_everywhere() {
         let t = Target::from_leading_zero_bits(4);
         let rule = DifficultyRule::Fixed(t);
         assert_eq!(rule.genesis_target(), t);
         assert_eq!(rule.flat_target(), Some(t));
-        assert_eq!(rule.next_target(Target::MAX, 99.0), t);
+        assert_eq!(rule.child_target(Target::MAX, 0, 99), t);
         assert_eq!(rule.child_target(Target::MAX, 5, 1), t);
         assert_eq!(DifficultyRule::Ema(ema()).flat_target(), None);
     }

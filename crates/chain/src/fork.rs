@@ -1,13 +1,12 @@
 //! Fork choice: a block store keyed by header PoW digest with
 //! cumulative-work tip selection.
 //!
-//! [`Blockchain`](crate::Blockchain) models a single miner's linear history;
-//! competing chains never meet there. This module is the substrate the
-//! network simulation races on: every node holds a [`ForkTree`], blocks from
-//! any branch are [`ForkTree::apply`]'d as they arrive, and the tree keeps
-//! the tip with the most cumulative expected work — switching branches
-//! returns the detached and attached segments so callers can observe (and
-//! replay) reorgs.
+//! This module is the one chain model. Every network node holds a
+//! [`ForkTree`], blocks from any branch are [`ForkTree::apply`]'d as they
+//! arrive, and the tree keeps the tip with the most cumulative expected
+//! work — switching branches returns the detached and attached segments so
+//! callers can observe (and replay) reorgs. A single miner's linear history
+//! is the same tree grown one [`ForkTree::mine_next`] at a time.
 //!
 //! Fork choice is a strict total order on `(cumulative work, digest)`, so
 //! the selected tip depends only on the *set* of blocks stored, never on
@@ -17,7 +16,7 @@ use crate::block::{Block, BlockHeader};
 use crate::chain::{validate_segment_with_rule, ChainError, InvalidReason};
 use crate::difficulty::DifficultyRule;
 use crate::header_chain::{Accepted, Entry, HeaderChain};
-use hashcore::Target;
+use hashcore::{MiningInput, Target};
 use hashcore_baselines::PowFunction;
 use hashcore_crypto::{Digest256, Sha256};
 use std::fmt;
@@ -479,6 +478,78 @@ impl<P: PowFunction> ForkTree<P> {
                     },
                 }
             }
+        })
+    }
+
+    /// Mines the rule-consistent child of the best tip carrying
+    /// `transactions` at `timestamp`, stores it, and returns the stored
+    /// block.
+    ///
+    /// The template embeds the version word and target the tree's
+    /// [`DifficultyRule`] expects of that child. Nonces are scanned from 0
+    /// through [`PowFunction::scan_nonces`] with one [`MiningInput`] and the
+    /// tree's own scratch. A hit the rule's cost admission bound rejects
+    /// ([`DifficultyRule::admits`]; never under `Fixed` or `Ema`) is
+    /// skipped and the scan resumes at the next nonce. The first admissible
+    /// hit goes through the acceptance sequence of [`ForkTree::apply`],
+    /// reusing the digest and cost already observed for it.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::MiningExhausted`] when none of the nonces
+    /// `0..max_attempts` is admissible; the tree is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree enforces no [`DifficultyRule`]: without one there
+    /// is no target to mine at (build the tree with [`ForkTree::with_rule`]).
+    pub fn mine_next(
+        &mut self,
+        transactions: &[Vec<u8>],
+        timestamp: u64,
+        max_attempts: u64,
+    ) -> Result<&Block, ChainError> {
+        let parent = self.tip();
+        let ctx = self
+            .chain
+            .rule_context(&parent)
+            .expect("mining needs a tree that enforces a difficulty rule");
+        let (rule, anchor) = (*ctx.rule, ctx.anchor);
+        let target = rule.expected_child_target(anchor, timestamp);
+        let mut header = BlockHeader {
+            version: rule.expected_child_version(anchor).unwrap_or(1),
+            prev_hash: parent,
+            merkle_root: Block::merkle_root(transactions),
+            timestamp,
+            target: *target.threshold(),
+            nonce: 0,
+        };
+        header.write_pow_input(&mut self.header_bytes);
+        let mut input = MiningInput::new(&self.header_bytes);
+        let mut start = 0;
+        while let Some((nonce, _)) = self.pow.scan_nonces(
+            &mut input,
+            target,
+            start,
+            max_attempts - start,
+            &mut self.scratch,
+        ) {
+            header.nonce = nonce;
+            let (digest, cost_ratio) = self.digest_and_cost_of_header(&header);
+            if rule.admits(target, &digest, cost_ratio) {
+                let block = Block {
+                    header,
+                    transactions: transactions.to_vec(),
+                };
+                self.chain
+                    .accept_item(block, digest, cost_ratio, Block::merkle_consistent)
+                    .expect("the rule-consistent child of the tip is accepted");
+                return Ok(self.block(&digest).expect("the mined block is stored"));
+            }
+            start = nonce + 1;
+        }
+        Err(ChainError::MiningExhausted {
+            attempts: max_attempts,
         })
     }
 
@@ -1075,6 +1146,40 @@ mod tests {
         // The query helper exposes exactly what apply enforced.
         assert_eq!(tree.expected_child_target(&digest(&a), 500), Some(slow));
         assert_eq!(tree.expected_child_target(&[0xCD; 32], 0), None);
+    }
+
+    #[test]
+    fn mined_blocks_apply_to_a_fresh_tree_under_every_rule() {
+        use crate::difficulty::{CostAwareRetarget, EmaRetarget};
+        let time = EmaRetarget::new(Target::from_leading_zero_bits(2), 15.0, 0.3);
+        for rule in [
+            DifficultyRule::Fixed(Target::from_leading_zero_bits(2)),
+            DifficultyRule::Ema(time),
+            DifficultyRule::CostAware(CostAwareRetarget::new(time, 0.5, 2.0)),
+        ] {
+            let mut miner = ForkTree::with_rule(Sha256dPow, rule);
+            let mut fresh = ForkTree::with_rule(Sha256dPow, rule);
+            let mut clock = 0;
+            for i in 0..12 {
+                let block = miner
+                    .mine_next(&[format!("tx-{i}").into_bytes()], clock, 1_000_000)
+                    .expect("trivial difficulty")
+                    .clone();
+                clock += (block.header.nonce + 1) * 3;
+                assert!(
+                    matches!(fresh.apply(block), Ok(ApplyOutcome::TipChanged { .. })),
+                    "{rule:?}: block {i}"
+                );
+            }
+            assert_eq!(miner.tip_height(), 12);
+            assert_eq!(fresh.fingerprint(), miner.fingerprint(), "{rule:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mining needs a tree that enforces a difficulty rule")]
+    fn mining_without_a_rule_panics() {
+        let _ = ForkTree::new(Sha256dPow).mine_next(&[], 0, 1);
     }
 
     #[test]

@@ -12,13 +12,9 @@
 //! * [`BlockHeader`] / [`Block`] — canonical header serialisation with a
 //!   Merkle commitment to the transactions (only the header flows through
 //!   the PoW function, exactly as in Bitcoin/Ethereum),
-//! * [`Blockchain`] — a chain driven by any [`PowFunction`], with
-//!   Ethereum-style per-block difficulty retargeting toward a target block
-//!   time, and full re-validation,
-//! * [`DifficultyRule`] — the retarget rule extracted from [`Blockchain`]
-//!   as a pure function of a branch's header timestamps and targets, so
-//!   difficulty is evaluable (and enforceable) along arbitrary fork-tree
-//!   branches, not just a linear history,
+//! * [`DifficultyRule`] — the retarget rule as a pure function of a
+//!   branch's header timestamps and targets, so difficulty is evaluable
+//!   (and enforceable) along arbitrary fork-tree branches,
 //! * [`HeaderChain`] — the one header-level state machine: items keyed by
 //!   header PoW digest, one acceptance check sequence, `(work, digest)`
 //!   cumulative-work fork choice, per-branch difficulty enforcement,
@@ -28,7 +24,9 @@
 //!   function that hashes them, the Merkle check, reorg segments,
 //!   segment serving for the `hashcore-net` sync protocol, fingerprints
 //!   and snapshots. Built with [`ForkTree::with_rule`], it enforces the
-//!   expected difficulty target along every branch,
+//!   expected difficulty target along every branch, and
+//!   [`ForkTree::mine_next`] mines the rule-consistent child of its best
+//!   tip — a single miner's chain is this tree grown one block at a time,
 //! * [`validate_segment_with_rule`] / [`validate_segment_parallel`] — the
 //!   sequential and parallel segment validators, byte-identical in their
 //!   verdicts, optionally enforcing a rule along the segment,
@@ -41,13 +39,24 @@
 //! # Examples
 //!
 //! ```
+//! use hashcore::Target;
 //! use hashcore_baselines::Sha256dPow;
-//! use hashcore_chain::{Blockchain, ChainConfig};
+//! use hashcore_chain::{DifficultyRule, EmaRetarget, ForkTree};
 //!
-//! let mut chain = Blockchain::new(Sha256dPow, ChainConfig::fast_test());
-//! chain.mine_block(&[b"tx".to_vec()], 1_000_000).unwrap();
-//! assert_eq!(chain.height(), 1);
-//! assert!(chain.validate().is_ok());
+//! let rule = DifficultyRule::Ema(EmaRetarget {
+//!     initial: Target::from_leading_zero_bits(2),
+//!     target_block_time: 15.0,
+//!     gain: 0.3,
+//! });
+//! let mut tree = ForkTree::with_rule(Sha256dPow, rule);
+//! let mut clock = 0;
+//! for height in 0..3 {
+//!     let tx = format!("tx-{height}").into_bytes();
+//!     let nonce = tree.mine_next(&[tx], clock, 1_000_000).unwrap().header.nonce;
+//!     clock += nonce + 1; // one simulated second per attempt
+//! }
+//! assert_eq!(tree.tip_height(), 3);
+//! assert!(tree.validate_best_chain().is_ok());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +72,7 @@ pub mod market;
 pub use block::{Block, BlockHeader};
 pub use chain::{
     validate_segment_parallel, validate_segment_parallel_with_rule, validate_segment_with_rule,
-    Blockchain, ChainConfig, ChainError, InvalidReason, RuleContext,
+    ChainError, InvalidReason, RuleContext,
 };
 pub use difficulty::{
     cost_commitment_of, cost_dequantize, cost_quantize, pack_cost_commitment, CostAwareRetarget,

@@ -4,21 +4,33 @@
 //! `validate_segment_with_rule` returns — acceptance or the same
 //! first-error height and reason.
 
+use hashcore::Target;
 use hashcore_baselines::Sha256dPow;
 use hashcore_chain::{
-    validate_segment_parallel, validate_segment_with_rule, Block, Blockchain, ChainConfig,
-    GENESIS_HASH,
+    validate_segment_parallel, validate_segment_with_rule, Block, DifficultyRule, EmaRetarget,
+    ForkTree, GENESIS_HASH,
 };
 use proptest::prelude::*;
 
-fn mined_chain(blocks: usize) -> Blockchain<Sha256dPow> {
-    let mut chain = Blockchain::new(Sha256dPow, ChainConfig::fast_test());
+/// A single miner's chain of `blocks` blocks under a 2-bit, 15 s, gain 0.3
+/// EMA rule, its clock advancing one second per hash attempt.
+fn mined_chain(blocks: usize) -> Vec<Block> {
+    let rule = DifficultyRule::Ema(EmaRetarget {
+        initial: Target::from_leading_zero_bits(2),
+        target_block_time: 15.0,
+        gain: 0.3,
+    });
+    let mut tree = ForkTree::with_rule(Sha256dPow, rule);
+    let mut clock = 0;
     for i in 0..blocks {
-        chain
-            .mine_block(&[format!("tx-{i}").into_bytes()], 1_000_000)
-            .expect("mining at trivial difficulty succeeds");
+        let nonce = tree
+            .mine_next(&[format!("tx-{i}").into_bytes()], clock, 1_000_000)
+            .expect("mining at trivial difficulty succeeds")
+            .header
+            .nonce;
+        clock += nonce + 1;
     }
-    chain
+    tree.best_chain()
 }
 
 /// One corruption to apply to a mined chain.
@@ -51,10 +63,9 @@ proptest! {
         corruptions in prop::collection::vec((0usize..36, arb_corruption()), 0..4),
         threads in 1usize..9,
     ) {
-        let chain = mined_chain(36);
         // Validation of a *received* block sequence: corrupt a copy, the
         // way a peer's forged segment would arrive.
-        let mut blocks: Vec<Block> = chain.blocks().to_vec();
+        let mut blocks = mined_chain(36);
         for (height, corruption) in &corruptions {
             match corruption {
                 Corruption::Transaction => {

@@ -11,24 +11,35 @@ use hashcore::Target;
 use hashcore_baselines::{PowFunction, Sha256dPow};
 use hashcore_chain::{
     cost_commitment_of, validate_segment_parallel, validate_segment_parallel_with_rule,
-    validate_segment_with_rule, Block, BlockHeader, Blockchain, ChainConfig, ChainError,
-    CostAwareRetarget, DifficultyRule, EmaRetarget, ForkError, ForkTree, HeaderChain,
-    InvalidReason, RuleContext, GENESIS_HASH,
+    validate_segment_with_rule, Block, BlockHeader, ChainError, CostAwareRetarget, DifficultyRule,
+    EmaRetarget, ForkError, ForkTree, HeaderChain, InvalidReason, RuleContext, GENESIS_HASH,
 };
 use hashcore_crypto::Digest256;
 
 const THREADS: [usize; 5] = [1, 2, 3, 5, 8];
 
-/// A 12-block honest chain plus the anchor digest of its 6-block suffix.
+/// The 6-block suffix of a single miner's 12-block honest chain (2-bit,
+/// 15 s, gain 0.3 EMA rule; one second per hash attempt) plus the anchor
+/// digest it extends.
 fn segment_fixture() -> (Vec<Block>, Digest256) {
-    let mut chain = Blockchain::new(Sha256dPow, ChainConfig::fast_test());
+    let rule = DifficultyRule::Ema(EmaRetarget {
+        initial: Target::from_leading_zero_bits(2),
+        target_block_time: 15.0,
+        gain: 0.3,
+    });
+    let mut tree = ForkTree::with_rule(Sha256dPow, rule);
+    let mut clock = 0;
     for i in 0..12 {
-        chain
-            .mine_block(&[format!("tx-{i}").into_bytes()], 1_000_000)
-            .expect("trivial difficulty");
+        let nonce = tree
+            .mine_next(&[format!("tx-{i}").into_bytes()], clock, 1_000_000)
+            .expect("trivial difficulty")
+            .header
+            .nonce;
+        clock += nonce + 1;
     }
-    let anchor = Sha256dPow.pow_hash(&chain.blocks()[5].header.bytes());
-    (chain.blocks()[6..].to_vec(), anchor)
+    let chain = tree.best_chain();
+    let anchor = Sha256dPow.pow_hash(&chain[5].header.bytes());
+    (chain[6..].to_vec(), anchor)
 }
 
 /// Asserts the exact sequential error and the sequential ≡ parallel

@@ -6,13 +6,15 @@
 //! injected at every byte offset of a small store (exhaustively) and at
 //! proptest-sampled offsets of larger, branchier stores: torn log tails,
 //! truncated files, bit-flipped records, corrupt or missing snapshots, and
-//! partially written snapshot tmp files.
+//! partially written snapshot tmp files. The byte-level decoders recovery
+//! runs are also fed arbitrary and damaged bytes directly: each must return
+//! a value or a typed error, never panic.
 
 use hashcore::Target;
 use hashcore_baselines::{PowFunction, Sha256dPow};
 use hashcore_chain::{Block, BlockHeader, ForkTree, TreeSnapshot, GENESIS_HASH};
 use hashcore_crypto::Digest256;
-use hashcore_store::{rebuild, ChainStore, TempDir};
+use hashcore_store::{codec, compress, log, rebuild, snapshot, ChainStore, TempDir};
 use proptest::prelude::*;
 use std::fs;
 use std::path::Path;
@@ -381,5 +383,81 @@ proptest! {
             .map(|seq| committed_before(&journal.logs[seq as usize], at as u64));
         let expected = expected_after_damage(&journal, &file, prefix);
         assert_recovers_to(dir.path(), expected, &format!("{file} flip at {at}"));
+    }
+}
+
+/// Feeds `bytes` to every decoder recovery runs over disk bytes; each must
+/// return a value or a typed error. `decompress` is also asked for
+/// `output_len`, `usize::MAX` and the input's own length.
+fn decode_all(bytes: &[u8], output_len: usize) {
+    let _ = codec::decode_block(bytes);
+    let _ = codec::decode_snapshot(bytes);
+    let _ = snapshot::decode_file(bytes);
+    let _ = log::scan_bytes(bytes);
+    for len in [output_len, usize::MAX, bytes.len()] {
+        let _ = compress::decompress(bytes, len);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, with an arbitrary decompressed length, never panic
+    /// a store decoder.
+    #[test]
+    fn store_decoders_never_panic_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        output_len in any::<usize>(),
+    ) {
+        decode_all(&bytes, output_len);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every truncation of a valid block record, snapshot payload, snapshot
+    /// file, compressed stream and segment log, and every 1-byte mutation
+    /// of each to a drawn value, never panics a store decoder.
+    #[test]
+    fn store_decoders_never_panic_on_damaged_encodings(
+        parent_picks in prop::collection::vec(0usize..32, 1..5),
+        value in any::<u8>(),
+    ) {
+        let blocks = build_blocks(&parent_picks);
+        let dir = TempDir::new("prop-decoders").unwrap();
+        run_store(dir.path(), &blocks, &[]);
+        let log_image = fs::read(dir.path().join("log-0.log")).unwrap();
+        let mut tree = ForkTree::new(Sha256dPow);
+        for block in &blocks {
+            tree.apply(block.clone()).unwrap();
+        }
+        let snap = tree.snapshot();
+        let mut record = Vec::new();
+        codec::encode_block(&blocks[0], &mut record);
+        let mut payload = Vec::new();
+        codec::encode_snapshot(&snap, &mut payload);
+        let packed = compress::compress(&payload);
+        let file = snapshot::encode_file(&snap);
+
+        // The starting points decode cleanly, so every failure below comes
+        // from the damage.
+        prop_assert!(codec::decode_block(&record).is_ok());
+        prop_assert!(codec::decode_snapshot(&payload).is_ok());
+        prop_assert!(compress::decompress(&packed, payload.len()).is_ok());
+        prop_assert!(snapshot::decode_file(&file).is_ok());
+        prop_assert!(log::scan_bytes(&log_image).fault.is_none());
+
+        for bytes in [&record, &payload, &packed, &file, &log_image] {
+            for cut in 0..bytes.len() {
+                decode_all(&bytes[..cut], payload.len());
+            }
+            let mut mutated = bytes.clone();
+            for position in 0..bytes.len() {
+                mutated[position] = value;
+                decode_all(&mutated, payload.len());
+                mutated[position] = bytes[position];
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! would carry the wrong version word and fork the chain.
 
 use hashcore::Target;
-use hashcore_baselines::Sha256dPow;
+use hashcore_baselines::{PowFunction, Sha256dPow};
 use hashcore_chain::{
     Block, BlockHeader, CostAwareRetarget, DifficultyRule, EmaRetarget, ForkTree,
 };
@@ -30,55 +30,63 @@ fn cost_rule() -> DifficultyRule {
     ))
 }
 
-/// Mines the rule-consistent next block on the tree's best tip: expected
-/// version word (cost commitment) and target from the branch state, nonce
-/// search skipping seeds the admission bound rejects. Deterministic given
-/// the tree state, so two trees in the same state mine the same block.
-fn mine_next(tree: &mut ForkTree<Sha256dPow>, timestamp: u64) -> Block {
-    let parent = tree.tip();
-    let version = tree
-        .expected_child_version(&parent)
-        .expect("cost-aware rules always expect a version");
-    let expected = tree
-        .expected_child_target(&parent, timestamp)
-        .expect("tip is stored");
+/// Mines the next block at `timestamp` through [`ForkTree::mine_next`],
+/// with the timestamp's bytes as its one transaction, and returns it
+/// (already applied). Deterministic given the tree state, so two trees in
+/// the same state mine the same block.
+fn mine_at(tree: &mut ForkTree<Sha256dPow>, timestamp: u64) -> Block {
+    let transactions = [timestamp.to_le_bytes().to_vec()];
+    tree.mine_next(&transactions, timestamp, 1_000_000)
+        .expect("an admissible nonce exists at trivial difficulty")
+        .clone()
+}
+
+/// Twelve uneven gaps, so the targets and cost commitments actually move.
+const GAPS: [u64; 12] = [
+    900, 2_400, 300, 1_100, 1_000, 1_700, 600, 1_300, 950, 2_000, 450, 1_050,
+];
+
+#[test]
+fn mining_skips_target_hits_the_admission_bound_rejects() {
+    // The admission target is the expected target rescaled, so a digest
+    // can meet the embedded target and still fail admission. Mining must
+    // skip such a hit and return a later, admissible nonce.
     let rule = cost_rule();
-    let transactions = vec![timestamp.to_le_bytes().to_vec()];
-    let mut header = BlockHeader {
-        version,
-        prev_hash: parent,
-        merkle_root: Block::merkle_root(&transactions),
-        timestamp,
-        target: *expected.threshold(),
-        nonce: 0,
-    };
-    loop {
-        let (digest, cost_ratio) = tree.digest_and_cost_of_header(&header);
-        if expected.is_met_by(&digest) && rule.admits(expected, &digest, cost_ratio) {
-            return Block {
-                header,
-                transactions,
-            };
+    let mut tree = ForkTree::with_rule(Sha256dPow, rule);
+    let mut timestamp = 0;
+    let mut skipped = 0;
+    for gap in GAPS {
+        timestamp += gap;
+        let block = mine_at(&mut tree, timestamp);
+        let expected = Target::from_threshold(block.header.target);
+        let first_hit = (0..=block.header.nonce)
+            .map(|nonce| BlockHeader {
+                nonce,
+                ..block.header.clone()
+            })
+            .find(|header| expected.is_met_by(&Sha256dPow.pow_hash(&header.bytes())))
+            .expect("the mined nonce itself meets the target");
+        if first_hit.nonce < block.header.nonce {
+            let (digest, cost_ratio) = tree.digest_and_cost_of_header(&first_hit);
+            assert!(
+                !rule.admits(expected, &digest, cost_ratio),
+                "only an inadmissible hit may be skipped"
+            );
+            skipped += 1;
         }
-        header.nonce += 1;
     }
+    assert!(skipped > 0, "no target hit was inadmissible");
 }
 
 #[test]
 fn cost_aware_mining_warm_starts_bit_identically() {
-    // The never-persisted reference: 12 blocks with uneven gaps, so the
-    // targets and cost commitments actually move.
-    let gaps = [
-        900u64, 2_400, 300, 1_100, 1_000, 1_700, 600, 1_300, 950, 2_000, 450, 1_050,
-    ];
+    // The never-persisted reference: 12 blocks on the uneven gap schedule.
     let mut reference = ForkTree::with_rule(Sha256dPow, cost_rule());
     let mut reference_blocks = Vec::new();
     let mut timestamp = 0u64;
-    for gap in gaps {
+    for gap in GAPS {
         timestamp += gap;
-        let block = mine_next(&mut reference, timestamp);
-        reference_blocks.push(block.clone());
-        reference.apply(block).expect("reference block is valid");
+        reference_blocks.push(mine_at(&mut reference, timestamp));
     }
 
     // The persisted run mines the same schedule: 4 blocks into the first
@@ -88,11 +96,10 @@ fn cost_aware_mining_warm_starts_bit_identically() {
     let mut tree = ForkTree::with_rule(Sha256dPow, cost_rule());
     let mut store = ChainStore::create(dir.path()).expect("create store");
     let mut timestamp = 0u64;
-    for (i, gap) in gaps[..8].iter().enumerate() {
+    for (i, gap) in GAPS[..8].iter().enumerate() {
         timestamp += *gap;
-        let block = mine_next(&mut tree, timestamp);
+        let block = mine_at(&mut tree, timestamp);
         store.append_block(&block).expect("append");
-        tree.apply(block).expect("mined block is valid");
         if i == 3 {
             store
                 .snapshot_now(&tree.snapshot())
@@ -126,14 +133,13 @@ fn cost_aware_mining_warm_starts_bit_identically() {
     // byte-identical to the reference run's — same version words, same
     // targets, same nonces — because the recovered branch state (cost
     // commitments included) is exact.
-    for (block, gap) in reference_blocks[8..].iter().zip(&gaps[8..]) {
+    for (block, gap) in reference_blocks[8..].iter().zip(&GAPS[8..]) {
         timestamp += *gap;
-        let mined = mine_next(&mut warm, timestamp);
         assert_eq!(
-            mined, *block,
+            mine_at(&mut warm, timestamp),
+            *block,
             "post-restart mining must replay the never-crashed run"
         );
-        warm.apply(mined).expect("continued block is valid");
     }
     assert_eq!(
         warm.fingerprint(),

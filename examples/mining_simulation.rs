@@ -8,44 +8,43 @@
 //!
 //! Run with: `cargo run --release --example mining_simulation`
 
-use hashcore::HashCore;
+use hashcore::{HashCore, Target};
 use hashcore_baselines::{HashCorePow, ResourceClass};
 use hashcore_chain::market::{simulate_market, MarketConfig};
-use hashcore_chain::{Blockchain, ChainConfig};
+use hashcore_chain::{DifficultyRule, EmaRetarget, ForkTree};
 use hashcore_profile::PerformanceProfile;
+
+/// Simulated seconds of mining work one hash attempt stands for.
+const SECONDS_PER_ATTEMPT: u64 = 5;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- A short HashCore chain ------------------------------------------
     let mut profile = PerformanceProfile::leela_like();
     profile.target_dynamic_instructions = 10_000; // demo-sized widgets
     let pow = HashCorePow::new(HashCore::new(profile));
-    let mut chain = Blockchain::new(
-        pow,
-        ChainConfig {
-            target_block_time: 15,
-            initial_difficulty_bits: 2,
-            retarget_gain: 0.3,
-            seconds_per_attempt: 5.0,
-        },
-    );
+    let rule = DifficultyRule::Ema(EmaRetarget {
+        initial: Target::from_leading_zero_bits(2),
+        target_block_time: 15.0,
+        gain: 0.3,
+    });
+    let mut tree = ForkTree::with_rule(pow, rule);
+    let mut clock = 0;
 
     println!("mining 5 HashCore blocks...");
     for height in 0..5 {
         let txs = vec![format!("payment-{height}").into_bytes(), b"fee".to_vec()];
-        let (nonce, tx_count) = {
-            let block = chain.mine_block(&txs, 2_048)?;
-            (block.header.nonce, block.transactions.len())
-        };
+        let block = tree.mine_next(&txs, clock, 2_048)?;
+        clock += (block.header.nonce + 1) * SECONDS_PER_ATTEMPT;
         println!(
             "  height {:>2}: nonce {:>4}, {} txs, difficulty {:>6.1} hashes, simulated time {:>4}s",
             height + 1,
-            nonce,
-            tx_count,
-            chain.difficulty_history().last().copied().unwrap_or(0.0),
-            chain.now()
+            block.header.nonce,
+            block.transactions.len(),
+            Target::from_threshold(block.header.target).expected_attempts(),
+            clock
         );
     }
-    chain.validate()?;
+    tree.validate_best_chain()?;
     println!("chain validation: OK\n");
 
     // --- The mining market -----------------------------------------------
