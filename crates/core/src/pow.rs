@@ -482,9 +482,11 @@ impl HashCore {
             scratch.warmed = true;
             let bounds = self.generator.bounds();
             let pipeline = &mut scratch.pipeline;
-            pipeline.widget.program.reserve_blocks(bounds.max_blocks);
+            // The widget's program is sized by the generation scratch's
+            // builder on first use; its pc slots are its instructions plus
+            // one terminator per block.
             pipeline.prepared.prime(
-                bounds.max_blocks * (bounds.max_block_len + 1),
+                bounds.max_instructions + bounds.max_blocks,
                 bounds.max_blocks,
             );
             pipeline

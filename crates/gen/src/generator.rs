@@ -58,13 +58,14 @@ impl Default for GeneratorConfig {
 
 /// Reusable widget-generation state.
 ///
-/// One scratch serves a stream of seeds: the program builder's block table,
-/// instruction buffers and spare pool, the per-segment bookkeeping vectors
-/// and the class-budget table are all retained between
-/// [`WidgetGenerator::generate_into`] calls, so generation performs no heap
-/// allocation once the buffers reach their steady-state sizes. A scratch is
-/// the per-worker unit of the mining fan-out (each thread owns exactly one);
-/// it is not shared between threads.
+/// One scratch serves a stream of seeds: the program builder's instruction
+/// arena and block table, the per-segment bookkeeping vectors and the
+/// class-budget table are all retained between
+/// [`WidgetGenerator::generate_into`] calls. The first call sizes them to
+/// the generator's [`GenerationBounds`], so generation performs no heap
+/// allocation after it. A scratch is the per-worker unit of the mining
+/// fan-out (each thread owns exactly one); it is not shared between
+/// threads.
 #[derive(Debug, Clone, Default)]
 pub struct GenScratch {
     builder: ProgramBuilder,
@@ -103,6 +104,9 @@ pub struct GenerationBounds {
     pub max_blocks: usize,
     /// Maximum number of instructions in any single basic block.
     pub max_block_len: usize,
+    /// Maximum number of body instructions over all blocks of a program:
+    /// the size of the program builder's arena and of the program's.
+    pub max_instructions: usize,
     /// Maximum number of diamond segments.
     pub max_segments: usize,
     /// Maximum data-segment size in bytes.
@@ -116,15 +120,16 @@ pub struct GenerationBounds {
 ///
 /// This is the common composition every batch consumer of widgets needs —
 /// the HashCore hash scratch, the RandomX-lite baseline, the measurement
-/// harnesses — factored out so the pipeline contract (buffer cycling,
-/// worst-case pre-sizing, the two-buffer-set pool rule) lives in one place.
+/// harnesses — factored out so the pipeline contract (every buffer reused
+/// in place and sized once to the worst case) lives in one place.
 /// Fields are public so callers with extra stages (hash gates between
 /// widgets, profilers over the trace) can drive them individually; most
 /// callers just use [`PipelineScratch::run`]. One scratch belongs to one
 /// worker; it is never shared between threads.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineScratch {
-    /// Generation state (program builder, bookkeeping vectors).
+    /// Generation state (program builder and its arena, bookkeeping
+    /// vectors).
     pub gen: GenScratch,
     /// The most recently generated widget.
     pub widget: GeneratedWidget,
@@ -309,12 +314,24 @@ impl WidgetGenerator {
         let max_block_len =
             ((work_upper / min_segments as f64).ceil() as usize + 16).max(entry_len + 4);
         let max_blocks = 3 * max_segments + 3;
+        // The three blocks of a segment each emit at most
+        // ceil(budget_c / (2 · segments)) items of class c, so all segments
+        // together emit at most 1.5 · budget_c + 3 · segments of them. An
+        // item is at most two instructions for a load (the load and its
+        // cursor update) and one otherwise, which makes 1.5 · (work + loads)
+        // plus 3 · 7 · segments over the six work classes. The entry block,
+        // the latch (2) and the exit (1) come on top; 16 absorbs rounding.
+        let load_upper = upper(base[class_index(OpClass::Load)]);
+        let max_instructions = (1.5 * (work_upper + load_upper)).ceil() as usize
+            + 3 * 7 * max_segments
+            + entry_len
+            + 3
+            + 16;
 
         // Memory geometry (the memory-profile knobs are not seed-noised, so
         // only the load/store budgets and iteration count vary).
         let stride = (((self.base.memory.average_stride.max(8) as i32) & !7).max(8)) as f64;
-        let loads_stores =
-            upper(base[class_index(OpClass::Load)]) + upper(base[class_index(OpClass::Store)]);
+        let loads_stores = load_upper + upper(base[class_index(OpClass::Store)]);
         let strided_max =
             loads_stores * o1 * self.base.memory.strided_fraction.clamp(0.0, 1.0) * stride;
         let max_memory_bytes = ((strided_max / 4.0) as usize + (32 << 10))
@@ -326,21 +343,21 @@ impl WidgetGenerator {
         GenerationBounds {
             max_blocks,
             max_block_len,
+            max_instructions,
             max_segments,
             max_memory_bytes,
             max_output_bytes,
         }
     }
 
-    /// Pre-sizes `scratch` to this generator's [`GenerationBounds`].
+    /// Pre-sizes `scratch` to this generator's [`GenerationBounds`]. The
+    /// output widget's program needs no priming of its own: `finish_into`
+    /// sizes it to the builder's arena and block table.
     fn warm_scratch(&self, scratch: &mut GenScratch) {
         let bounds = self.bounds();
-        // Two full buffer sets: while a program is being built, the
-        // previous program still owns its instruction buffers — they only
-        // return to the pool when `finish_into` replaces it.
         scratch
             .builder
-            .prime(2 * bounds.max_blocks, bounds.max_block_len);
+            .prime(bounds.max_blocks, bounds.max_instructions);
         scratch.seg_heads.reserve(bounds.max_segments);
         scratch.seg_arms.reserve(bounds.max_segments);
         scratch.diamond_unpredictable.reserve(bounds.max_segments);
@@ -395,9 +412,10 @@ impl WidgetGenerator {
         let mut mem_rng = WidgetRng::new(out.target.memory_seed as u64);
 
         let total = profile.target_dynamic_instructions.max(1000) as f64;
-        let outer_iters = (total / self.config.snapshot_cadence as f64)
-            .round()
-            .max(1.0) as u64;
+        // Clamped as in `bounds`: a zero cadence would saturate the loop
+        // count.
+        let cadence = self.config.snapshot_cadence.max(1) as f64;
+        let outer_iters = (total / cadence).round().max(1.0) as u64;
         let per_iter = total / outer_iters as f64;
 
         // Per-iteration class budgets (branches handled structurally).
@@ -950,6 +968,40 @@ mod tests {
                 "noised target shrank for fill {fill}"
             );
         }
+    }
+
+    #[test]
+    fn zero_snapshot_cadence_generates_the_cadence_one_widget() {
+        let mut profile = PerformanceProfile::leela_like();
+        profile.target_dynamic_instructions = 5_000;
+        let with_cadence = |snapshot_cadence| {
+            WidgetGenerator::with_config(
+                profile.clone(),
+                GeneratorConfig {
+                    snapshot_cadence,
+                    ..GeneratorConfig::default()
+                },
+            )
+        };
+        let (zero, one) = (with_cadence(0), with_cadence(1));
+        let widget = zero.generate(&seed(5));
+        let reference = one.generate(&seed(5));
+        assert_eq!(widget.program, reference.program);
+        assert_eq!(widget.expected_snapshots, reference.expected_snapshots);
+
+        let bounds = zero.bounds();
+        assert_eq!(bounds, one.bounds());
+        let program = &widget.program;
+        assert!(program.blocks().len() <= bounds.max_blocks);
+        let total: usize = program.blocks().map(|b| b.instructions.len()).sum();
+        assert!(total <= bounds.max_instructions);
+        assert!(program.memory_size() <= bounds.max_memory_bytes);
+        let exec = Executor::new(widget.exec_config())
+            .execute(program)
+            .expect("a cadence-0 widget halts");
+        assert_eq!(exec.snapshot_count, widget.expected_snapshots);
+        assert_eq!(exec.output.len(), widget.expected_output_bytes());
+        assert!(exec.output.len() <= bounds.max_output_bytes);
     }
 
     #[test]

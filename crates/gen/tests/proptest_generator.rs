@@ -45,25 +45,34 @@ proptest! {
         }
     }
 
-    /// The generator's worst-case bounds dominate every actual widget.
+    /// The generator's worst-case bounds dominate every actual widget, for
+    /// arbitrary seeds of both built-in profiles at their default (mining)
+    /// size — including the total body instructions, which is what the
+    /// builder's arena and the program's are primed to: a widget above it
+    /// would allocate inside a warmed hash.
     #[test]
-    fn generation_bounds_dominate_actual_widgets(
-        fill in any::<u8>(),
-        target in 2_000u64..30_000,
-    ) {
-        let generator = small_generator(target);
-        let bounds = generator.bounds();
-        let widget = generator.generate(&HashSeed::new([fill; 32]));
-        prop_assert!(widget.program.blocks().len() <= bounds.max_blocks);
-        let longest = widget
-            .program
-            .blocks()
-            .iter()
-            .map(|b| b.instructions.len())
-            .max()
-            .unwrap_or(0);
-        prop_assert!(longest <= bounds.max_block_len, "{longest} > {}", bounds.max_block_len);
-        prop_assert!(widget.program.memory_size() <= bounds.max_memory_bytes);
-        prop_assert!(widget.expected_output_bytes() <= bounds.max_output_bytes);
+    fn generation_bounds_dominate_actual_widgets(seed in prop::array::uniform32(any::<u8>())) {
+        for profile in [PerformanceProfile::leela_like(), PerformanceProfile::fp_stencil_like()] {
+            let name = profile.name.clone();
+            let generator = WidgetGenerator::new(profile);
+            let bounds = generator.bounds();
+            let widget = generator.generate(&HashSeed::new(seed));
+            let program = &widget.program;
+            prop_assert!(program.blocks().len() <= bounds.max_blocks, "{name}");
+            let longest = program.blocks().map(|b| b.instructions.len()).max().unwrap_or(0);
+            prop_assert!(
+                longest <= bounds.max_block_len,
+                "{name}: {longest} > {}",
+                bounds.max_block_len
+            );
+            let total: usize = program.blocks().map(|b| b.instructions.len()).sum();
+            prop_assert!(
+                total <= bounds.max_instructions,
+                "{name}: {total} > {}",
+                bounds.max_instructions
+            );
+            prop_assert!(program.memory_size() <= bounds.max_memory_bytes, "{name}");
+            prop_assert!(widget.expected_output_bytes() <= bounds.max_output_bytes, "{name}");
+        }
     }
 }

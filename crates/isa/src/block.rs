@@ -64,20 +64,24 @@ impl Terminator {
     }
 }
 
-/// A straight-line sequence of instructions ending in a single terminator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BasicBlock {
+/// A straight-line sequence of instructions ending in a single terminator,
+/// borrowed from its [`crate::Program`].
+///
+/// A program stores every block body back to back in one instruction arena;
+/// a `BasicBlock` is the view of one block's slice of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BasicBlock<'a> {
     /// The block's id (its index in the program block table).
     pub id: BlockId,
     /// Straight-line body instructions.
-    pub instructions: Vec<Instruction>,
+    pub instructions: &'a [Instruction],
     /// Control-flow exit.
     pub terminator: Terminator,
 }
 
-impl BasicBlock {
-    /// Creates a block with the given id, body and terminator.
-    pub fn new(id: BlockId, instructions: Vec<Instruction>, terminator: Terminator) -> Self {
+impl<'a> BasicBlock<'a> {
+    /// Creates a block view with the given id, body and terminator.
+    pub fn new(id: BlockId, instructions: &'a [Instruction], terminator: Terminator) -> Self {
         Self {
             id,
             instructions,
@@ -132,12 +136,12 @@ mod tests {
             src1: IntReg(0),
             src2: IntReg(1),
         }];
-        let block = BasicBlock::new(BlockId(0), body.clone(), Terminator::Halt);
+        let block = BasicBlock::new(BlockId(0), &body, Terminator::Halt);
         assert_eq!(block.len(), 1);
         assert!(!block.is_empty());
         let block = BasicBlock::new(
             BlockId(0),
-            body,
+            &body,
             Terminator::Branch {
                 cond: BranchCond::Ne,
                 src1: IntReg(0),

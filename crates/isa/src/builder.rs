@@ -1,6 +1,6 @@
 //! Ergonomic construction of widget programs.
 
-use crate::block::{BasicBlock, BlockId, Terminator};
+use crate::block::{BlockId, Terminator};
 use crate::inst::{BranchCond, FpOp, Instruction, IntAluOp, IntMulOp, VecOp};
 use crate::program::Program;
 use crate::reg::{FpReg, IntReg, VecReg};
@@ -48,22 +48,15 @@ use crate::reg::{FpReg, IntReg, VecReg};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProgramBuilder {
-    blocks: Vec<Option<BasicBlock>>,
-    current: Option<BlockId>,
-    pending: Vec<Instruction>,
+    /// Every block body, back to back in emission order. Only one block is
+    /// open at a time, so the open block's body is always the tail.
+    instructions: Vec<Instruction>,
+    /// Per reserved block: its body's `start..end` span in `instructions`
+    /// and its terminator, or `None` until the block is closed.
+    spans: Vec<Option<(u32, u32, Terminator)>>,
+    /// The open block and the offset its body starts at.
+    current: Option<(BlockId, u32)>,
     memory_size: usize,
-    /// Recycled instruction buffers, sorted by capacity (ascending).
-    ///
-    /// [`ProgramBuilder::terminate`] draws the smallest adequate buffer for
-    /// each finished block and [`ProgramBuilder::reset`] /
-    /// [`ProgramBuilder::finish_into`] return buffers to the pool, so a
-    /// builder that is reused across programs of similar shape stops
-    /// allocating once the pool has warmed up. Best-fit selection matters:
-    /// because every block is compatible with any buffer at least as large
-    /// as itself, taking the smallest adequate buffer preserves the larger
-    /// ones for the larger blocks still to come, and reuse succeeds whenever
-    /// any assignment of buffers to blocks could.
-    spare: Vec<Vec<Instruction>>,
 }
 
 impl Default for ProgramBuilder {
@@ -80,86 +73,46 @@ impl ProgramBuilder {
     /// `memory_size` bytes (rounded up to the next power of two).
     pub fn new(memory_size: usize) -> Self {
         Self {
-            blocks: Vec::new(),
+            instructions: Vec::new(),
+            spans: Vec::new(),
             current: None,
-            pending: Vec::new(),
             memory_size: memory_size.max(8).next_power_of_two(),
-            spare: Vec::new(),
         }
     }
 
     /// Clears the builder for a new program with a `memory_size`-byte data
-    /// segment, retaining every allocation (the block table, the pending
-    /// buffer and the recycled instruction buffers of any blocks built since
-    /// the last [`ProgramBuilder::finish_into`]).
+    /// segment, discarding any blocks built since the last
+    /// [`ProgramBuilder::finish_into`] and keeping every allocation.
     pub fn reset(&mut self, memory_size: usize) {
+        self.instructions.clear();
+        self.spans.clear();
         self.current = None;
-        self.pending.clear();
-        let mut drained = std::mem::take(&mut self.blocks);
-        for block in drained.drain(..).flatten() {
-            self.recycle(block.instructions);
-        }
-        self.blocks = drained;
         self.memory_size = memory_size.max(8).next_power_of_two();
     }
 
-    /// Returns an empty buffer for a block of `len` instructions: the
-    /// smallest recycled buffer that already has the capacity, or a fresh
-    /// allocation when none qualifies.
-    fn take_spare(&mut self, len: usize) -> Vec<Instruction> {
-        let idx = self.spare.partition_point(|buf| buf.capacity() < len);
-        if idx < self.spare.len() {
-            self.spare.remove(idx)
-        } else {
-            Vec::with_capacity(len)
-        }
-    }
-
-    /// Returns an instruction buffer to the spare pool (cleared, sorted by
-    /// capacity).
-    fn recycle(&mut self, mut buffer: Vec<Instruction>) {
-        buffer.clear();
-        let idx = self
-            .spare
-            .partition_point(|buf| buf.capacity() < buffer.capacity());
-        self.spare.insert(idx, buffer);
-    }
-
-    /// Pre-sizes the builder for programs of up to `blocks` blocks of up to
-    /// `block_capacity` instructions each: the spare pool is grown to
-    /// `blocks` buffers of at least `block_capacity`, and the block table
-    /// and pending buffer are reserved to match.
+    /// Pre-sizes the builder for programs of up to `blocks` blocks holding
+    /// up to `instructions` body instructions in total.
     ///
     /// A caller that knows an upper bound on every program it will ever
-    /// build — the widget generator's seed-noise caps bound the segment
-    /// count and block sizes over *all* seeds — primes the builder once and
-    /// every later build is allocation-free, rather than allocation-free
-    /// only after the (unbounded-tail) empirical warm-up has happened to
-    /// visit the worst case.
-    pub fn prime(&mut self, blocks: usize, block_capacity: usize) {
-        for buf in &mut self.spare {
-            if buf.capacity() < block_capacity {
-                buf.reserve_exact(block_capacity);
-            }
+    /// build — the widget generator's seed-noise caps bound both over
+    /// *all* seeds — primes the builder once, and every later build is
+    /// allocation-free, as is every program it finishes into (see
+    /// [`ProgramBuilder::finish_into`]).
+    pub fn prime(&mut self, blocks: usize, instructions: usize) {
+        if self.spans.capacity() < blocks {
+            self.spans.reserve_exact(blocks - self.spans.len());
         }
-        while self.spare.len() < blocks {
-            self.spare.push(Vec::with_capacity(block_capacity));
-        }
-        self.spare.sort_by_key(Vec::capacity);
-        if self.blocks.capacity() < blocks {
-            self.blocks.reserve_exact(blocks - self.blocks.len());
-        }
-        if self.pending.capacity() < block_capacity {
-            self.pending
-                .reserve_exact(block_capacity - self.pending.len());
+        if self.instructions.capacity() < instructions {
+            self.instructions
+                .reserve_exact(instructions - self.instructions.len());
         }
     }
 
     /// Reserves a block id without opening it, so forward branches can refer
     /// to blocks that will be populated later.
     pub fn reserve_block(&mut self) -> BlockId {
-        let id = BlockId(self.blocks.len() as u32);
-        self.blocks.push(None);
+        let id = BlockId(self.spans.len() as u32);
+        self.spans.push(None);
         id
     }
 
@@ -182,11 +135,10 @@ impl ProgramBuilder {
     pub fn begin_reserved(&mut self, id: BlockId) {
         assert!(self.current.is_none(), "a block is already open");
         assert!(
-            self.blocks[id.index()].is_none(),
+            self.spans[id.index()].is_none(),
             "block {id} was already populated"
         );
-        self.current = Some(id);
-        self.pending.clear();
+        self.current = Some((id, self.instructions.len() as u32));
     }
 
     /// Appends a raw instruction to the open block.
@@ -196,7 +148,7 @@ impl ProgramBuilder {
     /// Panics if no block is open.
     pub fn push(&mut self, inst: Instruction) {
         assert!(self.current.is_some(), "no block is open");
-        self.pending.push(inst);
+        self.instructions.push(inst);
     }
 
     /// Appends `dst = op(src1, src2)` on the integer ALU.
@@ -300,15 +252,9 @@ impl ProgramBuilder {
     ///
     /// Panics if no block is open.
     pub fn terminate(&mut self, terminator: Terminator) {
-        let id = self.current.take().expect("no block is open");
-        // Copy the pending instructions into a recycled buffer instead of
-        // surrendering the pending buffer itself: `pending` then keeps its
-        // capacity forever (it only ever needs to grow to the largest single
-        // block), and the block body comes from the best-fit spare pool.
-        let mut body = self.take_spare(self.pending.len());
-        body.extend_from_slice(&self.pending);
-        self.pending.clear();
-        self.blocks[id.index()] = Some(BasicBlock::new(id, body, terminator));
+        let (id, start) = self.current.take().expect("no block is open");
+        let end = self.instructions.len() as u32;
+        self.spans[id.index()] = Some((start, end, terminator));
     }
 
     /// Convenience: close the open block with a conditional branch.
@@ -331,7 +277,7 @@ impl ProgramBuilder {
 
     /// Number of blocks reserved so far.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.spans.len()
     }
 
     /// Finishes the program with `entry` as its entry block.
@@ -348,12 +294,13 @@ impl ProgramBuilder {
 
     /// Finishes the program into `out`, reusing `out`'s storage.
     ///
-    /// The previous contents of `out` are discarded; its block table keeps
-    /// its allocation and its old blocks' instruction buffers are recycled
-    /// into this builder's spare pool. Together with
-    /// [`ProgramBuilder::reset`] this makes the generate-into-the-same-
-    /// program loop allocation-free at steady state: buffers cycle
-    /// builder → program → builder as each new program replaces the last.
+    /// The previous contents of `out` are discarded. The block bodies are
+    /// copied from this builder's emission-order arena into `out`'s arena
+    /// in [`BlockId`] order, in one pass, and the builder is left empty.
+    /// `out`'s arena and block table keep their allocations and are grown
+    /// to at least this builder's capacity first, so a builder primed once
+    /// with [`ProgramBuilder::prime`] keeps every program it fills
+    /// allocation-free too.
     ///
     /// The resulting program is byte-identical to what
     /// [`ProgramBuilder::finish`] returns for the same builder state.
@@ -364,17 +311,19 @@ impl ProgramBuilder {
     /// populated.
     pub fn finish_into(&mut self, entry: BlockId, out: &mut Program) {
         assert!(self.current.is_none(), "a block is still open");
-        let mut old = std::mem::take(&mut out.blocks);
-        for block in old.drain(..) {
-            self.recycle(block.instructions);
-        }
-        out.blocks = old;
-        for (i, slot) in self.blocks.drain(..).enumerate() {
-            let block = slot.unwrap_or_else(|| panic!("reserved block bb{i} was never populated"));
-            out.blocks.push(block);
+        out.instructions.clear();
+        out.instructions.reserve_exact(self.instructions.capacity());
+        out.blocks.clear();
+        out.blocks.reserve_exact(self.spans.capacity());
+        for (i, span) in self.spans.iter().enumerate() {
+            let (start, end, terminator) =
+                span.unwrap_or_else(|| panic!("reserved block bb{i} was never populated"));
+            out.push_block(&self.instructions[start as usize..end as usize], terminator);
         }
         out.entry = entry;
         out.memory_size = self.memory_size;
+        self.instructions.clear();
+        self.spans.clear();
     }
 }
 
@@ -456,7 +405,7 @@ mod tests {
 
         // Rebuilding the same program through reset + finish_into must be
         // identical, and a different program built afterwards must not be
-        // contaminated by recycled buffers.
+        // contaminated by the reused arenas.
         let mut reused = ProgramBuilder::new(4096);
         let mut out = Program::default();
         for iters in [3, 10, 7, 10] {
@@ -490,8 +439,8 @@ mod tests {
         let entry = b.begin_block();
         b.load_imm(IntReg(0), 1);
         b.terminate(Terminator::Halt);
-        // Never finished: reset must recycle the terminated block and allow
-        // a clean rebuild.
+        // Never finished: reset must discard the terminated block (keeping
+        // the arena's storage) and allow a clean rebuild.
         b.reset(256);
         let entry2 = b.begin_block();
         b.snapshot();
@@ -504,32 +453,32 @@ mod tests {
     }
 
     #[test]
-    fn spare_pool_uses_best_fit_buffers() {
+    fn primed_builder_fills_programs_without_growing_them() {
         let mut b = ProgramBuilder::new(64);
-        // Build a program with one large and one small block, then rebuild:
-        // the second round must reuse the recycled buffers without mixing
-        // contents up.
-        for _ in 0..3 {
+        b.prime(2, 41);
+        let mut out = Program::default();
+        let mut arena = None;
+        // Bodies of different sizes, the larger block emitted after the
+        // block it jumps to: every round must rebuild `out` exactly, in the
+        // storage the primed builder sized it to on the first round.
+        for len in [32, 8, 40] {
             b.reset(64);
-            let entry = b.begin_block();
-            for i in 0..32 {
-                b.load_imm(IntReg((i % 8) as u8), i);
-            }
-            let exit = b.reserve_block();
-            b.terminate(Terminator::Jump(exit));
-            b.begin_reserved(exit);
+            let entry = b.reserve_block();
+            let exit = b.begin_block();
             b.snapshot();
             b.terminate(Terminator::Halt);
-            let mut out = Program::default();
-            b.finish_into(entry, &mut out);
-            // `finish_into` leaves the block table drained but keeps the
-            // blocks; recycle them for the next round.
-            assert_eq!(out.blocks().len(), 2);
-            assert_eq!(out.block(entry).instructions.len(), 32);
-            b.reset(64);
-            for block in out.blocks() {
-                assert!(block.instructions.len() <= 32);
+            b.begin_reserved(entry);
+            for i in 0..len {
+                b.load_imm(IntReg((i % 8) as u8), i);
             }
+            b.terminate(Terminator::Jump(exit));
+            b.finish_into(entry, &mut out);
+            assert_eq!(out.block(entry).instructions.len(), len as usize);
+            assert_eq!(out.block(exit).instructions, [Instruction::Snapshot]);
+            assert!(out.instructions.capacity() >= 41 && out.blocks.capacity() >= 2);
+            let storage = out.instructions.as_ptr();
+            assert_eq!(*arena.get_or_insert(storage), storage);
+            assert_eq!(b.block_count(), 0, "finish_into leaves the builder empty");
         }
     }
 

@@ -72,7 +72,7 @@ pub fn emit_c_source(program: &Program) -> String {
 
     for block in program.blocks() {
         let _ = writeln!(out, "bb{}:", block.id.0);
-        for inst in &block.instructions {
+        for inst in block.instructions {
             emit_instruction(&mut out, inst);
         }
         match &block.terminator {

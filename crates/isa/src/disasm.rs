@@ -89,7 +89,7 @@ impl fmt::Display for Program {
         writeln!(f, "; entry: {}", self.entry())?;
         for block in self.blocks() {
             writeln!(f, "{}:", block.id)?;
-            for inst in &block.instructions {
+            for inst in block.instructions {
                 writeln!(f, "    {inst}")?;
             }
             writeln!(f, "    {}", block.terminator)?;

@@ -13,7 +13,7 @@
 //! The format is little-endian, length-prefixed, and self-describing enough
 //! to round-trip exactly; it is not designed for forward compatibility.
 
-use crate::block::{BasicBlock, BlockId, Terminator};
+use crate::block::{BlockId, Terminator};
 use crate::inst::{BranchCond, FpOp, Instruction, IntAluOp, IntMulOp, VecOp};
 use crate::program::Program;
 use crate::reg::{FpReg, IntReg, VecReg};
@@ -453,7 +453,7 @@ pub fn encode(program: &Program) -> Vec<u8> {
     w.u32(program.blocks().len() as u32);
     for block in program.blocks() {
         w.u32(block.instructions.len() as u32);
-        for inst in &block.instructions {
+        for inst in block.instructions {
             encode_instruction(&mut w, inst);
         }
         encode_terminator(&mut w, &block.terminator);
@@ -478,21 +478,22 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
     let memory_size = r.u64()? as usize;
     let entry = BlockId(r.u32()?);
     let block_count = r.u32()? as usize;
-    let mut blocks = Vec::with_capacity(block_count.min(r.remaining()));
-    for id in 0..block_count {
+    // Declared counts size nothing beyond the bytes left: every block and
+    // every instruction takes at least one byte.
+    let mut program = Program::new([], entry, memory_size);
+    program.blocks.reserve(block_count.min(r.remaining()));
+    for _ in 0..block_count {
         let inst_count = r.u32()? as usize;
-        let mut instructions = Vec::with_capacity(inst_count.min(r.remaining()));
+        program.instructions.reserve(inst_count.min(r.remaining()));
         for _ in 0..inst_count {
-            instructions.push(decode_instruction(&mut r)?);
+            program.instructions.push(decode_instruction(&mut r)?);
         }
         let terminator = decode_terminator(&mut r)?;
-        blocks.push(BasicBlock::new(
-            BlockId(id as u32),
-            instructions,
-            terminator,
-        ));
+        program
+            .blocks
+            .push((program.instructions.len() as u32, terminator));
     }
-    Ok(Program::new(blocks, entry, memory_size))
+    Ok(program)
 }
 
 #[cfg(test)]

@@ -1,18 +1,29 @@
 //! Widget programs: a control-flow graph of basic blocks plus a data segment.
 
 use crate::block::{BasicBlock, BlockId, Terminator};
-use crate::inst::OpClass;
+use crate::inst::{Instruction, OpClass};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A complete widget program.
 ///
-/// A program is a list of [`BasicBlock`]s, an entry block, and the size of
+/// A program is a table of basic blocks, an entry block, and the size of
 /// its private data segment (the memory the widget may load from and store
 /// to). Programs are static data: execution state lives in `hashcore-vm`.
+///
+/// The blocks live in one flat arena: every block body back to back in
+/// [`BlockId`] order, plus one `(end, terminator)` entry per block. A body
+/// is the arena slice between the previous block's end and its own, and a
+/// block's first static pc is its arena start plus its index (one
+/// terminator slot per earlier block): the block-major layout that the
+/// executor (`hashcore-vm`) and the core model (`hashcore-sim`) share, which
+/// is what lets traces be replayed against the static program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
-    pub(crate) blocks: Vec<BasicBlock>,
+    /// Every block body, back to back in `BlockId` order.
+    pub(crate) instructions: Vec<Instruction>,
+    /// Per block: the arena offset one past its body, and its terminator.
+    pub(crate) blocks: Vec<(u32, Terminator)>,
     pub(crate) entry: BlockId,
     /// Size of the data segment in bytes (always a power of two so address
     /// wrapping is a mask).
@@ -27,6 +38,7 @@ impl Default for Program {
     /// fill it with [`crate::ProgramBuilder::finish_into`].
     fn default() -> Self {
         Self {
+            instructions: Vec::new(),
             blocks: Vec::new(),
             entry: BlockId(0),
             memory_size: 8,
@@ -43,13 +55,6 @@ pub enum ValidateError {
     BadEntry {
         /// The offending entry id.
         entry: BlockId,
-    },
-    /// A block's recorded id does not match its table position.
-    MisnumberedBlock {
-        /// Table index of the block.
-        index: usize,
-        /// Recorded id.
-        id: BlockId,
     },
     /// A terminator references a block id that does not exist.
     DanglingEdge {
@@ -79,9 +84,6 @@ impl fmt::Display for ValidateError {
         match self {
             ValidateError::Empty => write!(f, "program has no basic blocks"),
             ValidateError::BadEntry { entry } => write!(f, "entry block {entry} does not exist"),
-            ValidateError::MisnumberedBlock { index, id } => {
-                write!(f, "block at index {index} is numbered {id}")
-            }
             ValidateError::DanglingEdge { from, to } => {
                 write!(f, "block {from} branches to missing block {to}")
             }
@@ -121,27 +123,52 @@ pub struct ProgramStats {
 }
 
 impl Program {
-    /// Creates a program from parts.
+    /// Creates a program from `(body, terminator)` pairs, numbered in order.
     ///
     /// Use [`crate::ProgramBuilder`] for ergonomic construction; this
     /// constructor performs no validation (call [`Program::validate`]).
-    pub fn new(blocks: Vec<BasicBlock>, entry: BlockId, memory_size: usize) -> Self {
-        Self {
-            blocks,
+    pub fn new<'a>(
+        blocks: impl IntoIterator<Item = (&'a [Instruction], Terminator)>,
+        entry: BlockId,
+        memory_size: usize,
+    ) -> Self {
+        let mut program = Self {
             entry,
             memory_size,
+            ..Self::default()
+        };
+        for (body, terminator) in blocks {
+            program.push_block(body, terminator);
         }
+        program
     }
 
-    /// The program's basic blocks, indexed by [`BlockId`].
-    pub fn blocks(&self) -> &[BasicBlock] {
-        &self.blocks
+    /// Appends the next block: its body to the arena, its end and
+    /// terminator to the table.
+    pub(crate) fn push_block(&mut self, body: &[Instruction], terminator: Terminator) {
+        self.instructions.extend_from_slice(body);
+        self.blocks
+            .push((self.instructions.len() as u32, terminator));
+    }
+
+    /// The program's basic blocks in [`BlockId`] order.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = BasicBlock<'_>> + Clone {
+        let mut start = 0;
+        self.blocks
+            .iter()
+            .enumerate()
+            .map(move |(index, &(end, terminator))| {
+                let body = &self.instructions[start..end as usize];
+                start = end as usize;
+                BasicBlock::new(BlockId(index as u32), body, terminator)
+            })
     }
 
     /// Pre-sizes the block table for up to `blocks` blocks. Reusable-scratch
     /// pipelines size the program once for their worst case so that
     /// rebuilding it via [`crate::ProgramBuilder::finish_into`] never
-    /// reallocates the table.
+    /// reallocates the table; `finish_into` also sizes the table and the
+    /// arena to the builder's own capacity.
     pub fn reserve_blocks(&mut self, blocks: usize) {
         if self.blocks.capacity() < blocks {
             self.blocks.reserve_exact(blocks - self.blocks.len());
@@ -158,13 +185,22 @@ impl Program {
         self.memory_size
     }
 
+    /// Arena offset of the first body instruction of block `index`.
+    fn body_start(&self, index: usize) -> usize {
+        index
+            .checked_sub(1)
+            .map_or(0, |prev| self.blocks[prev].0 as usize)
+    }
+
     /// Returns the block with the given id.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range; validated programs never do this.
-    pub fn block(&self, id: BlockId) -> &BasicBlock {
-        &self.blocks[id.index()]
+    pub fn block(&self, id: BlockId) -> BasicBlock<'_> {
+        let (end, terminator) = self.blocks[id.index()];
+        let body = &self.instructions[self.body_start(id.index())..end as usize];
+        BasicBlock::new(id, body, terminator)
     }
 
     /// Checks the structural invariants of the program.
@@ -188,13 +224,7 @@ impl Program {
             return Err(ValidateError::BadEntry { entry: self.entry });
         }
         let mut has_halt = false;
-        for (index, block) in self.blocks.iter().enumerate() {
-            if block.id.index() != index {
-                return Err(ValidateError::MisnumberedBlock {
-                    index,
-                    id: block.id,
-                });
-            }
+        for block in self.blocks() {
             for (i, inst) in block.instructions.iter().enumerate() {
                 if !inst.registers_valid() {
                     return Err(ValidateError::InvalidRegister {
@@ -231,33 +261,26 @@ impl Program {
         Ok(())
     }
 
-    /// Returns the static program counter assigned to the first slot of each
-    /// block under the canonical block-major layout.
+    /// Returns the static program counter of the first slot of block `id`
+    /// under the canonical block-major layout.
     ///
     /// Every instruction occupies one pc slot and every block's terminator
-    /// occupies one additional slot, so block `i` starts at
-    /// `bases[i]` and its terminator sits at
-    /// `bases[i] + instructions.len()`. The functional executor
-    /// (`hashcore-vm`) and the micro-architecture model (`hashcore-sim`) both
-    /// use this layout, which is what lets traces be replayed against the
-    /// static program.
-    pub fn block_pc_bases(&self) -> Vec<u32> {
-        let mut bases = Vec::with_capacity(self.blocks.len());
-        let mut next = 0u32;
-        for block in &self.blocks {
-            bases.push(next);
-            next += block.instructions.len() as u32 + 1;
-        }
-        bases
+    /// occupies one additional slot, so block `id` starts at its arena
+    /// offset plus `id` and its terminator sits `instructions.len()` slots
+    /// later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range; validated programs never do this.
+    pub fn block_pc_base(&self, id: BlockId) -> u32 {
+        assert!(id.index() < self.blocks.len(), "block {id} does not exist");
+        self.body_start(id.index()) as u32 + id.0
     }
 
     /// Total number of static pc slots (instructions plus one terminator slot
     /// per block).
     pub fn pc_slot_count(&self) -> u32 {
-        self.blocks
-            .iter()
-            .map(|b| b.instructions.len() as u32 + 1)
-            .sum()
+        (self.instructions.len() + self.blocks.len()) as u32
     }
 
     /// Computes static statistics for the program.
@@ -266,11 +289,11 @@ impl Program {
             block_count: self.blocks.len(),
             ..ProgramStats::default()
         };
-        for block in &self.blocks {
-            for inst in &block.instructions {
+        for block in self.blocks() {
+            for inst in block.instructions {
                 *stats.class_counts.entry(inst.class()).or_insert(0) += 1;
                 stats.static_instructions += 1;
-                if matches!(inst, crate::Instruction::Snapshot) {
+                if matches!(inst, Instruction::Snapshot) {
                     stats.snapshots += 1;
                 }
             }
@@ -290,7 +313,6 @@ mod tests {
     use crate::builder::ProgramBuilder;
     use crate::inst::{BranchCond, IntAluOp};
     use crate::reg::IntReg;
-    use crate::Instruction;
 
     fn tiny_program() -> Program {
         let mut b = ProgramBuilder::new(256);
@@ -353,19 +375,18 @@ mod tests {
 
     #[test]
     fn dangling_edge_rejected() {
-        let block = BasicBlock::new(
+        let branch = Terminator::Branch {
+            cond: BranchCond::Eq,
+            src1: IntReg(0),
+            src2: IntReg(0),
+            taken: BlockId(5),
+            not_taken: BlockId(0),
+        };
+        let p = Program::new(
+            [(&[][..], branch), (&[], Terminator::Halt)],
             BlockId(0),
-            vec![],
-            Terminator::Branch {
-                cond: BranchCond::Eq,
-                src1: IntReg(0),
-                src2: IntReg(0),
-                taken: BlockId(5),
-                not_taken: BlockId(0),
-            },
+            256,
         );
-        let halt = BasicBlock::new(BlockId(1), vec![], Terminator::Halt);
-        let p = Program::new(vec![block, halt], BlockId(0), 256);
         assert_eq!(
             p.validate(),
             Err(ValidateError::DanglingEdge {
@@ -377,15 +398,11 @@ mod tests {
 
     #[test]
     fn invalid_register_rejected() {
-        let block = BasicBlock::new(
-            BlockId(0),
-            vec![Instruction::LoadImm {
-                dst: IntReg(200),
-                imm: 0,
-            }],
-            Terminator::Halt,
-        );
-        let p = Program::new(vec![block], BlockId(0), 256);
+        let body = [Instruction::LoadImm {
+            dst: IntReg(200),
+            imm: 0,
+        }];
+        let p = Program::new([(&body[..], Terminator::Halt)], BlockId(0), 256);
         assert_eq!(
             p.validate(),
             Err(ValidateError::InvalidRegister {
@@ -397,22 +414,8 @@ mod tests {
 
     #[test]
     fn missing_halt_rejected() {
-        let block = BasicBlock::new(BlockId(0), vec![], Terminator::Jump(BlockId(0)));
-        let p = Program::new(vec![block], BlockId(0), 256);
+        let p = Program::new([(&[][..], Terminator::Jump(BlockId(0)))], BlockId(0), 256);
         assert_eq!(p.validate(), Err(ValidateError::NoHalt));
-    }
-
-    #[test]
-    fn misnumbered_block_rejected() {
-        let block = BasicBlock::new(BlockId(3), vec![], Terminator::Halt);
-        let p = Program::new(vec![block], BlockId(0), 256);
-        assert_eq!(
-            p.validate(),
-            Err(ValidateError::MisnumberedBlock {
-                index: 0,
-                id: BlockId(3)
-            })
-        );
     }
 
     #[test]

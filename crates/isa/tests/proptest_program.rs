@@ -3,8 +3,8 @@
 //! and disassembly totality.
 
 use hashcore_isa::{
-    decode, emit_c_source, encode, BasicBlock, BlockId, BranchCond, FpOp, FpReg, Instruction,
-    IntAluOp, IntMulOp, IntReg, OpClass, Program, Terminator, VecOp, VecReg,
+    decode, emit_c_source, encode, BlockId, BranchCond, FpOp, FpReg, Instruction, IntAluOp,
+    IntMulOp, IntReg, OpClass, Program, ProgramBuilder, Terminator, VecOp, VecReg,
 };
 use proptest::prelude::*;
 
@@ -103,12 +103,9 @@ fn arb_program() -> impl Strategy<Value = Program> {
         let memory_bits = 6u32..16;
         (bodies, memory_bits, any::<u64>()).prop_map(|(bodies, memory_bits, picker)| {
             let count = bodies.len();
-            let blocks: Vec<BasicBlock> = bodies
-                .into_iter()
-                .enumerate()
-                .map(|(i, instructions)| {
-                    let id = BlockId(i as u32);
-                    let terminator = if i + 1 == count {
+            let terminators: Vec<Terminator> = (0..count)
+                .map(|i| {
+                    if i + 1 == count {
                         Terminator::Halt
                     } else if picker.rotate_left(i as u32) % 3 == 0 {
                         Terminator::Branch {
@@ -120,10 +117,10 @@ fn arb_program() -> impl Strategy<Value = Program> {
                         }
                     } else {
                         Terminator::Jump(BlockId(((i + 1) % count) as u32))
-                    };
-                    BasicBlock::new(id, instructions, terminator)
+                    }
                 })
                 .collect();
+            let blocks = bodies.iter().map(Vec::as_slice).zip(terminators);
             Program::new(blocks, BlockId(0), 1 << memory_bits)
         })
     })
@@ -146,10 +143,9 @@ proptest! {
     fn stats_match_block_contents(program in arb_program()) {
         let stats = program.stats();
         prop_assert_eq!(stats.block_count, program.blocks().len());
-        let body_total: usize = program.blocks().iter().map(|b| b.instructions.len()).sum();
+        let body_total: usize = program.blocks().map(|b| b.instructions.len()).sum();
         let branches = program
             .blocks()
-            .iter()
             .filter(|b| b.terminator.is_conditional())
             .count();
         prop_assert_eq!(stats.static_instructions, body_total + branches);
@@ -164,14 +160,30 @@ proptest! {
 
     #[test]
     fn pc_layout_is_dense_and_consistent(program in arb_program()) {
-        let bases = program.block_pc_bases();
-        prop_assert_eq!(bases.len(), program.blocks().len());
         let mut expected = 0u32;
-        for (base, block) in bases.iter().zip(program.blocks()) {
-            prop_assert_eq!(*base, expected);
+        for block in program.blocks() {
+            prop_assert_eq!(program.block_pc_base(block.id), expected);
+            prop_assert_eq!(program.block(block.id), block);
             expected += block.instructions.len() as u32 + 1;
         }
         prop_assert_eq!(program.pc_slot_count(), expected);
+    }
+
+    /// The builder stores blocks in emission order and finishes them in
+    /// id order, so the order blocks are populated in never shows in the
+    /// program: populating them last-to-first gives the same program.
+    #[test]
+    fn emission_order_does_not_change_the_program(program in arb_program()) {
+        let mut b = ProgramBuilder::new(program.memory_size());
+        let ids: Vec<BlockId> = program.blocks().map(|_| b.reserve_block()).collect();
+        for &id in ids.iter().rev() {
+            b.begin_reserved(id);
+            for &inst in program.block(id).instructions {
+                b.push(inst);
+            }
+            b.terminate(program.block(id).terminator);
+        }
+        prop_assert_eq!(b.finish(program.entry()), program);
     }
 
     #[test]

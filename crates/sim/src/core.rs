@@ -90,21 +90,19 @@ fn instruction_slot(inst: &Instruction) -> SlotInfo {
 }
 
 /// Builds the pc-indexed operand table for `program` using the canonical
-/// block-major layout shared with the functional executor.
+/// block-major layout shared with the functional executor: each block's
+/// body slots, then its terminator slot.
 fn build_slot_table(program: &Program) -> Vec<SlotInfo> {
-    let mut table = vec![SlotInfo::default(); program.pc_slot_count() as usize];
-    let bases = program.block_pc_bases();
+    let mut table = Vec::with_capacity(program.pc_slot_count() as usize);
     for block in program.blocks() {
-        let base = bases[block.id.index()] as usize;
-        for (i, inst) in block.instructions.iter().enumerate() {
-            table[base + i] = instruction_slot(inst);
-        }
-        if let Terminator::Branch { src1, src2, .. } = block.terminator {
-            table[base + block.instructions.len()] = SlotInfo {
+        table.extend(block.instructions.iter().map(instruction_slot));
+        table.push(match block.terminator {
+            Terminator::Branch { src1, src2, .. } => SlotInfo {
                 sources: vec![RegRef::Int(src1.0), RegRef::Int(src2.0)],
                 dest: None,
-            };
-        }
+            },
+            Terminator::Jump(_) | Terminator::Halt => SlotInfo::default(),
+        });
     }
     table
 }

@@ -94,7 +94,6 @@ impl WorkloadProfiler {
         }
         let static_sites = program
             .blocks()
-            .iter()
             .filter(|b| b.terminator.is_conditional())
             .count() as u32;
         BranchProfile {
@@ -227,22 +226,21 @@ impl WorkloadProfiler {
     }
 
     fn block_profile(&self, program: &Program, trace: &Trace) -> BasicBlockProfile {
-        let static_blocks = program.blocks();
-        let average_block_size = if static_blocks.is_empty() {
+        let block_count = program.blocks().len();
+        let average_block_size = if block_count == 0 {
             0.0
         } else {
-            static_blocks.iter().map(|b| b.len()).sum::<usize>() as f64 / static_blocks.len() as f64
+            program.blocks().map(|b| b.len()).sum::<usize>() as f64 / block_count as f64
         };
 
         // Dynamic execution count per block, recovered from branch targets and
-        // the pc layout.
-        let bases = program.block_pc_bases();
-        let mut block_of_pc: Vec<u32> = vec![0; program.pc_slot_count() as usize];
-        for (block_idx, base) in bases.iter().enumerate() {
-            let len = static_blocks[block_idx].instructions.len() as u32 + 1;
-            for pc in *base..*base + len {
-                block_of_pc[pc as usize] = block_idx as u32;
-            }
+        // the block-major pc layout.
+        let mut block_of_pc: Vec<u32> = Vec::with_capacity(program.pc_slot_count() as usize);
+        for block in program.blocks() {
+            block_of_pc.extend(std::iter::repeat_n(
+                block.id.0,
+                block.instructions.len() + 1,
+            ));
         }
         let mut block_counts: HashMap<u32, u64> = HashMap::new();
         for entry in trace.iter() {
@@ -301,22 +299,19 @@ struct DepSlot {
 }
 
 fn dependency_slots(program: &Program) -> Vec<DepSlot> {
-    let mut table = vec![DepSlot::default(); program.pc_slot_count() as usize];
-    let bases = program.block_pc_bases();
+    let mut table = Vec::with_capacity(program.pc_slot_count() as usize);
     for block in program.blocks() {
-        let base = bases[block.id.index()] as usize;
-        for (i, inst) in block.instructions.iter().enumerate() {
-            table[base + i] = DepSlot {
-                int_sources: inst.int_srcs().iter().map(|r| r.0).collect(),
-                int_dest: inst.int_dst().map(|r| r.0),
-            };
-        }
-        if let Terminator::Branch { src1, src2, .. } = block.terminator {
-            table[base + block.instructions.len()] = DepSlot {
+        table.extend(block.instructions.iter().map(|inst| DepSlot {
+            int_sources: inst.int_srcs().iter().map(|r| r.0).collect(),
+            int_dest: inst.int_dst().map(|r| r.0),
+        }));
+        table.push(match block.terminator {
+            Terminator::Branch { src1, src2, .. } => DepSlot {
                 int_sources: vec![src1.0, src2.0],
                 int_dest: None,
-            };
-        }
+            },
+            Terminator::Jump(_) | Terminator::Halt => DepSlot::default(),
+        });
     }
     table
 }

@@ -70,9 +70,6 @@ pub struct PreparedProgram {
     pub(crate) entry_pc: u32,
     pub(crate) memory_size: usize,
     block_count: usize,
-    /// Reused by [`PreparedProgram::prepare`] so re-preparation is
-    /// allocation-free at steady state.
-    block_starts_buf: Vec<u32>,
 }
 
 impl PreparedProgram {
@@ -103,26 +100,15 @@ impl PreparedProgram {
     pub fn prepare(&mut self, program: &Program) -> Result<(), ValidateError> {
         program.validate()?;
 
+        // One pass in block order: a block's slots are its body followed by
+        // its terminator, and a successor's first slot is its static pc,
+        // which the program's block table gives directly.
         self.slots.clear();
-        let blocks = program.blocks();
-
-        // First pass: compute the slot index of every block's first slot.
-        let mut next = 0u32;
-        let mut block_starts = std::mem::take(&mut self.block_starts_buf);
-        block_starts.clear();
-        block_starts.reserve(blocks.len());
-        for block in blocks {
-            block_starts.push(next);
-            next += block.instructions.len() as u32 + 1;
-        }
-
-        // Second pass: emit body instructions and resolved terminators.
-        self.slots.reserve(next as usize);
-        let resolve = |id: BlockId| block_starts[id.index()];
-        for block in blocks {
-            for inst in &block.instructions {
-                self.slots.push(Slot::Inst(*inst));
-            }
+        self.slots.reserve(program.pc_slot_count() as usize);
+        let resolve = |id: BlockId| program.block_pc_base(id);
+        for block in program.blocks() {
+            self.slots
+                .extend(block.instructions.iter().map(|&inst| Slot::Inst(inst)));
             self.slots.push(match block.terminator {
                 Terminator::Halt => Slot::Halt,
                 Terminator::Jump(target) => Slot::Jump {
@@ -144,10 +130,9 @@ impl PreparedProgram {
             });
         }
 
-        self.entry_pc = block_starts[program.entry().index()];
+        self.entry_pc = resolve(program.entry());
         self.memory_size = program.memory_size();
-        self.block_count = blocks.len();
-        self.block_starts_buf = block_starts;
+        self.block_count = program.blocks().len();
         Ok(())
     }
 
@@ -167,16 +152,16 @@ impl PreparedProgram {
         self.slots.len() as u32
     }
 
-    /// Pre-sizes the slot array for programs of up to `slots` pc slots and
-    /// `blocks` blocks, so a caller with a worst-case bound pays all growth
-    /// up front instead of on whichever program first hits the maximum.
-    pub fn prime(&mut self, slots: usize, blocks: usize) {
+    /// Pre-sizes the slot array for programs of up to `slots` pc slots, so
+    /// a caller with a worst-case bound pays all growth up front instead of
+    /// on whichever program first hits the maximum.
+    ///
+    /// The block count is not needed: preparation reads the block table
+    /// from the program and keeps nothing per block. The parameter stays so
+    /// existing callers keep compiling.
+    pub fn prime(&mut self, slots: usize, _blocks: usize) {
         if self.slots.capacity() < slots {
             self.slots.reserve_exact(slots - self.slots.len());
-        }
-        if self.block_starts_buf.capacity() < blocks {
-            self.block_starts_buf
-                .reserve_exact(blocks - self.block_starts_buf.len());
         }
     }
 }

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target = Target::from_leading_zero_bits(4);
     let result = pow
         .mine(header, target, 0, 256)?
-        .expect("a 4-bit target is met quickly");
+        .ok_or("no nonce in 0..256 met the 4-bit target")?;
     println!(
         "\nmined nonce {} in {} attempts -> {}",
         result.nonce,
@@ -42,15 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Verify, as every full node would: evaluate the hash again over
     //    the header and nonce, re-generating and re-executing the widget
-    //    from them alone, and check the target.
+    //    from them alone, and check the target. A failure exits non-zero.
     let verified = pow.hash(&HashCore::mining_input(header, result.nonce))?;
-    println!(
-        "verification:     {}",
-        if verified.digest == result.digest && target.is_met_by(&verified.digest) {
-            "OK"
-        } else {
-            "FAILED"
-        }
-    );
+    if verified.digest != result.digest || !target.is_met_by(&verified.digest) {
+        println!("verification:     FAILED");
+        return Err("the mined nonce did not verify".into());
+    }
+    println!("verification:     OK");
     Ok(())
 }
