@@ -1,20 +1,28 @@
 //! The widget executor.
 
-use crate::prepared::{ExecScratch, PreparedProgram, Slot};
-use crate::state::MachineState;
+use crate::prepared::{ExecScratch, Op, PreparedProgram};
+use crate::state::{write_snapshot, MachineState, SNAPSHOT_BYTES};
 use crate::trace::{BranchRecord, Trace, TraceEntry};
-use hashcore_isa::{FpOp, Instruction, IntAluOp, IntMulOp, OpClass, Program, VecOp, VEC_LANES};
+use hashcore_isa::{BranchCond, OpClass, Program, VEC_LANES};
 use std::fmt;
 
 /// Configuration for one widget execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Maximum number of retired instructions before execution is aborted
-    /// with [`ExecError::StepLimitExceeded`]. This bounds verification cost
-    /// and guarantees termination for any program.
+    /// Maximum number of retired instructions: a program that halts after
+    /// retiring `max_steps` or more fails with
+    /// [`ExecError::StepLimitExceeded`], as does one that never halts. This
+    /// bounds verification cost and guarantees termination for any program.
+    ///
+    /// The limit is tested at control transfers (jumps, branches) and at
+    /// halt, not after every instruction, so a run that fails may first
+    /// finish the block in which it crossed the limit. Output, trace and
+    /// machine state in the [`ExecScratch`] are unspecified after an error.
     pub max_steps: u64,
     /// Whether to record the dynamic trace (needed for simulation; the plain
-    /// PoW path can switch it off to go faster).
+    /// PoW path switches it off to go faster). The executor's loop is
+    /// compiled once for each setting, so the untraced loop carries no
+    /// tracing code at all.
     pub collect_trace: bool,
     /// Seed used to initialise memory and registers before execution (the
     /// Table-I memory seed in the full HashCore pipeline).
@@ -116,7 +124,7 @@ impl Executor {
     /// Runs `program` to completion.
     ///
     /// This is a convenience wrapper over the prepared path: it validates
-    /// and pre-decodes the program, executes it in a fresh [`ExecScratch`],
+    /// and compiles the program, executes it in a fresh [`ExecScratch`],
     /// and moves the buffers into an owned [`Execution`]. Hot loops that run
     /// many programs (or one program many times) should call
     /// [`Executor::execute_prepared`] with long-lived state instead.
@@ -139,14 +147,12 @@ impl Executor {
         })
     }
 
-    /// Runs a pre-decoded program in reusable scratch state.
+    /// Runs a prepared program in reusable scratch state.
     ///
     /// The scratch's machine state is re-seeded in place from
     /// [`ExecConfig::memory_seed`] and its output/trace buffers are cleared
     /// (capacity retained), so repeated calls perform no heap allocation
-    /// once the buffers have reached their steady-state sizes. The retired
-    /// instruction sequence — and therefore the widget output, the trace
-    /// and all statistics — is identical to [`Executor::execute`].
+    /// once the buffers have reached their steady-state sizes.
     ///
     /// On success the widget output is in [`ExecScratch::output`] and the
     /// trace (when [`ExecConfig::collect_trace`] is set) in
@@ -168,7 +174,7 @@ impl Executor {
         scratch: &mut ExecScratch,
     ) -> Result<ExecStats, ExecError> {
         assert!(
-            !prepared.slots.is_empty(),
+            !prepared.ops.is_empty(),
             "execute_prepared requires a successfully prepared program"
         );
         scratch.state.reset(prepared.memory_size);
@@ -177,74 +183,201 @@ impl Executor {
         scratch.trace.clear();
 
         let max_steps = self.config.max_steps;
-        let collect_trace = self.config.collect_trace;
-        let slots = prepared.slots.as_slice();
-        let mut steps = 0u64;
-        let mut snapshots = 0u64;
-        let mut pc = prepared.entry_pc as usize;
+        let dynamic_instructions = if self.config.collect_trace {
+            run::<true>(prepared, max_steps, scratch)
+        } else {
+            run::<false>(prepared, max_steps, scratch)
+        }?;
+        Ok(ExecStats {
+            dynamic_instructions,
+            snapshot_count: (scratch.output.len() / SNAPSHOT_BYTES) as u64,
+        })
+    }
+}
 
-        loop {
-            // One limit check per slot reproduces the naive executor's check
-            // sequence exactly (before every instruction and terminator), so
-            // limit-boundary behaviour is bit-identical across both paths.
+/// The interpreter loop, compiled once with the trace on and once with it
+/// off: one `match` per retired instruction. Returns the number of retired
+/// instructions.
+///
+/// Steps are counted, and the limit tested, only at control transfers,
+/// where a terminator adds its block's body length (and one for a branch).
+/// A jump always lands on an op that retires an instruction or halts, so a
+/// run that never halts reaches the limit, and one that halts fails exactly
+/// when it retired at least `max_steps` instructions.
+fn run<const TRACE: bool>(
+    prepared: &PreparedProgram,
+    max_steps: u64,
+    scratch: &mut ExecScratch,
+) -> Result<u64, ExecError> {
+    let ExecScratch {
+        state,
+        output,
+        trace,
+    } = scratch;
+    let MachineState {
+        int_regs: x,
+        fp_regs: f,
+        vec_regs: v,
+        memory: m,
+    } = state;
+    let ops = prepared.ops.as_slice();
+    let mut pc = prepared.entry_pc as usize;
+    let mut steps = 0u64;
+
+    // Adds `$retired` steps at a control transfer; fails once they reach
+    // the limit.
+    macro_rules! transfer {
+        ($retired:expr) => {
+            steps += $retired;
             if steps >= max_steps {
                 return Err(ExecError::StepLimitExceeded { limit: max_steps });
             }
-            match slots[pc] {
-                Slot::Inst(ref inst) => {
-                    let mem_addr = step(
-                        &mut scratch.state,
-                        inst,
-                        &mut scratch.output,
-                        &mut snapshots,
-                    );
-                    steps += 1;
-                    if collect_trace {
-                        scratch.trace.push(TraceEntry {
-                            pc: pc as u32,
-                            class: inst.class(),
-                            mem_addr,
-                            branch: None,
-                        });
-                    }
-                    pc += 1;
+        };
+    }
+    // Retires a conditional branch that ends a block of `$len` body
+    // instructions, and follows it.
+    macro_rules! branch {
+        ($cond:expr, $a:ident, $b:ident, $to:ident, $len:ident) => {{
+            let taken = $cond.evaluate(x[$a as usize], x[$b as usize]);
+            let target = $to[usize::from(taken)];
+            if TRACE {
+                trace.push(TraceEntry {
+                    pc: pc as u32,
+                    class: OpClass::Branch,
+                    mem_addr: None,
+                    branch: Some(BranchRecord {
+                        taken,
+                        target_pc: target,
+                    }),
+                });
+            }
+            transfer!(u64::from($len) + 1);
+            pc = target as usize;
+            continue;
+        }};
+    }
+
+    loop {
+        let op = ops[pc];
+        // The address a load or store used, for the trace.
+        let mut addr = None;
+        match op {
+            Op::Add(d, a, b) => x[d as usize] = x[a as usize].wrapping_add(x[b as usize]),
+            Op::Sub(d, a, b) => x[d as usize] = x[a as usize].wrapping_sub(x[b as usize]),
+            Op::And(d, a, b) => x[d as usize] = x[a as usize] & x[b as usize],
+            Op::Or(d, a, b) => x[d as usize] = x[a as usize] | x[b as usize],
+            Op::Xor(d, a, b) => x[d as usize] = x[a as usize] ^ x[b as usize],
+            Op::Shl(d, a, b) => x[d as usize] = x[a as usize] << (x[b as usize] & 63),
+            Op::Shr(d, a, b) => x[d as usize] = x[a as usize] >> (x[b as usize] & 63),
+            Op::Rotl(d, a, b) => {
+                x[d as usize] = x[a as usize].rotate_left((x[b as usize] & 63) as u32)
+            }
+            Op::Min(d, a, b) => x[d as usize] = x[a as usize].min(x[b as usize]),
+            Op::Max(d, a, b) => x[d as usize] = x[a as usize].max(x[b as usize]),
+            Op::AddI(d, a, imm) => x[d as usize] = x[a as usize].wrapping_add(imm),
+            Op::SubI(d, a, imm) => x[d as usize] = x[a as usize].wrapping_sub(imm),
+            Op::AndI(d, a, imm) => x[d as usize] = x[a as usize] & imm,
+            Op::OrI(d, a, imm) => x[d as usize] = x[a as usize] | imm,
+            Op::XorI(d, a, imm) => x[d as usize] = x[a as usize] ^ imm,
+            Op::ShlI(d, a, imm) => x[d as usize] = x[a as usize] << (imm & 63),
+            Op::ShrI(d, a, imm) => x[d as usize] = x[a as usize] >> (imm & 63),
+            Op::RotlI(d, a, imm) => x[d as usize] = x[a as usize].rotate_left((imm & 63) as u32),
+            Op::MinI(d, a, imm) => x[d as usize] = x[a as usize].min(imm),
+            Op::MaxI(d, a, imm) => x[d as usize] = x[a as usize].max(imm),
+            Op::LoadImm(d, imm) => x[d as usize] = imm,
+            Op::Mul(d, a, b) => x[d as usize] = x[a as usize].wrapping_mul(x[b as usize]),
+            Op::MulHi(d, a, b) => {
+                x[d as usize] =
+                    ((u128::from(x[a as usize]) * u128::from(x[b as usize])) >> 64) as u64
+            }
+            Op::FAdd(d, a, b) => f[d as usize] = canon(f[a as usize] + f[b as usize]),
+            Op::FSub(d, a, b) => f[d as usize] = canon(f[a as usize] - f[b as usize]),
+            Op::FMul(d, a, b) => f[d as usize] = canon(f[a as usize] * f[b as usize]),
+            Op::FDiv(d, a, b) => f[d as usize] = canon(f[a as usize] / f[b as usize]),
+            Op::FMin(d, a, b) => {
+                let (p, q) = (f[a as usize], f[b as usize]);
+                f[d as usize] = canon(if p < q { p } else { q });
+            }
+            Op::FMax(d, a, b) => {
+                let (p, q) = (f[a as usize], f[b as usize]);
+                f[d as usize] = canon(if p > q { p } else { q });
+            }
+            Op::FpFromInt(d, a) => f[d as usize] = canon(x[a as usize] as i64 as f64),
+            // `as` casts saturate in Rust, which is exactly the deterministic
+            // behaviour we want.
+            Op::FpToInt(d, a) => x[d as usize] = canon(f[a as usize]) as i64 as u64,
+            Op::Load(r, base, offset) => {
+                let at = x[base as usize].wrapping_add(offset);
+                x[r as usize] = m.load(at);
+                addr = Some(at);
+            }
+            Op::Store(r, base, offset) => {
+                let at = x[base as usize].wrapping_add(offset);
+                m.store(at, x[r as usize]);
+                addr = Some(at);
+            }
+            Op::FpLoad(r, base, offset) => {
+                let at = x[base as usize].wrapping_add(offset);
+                f[r as usize] = canon(f64::from_bits(m.load(at)));
+                addr = Some(at);
+            }
+            Op::FpStore(r, base, offset) => {
+                let at = x[base as usize].wrapping_add(offset);
+                m.store(at, canon(f[r as usize]).to_bits());
+                addr = Some(at);
+            }
+            Op::VecLoad(r, base, offset) => {
+                let at = x[base as usize].wrapping_add(offset);
+                v[r as usize] =
+                    std::array::from_fn(|lane| m.load(at.wrapping_add(8 * lane as u64)));
+                addr = Some(at);
+            }
+            Op::VecStore(r, base, offset) => {
+                let at = x[base as usize].wrapping_add(offset);
+                for (lane, &value) in v[r as usize].iter().enumerate() {
+                    m.store(at.wrapping_add(8 * lane as u64), value);
                 }
-                Slot::Jump { target } => {
-                    pc = target as usize;
-                }
-                Slot::Branch {
-                    cond,
-                    src1,
-                    src2,
-                    taken,
-                    not_taken,
-                } => {
-                    let v1 = scratch.state.int_regs[src1.0 as usize];
-                    let v2 = scratch.state.int_regs[src2.0 as usize];
-                    let is_taken = cond.evaluate(v1, v2);
-                    let target = if is_taken { taken } else { not_taken };
-                    steps += 1;
-                    if collect_trace {
-                        scratch.trace.push(TraceEntry {
-                            pc: pc as u32,
-                            class: OpClass::Branch,
-                            mem_addr: None,
-                            branch: Some(BranchRecord {
-                                taken: is_taken,
-                                target_pc: target,
-                            }),
-                        });
-                    }
-                    pc = target as usize;
-                }
-                Slot::Halt => {
-                    return Ok(ExecStats {
-                        dynamic_instructions: steps,
-                        snapshot_count: snapshots,
-                    });
-                }
+                addr = Some(at);
+            }
+            Op::VAdd(d, a, b) => {
+                v[d as usize] = lanes(v[a as usize], v[b as usize], u64::wrapping_add)
+            }
+            Op::VXor(d, a, b) => v[d as usize] = lanes(v[a as usize], v[b as usize], |p, q| p ^ q),
+            Op::VMul(d, a, b) => {
+                v[d as usize] = lanes(v[a as usize], v[b as usize], u64::wrapping_mul)
+            }
+            Op::VRotl(d, a, b) => {
+                v[d as usize] = lanes(v[a as usize], v[b as usize], |p, q| {
+                    p.rotate_left((q & 63) as u32)
+                })
+            }
+            Op::Snapshot => write_snapshot(x, f, v, output),
+            Op::Beq(a, b, to, len) => branch!(BranchCond::Eq, a, b, to, len),
+            Op::Bne(a, b, to, len) => branch!(BranchCond::Ne, a, b, to, len),
+            Op::Blt(a, b, to, len) => branch!(BranchCond::Lt, a, b, to, len),
+            Op::Bge(a, b, to, len) => branch!(BranchCond::Ge, a, b, to, len),
+            Op::Bltu(a, b, to, len) => branch!(BranchCond::Ltu, a, b, to, len),
+            Op::Bgeu(a, b, to, len) => branch!(BranchCond::Geu, a, b, to, len),
+            Op::Jump(target, len) => {
+                transfer!(u64::from(len));
+                pc = target as usize;
+                continue;
+            }
+            Op::NeverHalts => return Err(ExecError::StepLimitExceeded { limit: max_steps }),
+            Op::Halt(len) => {
+                transfer!(u64::from(len));
+                return Ok(steps);
             }
         }
+        if TRACE {
+            trace.push(TraceEntry {
+                pc: pc as u32,
+                class: op.class(),
+                mem_addr: addr.map(|at| m.wrap(at)),
+                branch: None,
+            });
+        }
+        pc += 1;
     }
 }
 
@@ -258,178 +391,21 @@ fn canon(x: f64) -> f64 {
     }
 }
 
-fn alu(op: IntAluOp, a: u64, b: u64) -> u64 {
-    match op {
-        IntAluOp::Add => a.wrapping_add(b),
-        IntAluOp::Sub => a.wrapping_sub(b),
-        IntAluOp::And => a & b,
-        IntAluOp::Or => a | b,
-        IntAluOp::Xor => a ^ b,
-        IntAluOp::Shl => a << (b & 63),
-        IntAluOp::Shr => a >> (b & 63),
-        IntAluOp::Rotl => a.rotate_left((b & 63) as u32),
-        IntAluOp::Min => a.min(b),
-        IntAluOp::Max => a.max(b),
-    }
-}
-
-/// Executes one straight-line instruction, returning the effective memory
-/// address if it touched memory.
-fn step(
-    state: &mut MachineState,
-    inst: &Instruction,
-    output: &mut Vec<u8>,
-    snapshots: &mut u64,
-) -> Option<u64> {
-    match *inst {
-        Instruction::IntAlu {
-            op,
-            dst,
-            src1,
-            src2,
-        } => {
-            let a = state.int_regs[src1.0 as usize];
-            let b = state.int_regs[src2.0 as usize];
-            state.int_regs[dst.0 as usize] = alu(op, a, b);
-            None
-        }
-        Instruction::IntAluImm { op, dst, src, imm } => {
-            let a = state.int_regs[src.0 as usize];
-            state.int_regs[dst.0 as usize] = alu(op, a, imm as i64 as u64);
-            None
-        }
-        Instruction::IntMul {
-            op,
-            dst,
-            src1,
-            src2,
-        } => {
-            let a = state.int_regs[src1.0 as usize];
-            let b = state.int_regs[src2.0 as usize];
-            state.int_regs[dst.0 as usize] = match op {
-                IntMulOp::Mul => a.wrapping_mul(b),
-                IntMulOp::MulHi => ((a as u128 * b as u128) >> 64) as u64,
-            };
-            None
-        }
-        Instruction::LoadImm { dst, imm } => {
-            state.int_regs[dst.0 as usize] = imm as u64;
-            None
-        }
-        Instruction::Fp {
-            op,
-            dst,
-            src1,
-            src2,
-        } => {
-            let a = state.fp_regs[src1.0 as usize];
-            let b = state.fp_regs[src2.0 as usize];
-            let v = match op {
-                FpOp::Add => a + b,
-                FpOp::Sub => a - b,
-                FpOp::Mul => a * b,
-                FpOp::Div => a / b,
-                FpOp::Min => {
-                    if a < b {
-                        a
-                    } else {
-                        b
-                    }
-                }
-                FpOp::Max => {
-                    if a > b {
-                        a
-                    } else {
-                        b
-                    }
-                }
-            };
-            state.fp_regs[dst.0 as usize] = canon(v);
-            None
-        }
-        Instruction::FpFromInt { dst, src } => {
-            state.fp_regs[dst.0 as usize] = canon(state.int_regs[src.0 as usize] as i64 as f64);
-            None
-        }
-        Instruction::FpToInt { dst, src } => {
-            let v = canon(state.fp_regs[src.0 as usize]);
-            // `as` casts saturate in Rust, which is exactly the deterministic
-            // behaviour we want.
-            state.int_regs[dst.0 as usize] = v as i64 as u64;
-            None
-        }
-        Instruction::Load { dst, base, offset } => {
-            let addr = state.int_regs[base.0 as usize].wrapping_add(offset as i64 as u64);
-            state.int_regs[dst.0 as usize] = state.load64(addr);
-            Some(state.wrap_addr(addr))
-        }
-        Instruction::Store { src, base, offset } => {
-            let addr = state.int_regs[base.0 as usize].wrapping_add(offset as i64 as u64);
-            let value = state.int_regs[src.0 as usize];
-            state.store64(addr, value);
-            Some(state.wrap_addr(addr))
-        }
-        Instruction::FpLoad { dst, base, offset } => {
-            let addr = state.int_regs[base.0 as usize].wrapping_add(offset as i64 as u64);
-            state.fp_regs[dst.0 as usize] = canon(f64::from_bits(state.load64(addr)));
-            Some(state.wrap_addr(addr))
-        }
-        Instruction::FpStore { src, base, offset } => {
-            let addr = state.int_regs[base.0 as usize].wrapping_add(offset as i64 as u64);
-            let bits = canon(state.fp_regs[src.0 as usize]).to_bits();
-            state.store64(addr, bits);
-            Some(state.wrap_addr(addr))
-        }
-        Instruction::Vec {
-            op,
-            dst,
-            src1,
-            src2,
-        } => {
-            let a = state.vec_regs[src1.0 as usize];
-            let b = state.vec_regs[src2.0 as usize];
-            let mut out = [0u64; VEC_LANES];
-            for lane in 0..VEC_LANES {
-                out[lane] = match op {
-                    VecOp::Add => a[lane].wrapping_add(b[lane]),
-                    VecOp::Xor => a[lane] ^ b[lane],
-                    VecOp::Mul => a[lane].wrapping_mul(b[lane]),
-                    VecOp::Rotl => a[lane].rotate_left((b[lane] & 63) as u32),
-                };
-            }
-            state.vec_regs[dst.0 as usize] = out;
-            None
-        }
-        Instruction::VecLoad { dst, base, offset } => {
-            let addr = state.int_regs[base.0 as usize].wrapping_add(offset as i64 as u64);
-            let mut out = [0u64; VEC_LANES];
-            for (lane, slot) in out.iter_mut().enumerate() {
-                *slot = state.load64(addr.wrapping_add(8 * lane as u64));
-            }
-            state.vec_regs[dst.0 as usize] = out;
-            Some(state.wrap_addr(addr))
-        }
-        Instruction::VecStore { src, base, offset } => {
-            let addr = state.int_regs[base.0 as usize].wrapping_add(offset as i64 as u64);
-            let v = state.vec_regs[src.0 as usize];
-            for (lane, value) in v.iter().enumerate() {
-                state.store64(addr.wrapping_add(8 * lane as u64), *value);
-            }
-            Some(state.wrap_addr(addr))
-        }
-        Instruction::Snapshot => {
-            state.write_snapshot(output);
-            *snapshots += 1;
-            None
-        }
-    }
+/// Applies `op` lane by lane.
+fn lanes(
+    p: [u64; VEC_LANES],
+    q: [u64; VEC_LANES],
+    op: impl Fn(u64, u64) -> u64,
+) -> [u64; VEC_LANES] {
+    std::array::from_fn(|lane| op(p[lane], q[lane]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::SNAPSHOT_BYTES;
-    use hashcore_isa::{BlockId, BranchCond, FpReg, IntReg, ProgramBuilder, Terminator, VecReg};
+    use hashcore_isa::{
+        BlockId, FpOp, FpReg, IntAluOp, IntMulOp, IntReg, ProgramBuilder, Terminator, VecOp, VecReg,
+    };
 
     fn run(program: &Program) -> Execution {
         Executor::new(ExecConfig::default())

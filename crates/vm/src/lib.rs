@@ -13,15 +13,22 @@
 //!   register-snapshot stream that is concatenated with the hash seed and
 //!   fed to the second hash gate),
 //! * [`PreparedProgram`] and [`ExecScratch`] provide the **zero-allocation
-//!   hot path** ([`Executor::execute_prepared`]): validate once, pre-decode
-//!   the program into a block-major slot array, and reuse machine state and
-//!   output/trace buffers across runs — the unit of parallel mining fan-out,
-//! * it simultaneously records a **dynamic trace** ([`Trace`]) of every
-//!   retired instruction, which `hashcore-sim` replays through its
-//!   micro-architecture model to measure IPC and branch-prediction
-//!   behaviour (Figures 2 and 3),
-//! * execution is bounded by [`ExecConfig::max_steps`], so malformed or
-//!   adversarial programs cannot spin a verifier forever.
+//!   hot path** ([`Executor::execute_prepared`]): validate once, compile
+//!   the program into one flat op per static pc slot (operation, registers
+//!   and immediate resolved, so the interpreter dispatches once per
+//!   retired instruction), and reuse machine state and output/trace
+//!   buffers across runs — the unit of parallel mining fan-out;
+//!   [`Executor::execute`] is a wrapper over it,
+//! * on request ([`ExecConfig::collect_trace`]) it records a **dynamic
+//!   trace** ([`Trace`]) of every retired instruction, which `hashcore-sim`
+//!   replays through its micro-architecture model to measure IPC and
+//!   branch-prediction behaviour (Figures 2 and 3); the interpreter loop is
+//!   compiled once with tracing and once without, so mining pays nothing
+//!   for it,
+//! * execution is bounded by [`ExecConfig::max_steps`], tested at every
+//!   control transfer and at halt, so malformed or adversarial programs —
+//!   including ones whose jumps cycle without retiring anything — cannot
+//!   spin a verifier forever.
 //!
 //! The executor is a pure function of the program, the memory seed, and the
 //! configuration, which is what makes HashCore verifiable: every node that

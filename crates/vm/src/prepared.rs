@@ -1,79 +1,334 @@
-//! Prepared execution: validate-once, pre-decoded programs plus reusable
+//! Prepared execution: programs compiled once into flat ops, plus reusable
 //! execution state.
 //!
-//! The naive [`crate::Executor::execute`] path pays per-run costs that the
-//! mining hot loop (hash → generate → execute → hash, once per nonce) cannot
-//! afford: it re-validates the program, re-derives the block-major pc
-//! layout, allocates and re-seeds a fresh [`MachineState`], and allocates
-//! fresh output/trace buffers. [`PreparedProgram`] and [`ExecScratch`] split
-//! those costs out:
+//! [`PreparedProgram::prepare`] validates a program once and compiles every
+//! static pc slot into one 16-byte [`Op`], in the block-major layout (each
+//! block's body, then its terminator), so an op's index *is* its static
+//! program counter. An op names one operation — `Add`, `AddI`, `FDiv`,
+//! `Bltu`, … — with its register indices, its sign-extended immediate and
+//! its successor slots already resolved, so
+//! [`crate::Executor::execute_prepared`] dispatches once per retired
+//! instruction and never looks back at the [`Program`].
 //!
-//! * [`PreparedProgram`] validates the program once and flattens its blocks
-//!   into a block-major slot array in which the array index *is* the static
-//!   program counter and every terminator's successor is resolved to the
-//!   target's slot index — the dispatch loop never chases
-//!   `BlockId → block → instruction iterator` indirection again;
-//! * [`ExecScratch`] owns the machine state and the output/trace buffers and
-//!   is re-seeded in place, so repeated executions perform no heap
-//!   allocation once the buffers have grown to their steady-state sizes.
-//!
-//! [`crate::Executor::execute_prepared`] is the entry point; the classic
+//! [`ExecScratch`] owns the machine state and the output and trace buffers
+//! and is re-seeded in place, so repeated executions perform no heap
+//! allocation once the buffers have grown to their steady-state sizes.
 //! [`crate::Executor::execute`] is a thin wrapper that prepares, runs and
-//! moves the scratch buffers into an owned [`crate::Execution`]. Both paths
-//! retire the identical instruction sequence and therefore produce
-//! byte-identical output, traces and statistics (asserted by the
-//! equivalence tests in `tests/proptest_executor.rs`).
+//! moves the scratch buffers into an owned [`crate::Execution`].
 
 use crate::state::MachineState;
-use hashcore_isa::{BlockId, BranchCond, Instruction, IntReg, Program, Terminator, ValidateError};
+use hashcore_isa::{
+    BlockId, BranchCond, FpOp, Instruction, IntAluOp, IntMulOp, OpClass, Program, Terminator,
+    ValidateError, VecOp,
+};
 
-/// One pre-decoded slot of a [`PreparedProgram`].
+/// One compiled pc slot: a body instruction or a block terminator.
 ///
-/// The slot array is block-major — each block contributes its body
-/// instructions followed by one terminator slot — so a slot's index equals
-/// the static program counter the naive executor would assign it.
+/// Operands are positional, as each group's comment lists them. Registers
+/// are register-file indices, immediates and memory offsets are
+/// sign-extended to 64 bits, and successors are slot indices. A
+/// terminator's `len` is the length of its block's body: control only ever
+/// enters a block at its first slot, so `len` instructions have retired in
+/// the block when its terminator runs, and the executor counts steps there
+/// and nowhere else.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Slot {
-    /// A straight-line body instruction.
-    Inst(Instruction),
-    /// An unconditional jump, resolved to the target block's first slot.
-    Jump {
-        /// Slot index (= static pc) of the target block's first slot.
-        target: u32,
-    },
-    /// A conditional branch with both successors resolved.
-    Branch {
-        /// Comparison applied to the two source registers.
-        cond: BranchCond,
-        /// First comparison operand.
-        src1: IntReg,
-        /// Second comparison operand.
-        src2: IntReg,
-        /// Slot index of the successor when the condition holds.
-        taken: u32,
-        /// Slot index of the successor when the condition does not hold.
-        not_taken: u32,
-    },
-    /// Terminates execution.
-    Halt,
+pub(crate) enum Op {
+    // Integer ALU, `(d, a, b)`: `d = a op b`.
+    Add(u8, u8, u8),
+    Sub(u8, u8, u8),
+    And(u8, u8, u8),
+    Or(u8, u8, u8),
+    Xor(u8, u8, u8),
+    Shl(u8, u8, u8),
+    Shr(u8, u8, u8),
+    Rotl(u8, u8, u8),
+    Min(u8, u8, u8),
+    Max(u8, u8, u8),
+    // Integer ALU with an immediate, `(d, a, imm)`: `d = a op imm`.
+    AddI(u8, u8, u64),
+    SubI(u8, u8, u64),
+    AndI(u8, u8, u64),
+    OrI(u8, u8, u64),
+    XorI(u8, u8, u64),
+    ShlI(u8, u8, u64),
+    ShrI(u8, u8, u64),
+    RotlI(u8, u8, u64),
+    MinI(u8, u8, u64),
+    MaxI(u8, u8, u64),
+    // `(d, imm)`: `d = imm`.
+    LoadImm(u8, u64),
+    // Integer multiply, `(d, a, b)`.
+    Mul(u8, u8, u8),
+    MulHi(u8, u8, u8),
+    // Floating point, `(d, a, b)`, then conversions `(d, a)` from and to an
+    // integer register.
+    FAdd(u8, u8, u8),
+    FSub(u8, u8, u8),
+    FMul(u8, u8, u8),
+    FDiv(u8, u8, u8),
+    FMin(u8, u8, u8),
+    FMax(u8, u8, u8),
+    FpFromInt(u8, u8),
+    FpToInt(u8, u8),
+    // Memory, `(r, base, offset)`: register `r` is loaded from or stored to
+    // address `base + offset`.
+    Load(u8, u8, u64),
+    Store(u8, u8, u64),
+    FpLoad(u8, u8, u64),
+    FpStore(u8, u8, u64),
+    VecLoad(u8, u8, u64),
+    VecStore(u8, u8, u64),
+    // Vector, lane by lane, `(d, a, b)`.
+    VAdd(u8, u8, u8),
+    VXor(u8, u8, u8),
+    VMul(u8, u8, u8),
+    VRotl(u8, u8, u8),
+    Snapshot,
+    // Conditional branches on integer registers, `(a, b, to, len)`: `to`
+    // holds the successor slots indexed by the outcome, `[not taken, taken]`.
+    Beq(u8, u8, [u32; 2], u32),
+    Bne(u8, u8, [u32; 2], u32),
+    Blt(u8, u8, [u32; 2], u32),
+    Bge(u8, u8, [u32; 2], u32),
+    Bltu(u8, u8, [u32; 2], u32),
+    Bgeu(u8, u8, [u32; 2], u32),
+    // `(target, len)`: `target` is the first slot on the chain of jumps
+    // from here that is not itself a jump. A chain that cycles retires
+    // nothing, forever, so its jumps compile to `NeverHalts`.
+    Jump(u32, u32),
+    NeverHalts,
+    // `(len)`.
+    Halt(u32),
 }
 
-/// A validated, pre-decoded widget program ready for repeated execution.
+impl Op {
+    /// Compiles one body instruction.
+    fn body(inst: Instruction) -> Op {
+        let sext = |imm: i32| imm as i64 as u64;
+        match inst {
+            Instruction::IntAlu {
+                op,
+                dst,
+                src1,
+                src2,
+            } => {
+                let (d, a, b) = (dst.0, src1.0, src2.0);
+                match op {
+                    IntAluOp::Add => Op::Add(d, a, b),
+                    IntAluOp::Sub => Op::Sub(d, a, b),
+                    IntAluOp::And => Op::And(d, a, b),
+                    IntAluOp::Or => Op::Or(d, a, b),
+                    IntAluOp::Xor => Op::Xor(d, a, b),
+                    IntAluOp::Shl => Op::Shl(d, a, b),
+                    IntAluOp::Shr => Op::Shr(d, a, b),
+                    IntAluOp::Rotl => Op::Rotl(d, a, b),
+                    IntAluOp::Min => Op::Min(d, a, b),
+                    IntAluOp::Max => Op::Max(d, a, b),
+                }
+            }
+            Instruction::IntAluImm { op, dst, src, imm } => {
+                let (d, a, imm) = (dst.0, src.0, sext(imm));
+                match op {
+                    IntAluOp::Add => Op::AddI(d, a, imm),
+                    IntAluOp::Sub => Op::SubI(d, a, imm),
+                    IntAluOp::And => Op::AndI(d, a, imm),
+                    IntAluOp::Or => Op::OrI(d, a, imm),
+                    IntAluOp::Xor => Op::XorI(d, a, imm),
+                    IntAluOp::Shl => Op::ShlI(d, a, imm),
+                    IntAluOp::Shr => Op::ShrI(d, a, imm),
+                    IntAluOp::Rotl => Op::RotlI(d, a, imm),
+                    IntAluOp::Min => Op::MinI(d, a, imm),
+                    IntAluOp::Max => Op::MaxI(d, a, imm),
+                }
+            }
+            Instruction::LoadImm { dst, imm } => Op::LoadImm(dst.0, imm as u64),
+            Instruction::IntMul {
+                op,
+                dst,
+                src1,
+                src2,
+            } => {
+                let (d, a, b) = (dst.0, src1.0, src2.0);
+                match op {
+                    IntMulOp::Mul => Op::Mul(d, a, b),
+                    IntMulOp::MulHi => Op::MulHi(d, a, b),
+                }
+            }
+            Instruction::Fp {
+                op,
+                dst,
+                src1,
+                src2,
+            } => {
+                let (d, a, b) = (dst.0, src1.0, src2.0);
+                match op {
+                    FpOp::Add => Op::FAdd(d, a, b),
+                    FpOp::Sub => Op::FSub(d, a, b),
+                    FpOp::Mul => Op::FMul(d, a, b),
+                    FpOp::Div => Op::FDiv(d, a, b),
+                    FpOp::Min => Op::FMin(d, a, b),
+                    FpOp::Max => Op::FMax(d, a, b),
+                }
+            }
+            Instruction::FpFromInt { dst, src } => Op::FpFromInt(dst.0, src.0),
+            Instruction::FpToInt { dst, src } => Op::FpToInt(dst.0, src.0),
+            Instruction::Load { dst, base, offset } => Op::Load(dst.0, base.0, sext(offset)),
+            Instruction::Store { src, base, offset } => Op::Store(src.0, base.0, sext(offset)),
+            Instruction::FpLoad { dst, base, offset } => Op::FpLoad(dst.0, base.0, sext(offset)),
+            Instruction::FpStore { src, base, offset } => Op::FpStore(src.0, base.0, sext(offset)),
+            Instruction::VecLoad { dst, base, offset } => Op::VecLoad(dst.0, base.0, sext(offset)),
+            Instruction::VecStore { src, base, offset } => {
+                Op::VecStore(src.0, base.0, sext(offset))
+            }
+            Instruction::Vec {
+                op,
+                dst,
+                src1,
+                src2,
+            } => {
+                let (d, a, b) = (dst.0, src1.0, src2.0);
+                match op {
+                    VecOp::Add => Op::VAdd(d, a, b),
+                    VecOp::Xor => Op::VXor(d, a, b),
+                    VecOp::Mul => Op::VMul(d, a, b),
+                    VecOp::Rotl => Op::VRotl(d, a, b),
+                }
+            }
+            Instruction::Snapshot => Op::Snapshot,
+        }
+    }
+
+    /// Compiles the terminator of a block with a body of `len` instructions;
+    /// `slot` gives a block's first slot.
+    fn terminator(terminator: Terminator, len: u32, slot: impl Fn(BlockId) -> u32) -> Op {
+        match terminator {
+            Terminator::Halt => Op::Halt(len),
+            Terminator::Jump(to) => Op::Jump(slot(to), len),
+            Terminator::Branch {
+                cond,
+                src1,
+                src2,
+                taken,
+                not_taken,
+            } => {
+                let (a, b, to) = (src1.0, src2.0, [slot(not_taken), slot(taken)]);
+                match cond {
+                    BranchCond::Eq => Op::Beq(a, b, to, len),
+                    BranchCond::Ne => Op::Bne(a, b, to, len),
+                    BranchCond::Lt => Op::Blt(a, b, to, len),
+                    BranchCond::Ge => Op::Bge(a, b, to, len),
+                    BranchCond::Ltu => Op::Bltu(a, b, to, len),
+                    BranchCond::Geu => Op::Bgeu(a, b, to, len),
+                }
+            }
+        }
+    }
+
+    /// The resource class a trace records for a retired body instruction
+    /// (branches record [`OpClass::Branch`] themselves).
+    pub(crate) fn class(self) -> OpClass {
+        match self {
+            Op::Add(..)
+            | Op::Sub(..)
+            | Op::And(..)
+            | Op::Or(..)
+            | Op::Xor(..)
+            | Op::Shl(..)
+            | Op::Shr(..)
+            | Op::Rotl(..)
+            | Op::Min(..)
+            | Op::Max(..)
+            | Op::AddI(..)
+            | Op::SubI(..)
+            | Op::AndI(..)
+            | Op::OrI(..)
+            | Op::XorI(..)
+            | Op::ShlI(..)
+            | Op::ShrI(..)
+            | Op::RotlI(..)
+            | Op::MinI(..)
+            | Op::MaxI(..)
+            | Op::LoadImm(..) => OpClass::IntAlu,
+            Op::Mul(..) | Op::MulHi(..) => OpClass::IntMul,
+            Op::FAdd(..)
+            | Op::FSub(..)
+            | Op::FMul(..)
+            | Op::FDiv(..)
+            | Op::FMin(..)
+            | Op::FMax(..)
+            | Op::FpFromInt(..)
+            | Op::FpToInt(..) => OpClass::FpAlu,
+            Op::Load(..) | Op::FpLoad(..) | Op::VecLoad(..) => OpClass::Load,
+            Op::Store(..) | Op::FpStore(..) | Op::VecStore(..) => OpClass::Store,
+            Op::VAdd(..) | Op::VXor(..) | Op::VMul(..) | Op::VRotl(..) => OpClass::Vector,
+            Op::Beq(..) | Op::Bne(..) | Op::Blt(..) | Op::Bge(..) | Op::Bltu(..) | Op::Bgeu(..) => {
+                OpClass::Branch
+            }
+            Op::Snapshot | Op::Jump(..) | Op::NeverHalts | Op::Halt(..) => OpClass::Control,
+        }
+    }
+}
+
+/// Points every `Jump` at the first slot of its chain of jumps that is not
+/// itself a jump, and turns a chain that cycles into `NeverHalts`.
 ///
-/// Construction runs [`Program::validate`] exactly once; afterwards the
-/// interpreter dispatch loop indexes straight into the flattened slot
-/// array. Reuse one value across runs via [`PreparedProgram::prepare`] to
-/// keep the slot buffer's allocation.
+/// Linear time: a chain is walked once to find its end (Brent's cycle
+/// finding) and once more to point every jump on it there, so a later walk
+/// that reaches one of those jumps ends one slot further on.
+fn thread_jumps(ops: &mut [Op]) {
+    for start in 0..ops.len() {
+        let Op::Jump(target, _) = ops[start] else {
+            continue;
+        };
+        let end = chain_end(ops, target);
+        let mut slot = start;
+        while let Op::Jump(next, len) = ops[slot] {
+            ops[slot] = match end {
+                Some(end) => Op::Jump(end, len),
+                None => Op::NeverHalts,
+            };
+            slot = next as usize;
+        }
+    }
+}
+
+/// The first slot on the chain of jumps from `slot` that is not a jump, or
+/// `None` if the chain cycles.
+fn chain_end(ops: &[Op], mut slot: u32) -> Option<u32> {
+    // Brent: compare against a saved slot, moved up to the current one
+    // whenever the distance walked since reaches the next power of two.
+    let (mut saved, mut power, mut walked) = (slot, 1u32, 0u32);
+    loop {
+        match ops[slot as usize] {
+            Op::Jump(target, _) => slot = target,
+            Op::NeverHalts => return None,
+            _ => return Some(slot),
+        }
+        if slot == saved {
+            return None;
+        }
+        walked += 1;
+        if walked == power {
+            (saved, power, walked) = (slot, power * 2, 0);
+        }
+    }
+}
+
+/// A validated widget program compiled for repeated execution.
+///
+/// Construction runs [`Program::validate`] exactly once, then compiles each
+/// static pc slot into one op. Reuse one value across programs via
+/// [`PreparedProgram::prepare`] to keep the op buffer's allocation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreparedProgram {
-    pub(crate) slots: Vec<Slot>,
+    pub(crate) ops: Vec<Op>,
     pub(crate) entry_pc: u32,
     pub(crate) memory_size: usize,
     block_count: usize,
 }
 
 impl PreparedProgram {
-    /// Validates and pre-decodes `program`.
+    /// Validates and compiles `program`.
     ///
     /// # Errors
     ///
@@ -85,7 +340,7 @@ impl PreparedProgram {
         Ok(prepared)
     }
 
-    /// Re-prepares `self` from `program` in place, reusing the slot buffer.
+    /// Re-prepares `self` from `program` in place, reusing the op buffer.
     ///
     /// This is the zero-allocation path for the mining loop, where every
     /// nonce produces a fresh widget of roughly the same size: once the
@@ -103,34 +358,28 @@ impl PreparedProgram {
         // One pass in block order: a block's slots are its body followed by
         // its terminator, and a successor's first slot is its static pc,
         // which the program's block table gives directly.
-        self.slots.clear();
-        self.slots.reserve(program.pc_slot_count() as usize);
-        let resolve = |id: BlockId| program.block_pc_base(id);
+        self.ops.clear();
+        self.ops.reserve(program.pc_slot_count() as usize);
+        let slot = |id: BlockId| program.block_pc_base(id);
+        let mut jumps_to_jumps = false;
         for block in program.blocks() {
-            self.slots
-                .extend(block.instructions.iter().map(|&inst| Slot::Inst(inst)));
-            self.slots.push(match block.terminator {
-                Terminator::Halt => Slot::Halt,
-                Terminator::Jump(target) => Slot::Jump {
-                    target: resolve(target),
-                },
-                Terminator::Branch {
-                    cond,
-                    src1,
-                    src2,
-                    taken,
-                    not_taken,
-                } => Slot::Branch {
-                    cond,
-                    src1,
-                    src2,
-                    taken: resolve(taken),
-                    not_taken: resolve(not_taken),
-                },
-            });
+            self.ops
+                .extend(block.instructions.iter().map(|&inst| Op::body(inst)));
+            if let Terminator::Jump(to) = block.terminator {
+                let target = program.block(to);
+                jumps_to_jumps |= target.instructions.is_empty()
+                    && matches!(target.terminator, Terminator::Jump(_));
+            }
+            let len = block.instructions.len() as u32;
+            self.ops.push(Op::terminator(block.terminator, len, slot));
+        }
+        // Generated widgets never jump to an empty jump block, so they skip
+        // the threading pass.
+        if jumps_to_jumps {
+            thread_jumps(&mut self.ops);
         }
 
-        self.entry_pc = resolve(program.entry());
+        self.entry_pc = slot(program.entry());
         self.memory_size = program.memory_size();
         self.block_count = program.blocks().len();
         Ok(())
@@ -149,19 +398,19 @@ impl PreparedProgram {
     /// Total number of static pc slots (equals
     /// [`Program::pc_slot_count`] of the source program).
     pub fn pc_slot_count(&self) -> u32 {
-        self.slots.len() as u32
+        self.ops.len() as u32
     }
 
-    /// Pre-sizes the slot array for programs of up to `slots` pc slots, so
-    /// a caller with a worst-case bound pays all growth up front instead of
+    /// Pre-sizes the op array for programs of up to `slots` pc slots, so a
+    /// caller with a worst-case bound pays all growth up front instead of
     /// on whichever program first hits the maximum.
     ///
     /// The block count is not needed: preparation reads the block table
     /// from the program and keeps nothing per block. The parameter stays so
     /// existing callers keep compiling.
     pub fn prime(&mut self, slots: usize, _blocks: usize) {
-        if self.slots.capacity() < slots {
-            self.slots.reserve_exact(slots - self.slots.len());
+        if self.ops.capacity() < slots {
+            self.ops.reserve_exact(slots - self.ops.len());
         }
     }
 }
@@ -226,8 +475,9 @@ impl ExecScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecConfig, Executor};
-    use hashcore_isa::{IntAluOp, ProgramBuilder, Terminator};
+    use crate::exec::{ExecConfig, ExecError, Executor};
+    use crate::trace::BranchRecord;
+    use hashcore_isa::{IntReg, ProgramBuilder};
 
     fn two_block_program() -> Program {
         let mut b = ProgramBuilder::new(256);
@@ -244,6 +494,11 @@ mod tests {
     }
 
     #[test]
+    fn ops_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 16);
+    }
+
+    #[test]
     fn slot_indices_equal_the_block_major_pc_layout() {
         let program = two_block_program();
         let prepared = PreparedProgram::new(&program).expect("validates");
@@ -253,8 +508,24 @@ mod tests {
         assert_eq!(prepared.entry_pc, 0);
         assert_eq!(prepared.block_count(), 2);
         assert_eq!(prepared.memory_size(), 256);
-        assert!(matches!(prepared.slots[2], Slot::Jump { target: 3 }));
-        assert!(matches!(prepared.slots[5], Slot::Halt));
+        assert_eq!(prepared.ops[1], Op::LoadImm(1, 2));
+        assert_eq!(prepared.ops[2], Op::Jump(3, 2));
+        assert_eq!(prepared.ops[3], Op::Add(2, 0, 1));
+        assert_eq!(prepared.ops[5], Op::Halt(2));
+    }
+
+    #[test]
+    fn immediates_and_offsets_are_sign_extended() {
+        let mut b = ProgramBuilder::new(256);
+        let entry = b.begin_block();
+        b.int_alu_imm(IntAluOp::Xor, IntReg(1), IntReg(2), -2);
+        b.load(IntReg(3), IntReg(4), -8);
+        b.terminate(Terminator::Halt);
+        let prepared = PreparedProgram::new(&b.finish(entry)).expect("validates");
+        assert_eq!(
+            prepared.ops[..2],
+            [Op::XorI(1, 2, -2i64 as u64), Op::Load(3, 4, -8i64 as u64)]
+        );
     }
 
     #[test]
@@ -278,7 +549,7 @@ mod tests {
     fn preparing_a_smaller_program_reuses_the_slot_buffer() {
         let program = two_block_program();
         let mut prepared = PreparedProgram::new(&program).expect("validates");
-        let capacity = prepared.slots.capacity();
+        let capacity = prepared.ops.capacity();
 
         let mut b = ProgramBuilder::new(64);
         let entry = b.begin_block();
@@ -289,6 +560,155 @@ mod tests {
         prepared.prepare(&tiny).expect("validates");
         assert_eq!(prepared.pc_slot_count(), 2);
         assert_eq!(prepared.memory_size(), 64);
-        assert!(prepared.slots.capacity() >= capacity, "capacity retained");
+        assert!(prepared.ops.capacity() >= capacity, "capacity retained");
+    }
+
+    fn run(program: &Program, collect_trace: bool) -> Result<crate::Execution, ExecError> {
+        Executor::new(ExecConfig {
+            max_steps: 1000,
+            collect_trace,
+            memory_seed: 0,
+        })
+        .execute(program)
+    }
+
+    /// `entry` (one instruction) → `spin`, an empty block that jumps to
+    /// itself; a third block halts.
+    #[test]
+    fn a_self_looping_jump_never_halts() {
+        let mut b = ProgramBuilder::new(64);
+        let entry = b.begin_block();
+        b.load_imm(IntReg(0), 1);
+        let spin = b.reserve_block();
+        let halt = b.reserve_block();
+        b.terminate(Terminator::Jump(spin));
+        b.begin_reserved(spin);
+        b.terminate(Terminator::Jump(spin));
+        b.begin_reserved(halt);
+        b.terminate(Terminator::Halt);
+        let program = b.finish(entry);
+        assert_eq!(program.validate(), Ok(()));
+
+        let prepared = PreparedProgram::new(&program).expect("validates");
+        assert_eq!(prepared.ops[1..3], [Op::NeverHalts, Op::NeverHalts]);
+        for collect_trace in [false, true] {
+            let result = run(&program, collect_trace);
+            assert_eq!(result, Err(ExecError::StepLimitExceeded { limit: 1000 }));
+        }
+    }
+
+    /// Two empty blocks jumping to each other, reached from the entry.
+    #[test]
+    fn a_two_block_jump_cycle_never_halts() {
+        let mut b = ProgramBuilder::new(64);
+        let entry = b.begin_block();
+        let first = b.reserve_block();
+        let second = b.reserve_block();
+        let halt = b.reserve_block();
+        b.snapshot();
+        b.terminate(Terminator::Jump(first));
+        b.begin_reserved(first);
+        b.terminate(Terminator::Jump(second));
+        b.begin_reserved(second);
+        b.terminate(Terminator::Jump(first));
+        b.begin_reserved(halt);
+        b.terminate(Terminator::Halt);
+        let program = b.finish(entry);
+
+        for collect_trace in [false, true] {
+            let result = run(&program, collect_trace);
+            assert_eq!(result, Err(ExecError::StepLimitExceeded { limit: 1000 }));
+        }
+    }
+
+    /// The entry block is itself an empty block on a three-block jump cycle.
+    #[test]
+    fn an_entry_block_on_a_jump_cycle_never_halts() {
+        let mut b = ProgramBuilder::new(64);
+        let entry = b.begin_block();
+        let second = b.reserve_block();
+        let third = b.reserve_block();
+        let halt = b.reserve_block();
+        b.terminate(Terminator::Jump(second));
+        b.begin_reserved(second);
+        b.terminate(Terminator::Jump(third));
+        b.begin_reserved(third);
+        b.terminate(Terminator::Jump(entry));
+        b.begin_reserved(halt);
+        b.terminate(Terminator::Halt);
+        let program = b.finish(entry);
+
+        let prepared = PreparedProgram::new(&program).expect("validates");
+        assert_eq!(prepared.ops[..3], [Op::NeverHalts; 3]);
+        assert_eq!(prepared.ops[3], Op::Halt(0));
+        for collect_trace in [false, true] {
+            let result = run(&program, collect_trace);
+            assert_eq!(result, Err(ExecError::StepLimitExceeded { limit: 1000 }));
+        }
+    }
+
+    /// A branch into an empty block that jumps on: the jump is threaded
+    /// past the empty block, but the trace records the branch's own target
+    /// block, and the jump retires nothing.
+    #[test]
+    fn a_branch_into_an_empty_jump_block_keeps_its_trace_target() {
+        let mut b = ProgramBuilder::new(64);
+        let entry = b.begin_block();
+        b.load_imm(IntReg(0), 1);
+        let hop = b.reserve_block();
+        let exit = b.reserve_block();
+        let other = b.reserve_block();
+        b.branch(BranchCond::Eq, IntReg(0), IntReg(0), hop, other);
+        b.begin_reserved(hop);
+        b.terminate(Terminator::Jump(exit));
+        b.begin_reserved(exit);
+        b.snapshot();
+        b.terminate(Terminator::Halt);
+        b.begin_reserved(other);
+        b.terminate(Terminator::Halt);
+        let program = b.finish(entry);
+        // Layout: entry at pc 0–1, hop's jump at 2, exit at 3–4, other at 5.
+        let prepared = PreparedProgram::new(&program).expect("validates");
+        assert_eq!(prepared.ops[2], Op::Jump(3, 0));
+
+        let exec = run(&program, true).expect("halts");
+        assert_eq!(exec.dynamic_instructions, 3);
+        let branch = exec.trace.entries()[1];
+        assert_eq!(branch.pc, 1);
+        assert_eq!(
+            branch.branch,
+            Some(BranchRecord {
+                taken: true,
+                target_pc: 2,
+            })
+        );
+        assert_eq!(exec.trace.entries()[2].pc, 3);
+    }
+
+    #[test]
+    fn a_chain_of_empty_jump_blocks_is_threaded_to_its_end() {
+        let mut b = ProgramBuilder::new(64);
+        let entry = b.begin_block();
+        let hops: Vec<BlockId> = (0..4).map(|_| b.reserve_block()).collect();
+        let exit = b.reserve_block();
+        b.load_imm(IntReg(0), 7);
+        b.terminate(Terminator::Jump(hops[0]));
+        for (i, &hop) in hops.iter().enumerate() {
+            b.begin_reserved(hop);
+            b.terminate(Terminator::Jump(hops.get(i + 1).copied().unwrap_or(exit)));
+        }
+        b.begin_reserved(exit);
+        b.snapshot();
+        b.terminate(Terminator::Halt);
+        let program = b.finish(entry);
+
+        let prepared = PreparedProgram::new(&program).expect("validates");
+        let exit_slot = program.block_pc_base(exit);
+        assert_eq!(prepared.ops[1], Op::Jump(exit_slot, 1));
+        for slot in 2..exit_slot as usize {
+            assert_eq!(prepared.ops[slot], Op::Jump(exit_slot, 0));
+        }
+        let exec = run(&program, true).expect("halts");
+        assert_eq!(exec.dynamic_instructions, 2);
     }
 }

@@ -9,9 +9,9 @@ pub const SNAPSHOT_BYTES: usize = (NUM_INT_REGS + NUM_FP_REGS + NUM_VEC_REGS * V
 
 /// The architectural state of the widget machine.
 ///
-/// Memory is a private byte array of power-of-two size; addresses wrap, so
-/// every access is in bounds by construction (there are no memory faults in
-/// the widget ISA — a PoW function must never crash its verifier).
+/// Memory is a private array of power-of-two size; addresses wrap, so every
+/// access is in bounds by construction (there are no memory faults in the
+/// widget ISA — a PoW function must never crash its verifier).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineState {
     /// 64-bit integer registers.
@@ -20,8 +20,40 @@ pub struct MachineState {
     pub fp_regs: [f64; NUM_FP_REGS],
     /// Vector registers (4 × 64-bit lanes each).
     pub vec_regs: [[u64; VEC_LANES]; NUM_VEC_REGS],
-    memory: Vec<u8>,
-    memory_mask: u64,
+    pub(crate) memory: Memory,
+}
+
+/// The data segment as 64-bit words: every access is 8 bytes at an address
+/// wrapped into the segment and aligned down to 8, so the byte layout (a
+/// word's bytes are its little-endian encoding) never needs to exist.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Memory {
+    words: Vec<u64>,
+    /// `words.len() - 1`, a power of two minus one.
+    mask: u64,
+}
+
+impl Memory {
+    /// Index of the word holding byte address `addr`.
+    fn index(&self, addr: u64) -> usize {
+        ((addr >> 3) & self.mask) as usize
+    }
+
+    /// `addr` wrapped into the segment and aligned down to 8 bytes.
+    pub(crate) fn wrap(&self, addr: u64) -> u64 {
+        (self.index(addr) as u64) << 3
+    }
+
+    /// The word at byte address `addr`.
+    pub(crate) fn load(&self, addr: u64) -> u64 {
+        self.words[self.index(addr)]
+    }
+
+    /// Stores `value` as the word at byte address `addr`.
+    pub(crate) fn store(&mut self, addr: u64, value: u64) {
+        let index = self.index(addr);
+        self.words[index] = value;
+    }
 }
 
 impl MachineState {
@@ -36,12 +68,15 @@ impl MachineState {
             memory_size.is_power_of_two() && memory_size >= 8,
             "memory size must be a power of two of at least 8 bytes"
         );
+        let words = memory_size / 8;
         Self {
             int_regs: [0; NUM_INT_REGS],
             fp_regs: [0.0; NUM_FP_REGS],
             vec_regs: [[0; VEC_LANES]; NUM_VEC_REGS],
-            memory: vec![0; memory_size],
-            memory_mask: (memory_size - 1) as u64,
+            memory: Memory {
+                words: vec![0; words],
+                mask: (words - 1) as u64,
+            },
         }
     }
 
@@ -61,9 +96,10 @@ impl MachineState {
             memory_size.is_power_of_two() && memory_size >= 8,
             "memory size must be a power of two of at least 8 bytes"
         );
-        if self.memory.len() != memory_size {
-            self.memory.resize(memory_size, 0);
-            self.memory_mask = (memory_size - 1) as u64;
+        let words = memory_size / 8;
+        if self.memory.words.len() != words {
+            self.memory.words.resize(words, 0);
+            self.memory.mask = (words - 1) as u64;
         }
     }
 
@@ -76,10 +112,8 @@ impl MachineState {
     /// were identical.
     pub fn seed(&mut self, seed: u64) {
         let mut s = Splitmix64::new(seed);
-        for chunk in self.memory.chunks_mut(8) {
-            let v = s.next().to_le_bytes();
-            let n = chunk.len();
-            chunk.copy_from_slice(&v[..n]);
+        for word in self.memory.words.iter_mut() {
+            *word = s.next();
         }
         for r in self.int_regs.iter_mut() {
             *r = s.next();
@@ -98,56 +132,61 @@ impl MachineState {
 
     /// Size of the memory in bytes.
     pub fn memory_size(&self) -> usize {
-        self.memory.len()
+        self.memory.words.len() * 8
     }
 
     /// Wraps an address into the memory and aligns it down to 8 bytes.
     pub fn wrap_addr(&self, addr: u64) -> u64 {
-        addr & self.memory_mask & !7u64
+        self.memory.wrap(addr)
     }
 
     /// Loads a 64-bit little-endian value from the (wrapped, aligned)
     /// address.
     pub fn load64(&self, addr: u64) -> u64 {
-        let a = self.wrap_addr(addr) as usize;
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&self.memory[a..a + 8]);
-        u64::from_le_bytes(bytes)
+        self.memory.load(addr)
     }
 
     /// Stores a 64-bit little-endian value at the (wrapped, aligned)
     /// address.
     pub fn store64(&mut self, addr: u64, value: u64) {
-        let a = self.wrap_addr(addr) as usize;
-        self.memory[a..a + 8].copy_from_slice(&value.to_le_bytes());
+        self.memory.store(addr, value);
     }
 
     /// Serialises the register file into `out` as one snapshot record.
-    ///
-    /// The three register files are written as whole little-endian slabs
-    /// through a fixed-size stack buffer and appended with a single
-    /// `extend_from_slice`, instead of one `Vec` append per register. The
-    /// chunked `to_le_bytes` copies compile to straight word moves on
-    /// little-endian targets, so the snapshot cost is one `memcpy` of
-    /// [`SNAPSHOT_BYTES`] — snapshots are the dominant output cost of
-    /// snapshot-heavy widgets. The byte layout is unchanged: integer
-    /// registers, FP registers as IEEE-754 bit patterns, then vector lanes,
-    /// each as 8 little-endian bytes.
     pub fn write_snapshot(&self, out: &mut Vec<u8>) {
-        let mut slab = [0u8; SNAPSHOT_BYTES];
-        let (ints, rest) = slab.split_at_mut(NUM_INT_REGS * 8);
-        let (fps, vecs) = rest.split_at_mut(NUM_FP_REGS * 8);
-        for (chunk, r) in ints.chunks_exact_mut(8).zip(&self.int_regs) {
-            chunk.copy_from_slice(&r.to_le_bytes());
-        }
-        for (chunk, f) in fps.chunks_exact_mut(8).zip(&self.fp_regs) {
-            chunk.copy_from_slice(&f.to_bits().to_le_bytes());
-        }
-        for (chunk, lane) in vecs.chunks_exact_mut(8).zip(self.vec_regs.iter().flatten()) {
-            chunk.copy_from_slice(&lane.to_le_bytes());
-        }
-        out.extend_from_slice(&slab);
+        write_snapshot(&self.int_regs, &self.fp_regs, &self.vec_regs, out);
     }
+}
+
+/// Appends one snapshot record of the three register files to `out`.
+///
+/// The files are written as whole little-endian slabs through a fixed-size
+/// stack buffer and appended with a single `extend_from_slice`, instead of
+/// one `Vec` append per register. The chunked `to_le_bytes` copies compile
+/// to straight word moves on little-endian targets, so the snapshot cost is
+/// one `memcpy` of [`SNAPSHOT_BYTES`] — snapshots are the dominant output
+/// cost of snapshot-heavy widgets. The byte layout: integer registers, FP
+/// registers as IEEE-754 bit patterns, then vector lanes, each as 8
+/// little-endian bytes.
+pub(crate) fn write_snapshot(
+    int_regs: &[u64; NUM_INT_REGS],
+    fp_regs: &[f64; NUM_FP_REGS],
+    vec_regs: &[[u64; VEC_LANES]; NUM_VEC_REGS],
+    out: &mut Vec<u8>,
+) {
+    let mut slab = [0u8; SNAPSHOT_BYTES];
+    let (ints, rest) = slab.split_at_mut(NUM_INT_REGS * 8);
+    let (fps, vecs) = rest.split_at_mut(NUM_FP_REGS * 8);
+    for (chunk, r) in ints.chunks_exact_mut(8).zip(int_regs) {
+        chunk.copy_from_slice(&r.to_le_bytes());
+    }
+    for (chunk, f) in fps.chunks_exact_mut(8).zip(fp_regs) {
+        chunk.copy_from_slice(&f.to_bits().to_le_bytes());
+    }
+    for (chunk, lane) in vecs.chunks_exact_mut(8).zip(vec_regs.iter().flatten()) {
+        chunk.copy_from_slice(&lane.to_le_bytes());
+    }
+    out.extend_from_slice(&slab);
 }
 
 /// The splitmix64 generator, used only for deterministic state seeding.
