@@ -174,11 +174,11 @@ pub struct HashCoreOutput {
 
 /// Reusable per-evaluation state for the PoW hot path.
 ///
-/// One hash evaluation noises the profile, generates a widget, pre-decodes
+/// One hash evaluation noises the profile, generates a widget, compiles
 /// it and executes it; this scratch owns reusable storage for **every** one
 /// of those stages — the generation scratch (program builder and
 /// bookkeeping), the generated widget itself (program blocks, target
-/// profile), the prepared program's slot array, and the execution buffers
+/// profile), the prepared program's op array, and the execution buffers
 /// (machine state, output, trace) — so the whole generate→prepare→execute
 /// chain stops allocating once the buffers reach steady-state size. Each
 /// mining or verification worker owns exactly one scratch; scratches are

@@ -116,7 +116,7 @@ pub struct GenerationBounds {
 }
 
 /// One reusable generate→prepare→execute pipeline: the generation scratch,
-/// the generated widget, its pre-decoded form, and the execution buffers.
+/// the generated widget, its compiled form, and the execution buffers.
 ///
 /// This is the common composition every batch consumer of widgets needs —
 /// the HashCore hash scratch, the RandomX-lite baseline, the measurement
@@ -133,7 +133,7 @@ pub struct PipelineScratch {
     pub gen: GenScratch,
     /// The most recently generated widget.
     pub widget: GeneratedWidget,
-    /// The widget's pre-decoded, validate-once form.
+    /// The widget's compiled, validate-once form.
     pub prepared: PreparedProgram,
     /// Execution state: machine, widget output, dynamic trace.
     pub exec: ExecScratch,
@@ -145,7 +145,7 @@ impl PipelineScratch {
         Self::default()
     }
 
-    /// Generates the widget for `seed` with `generator`, pre-decodes it and
+    /// Generates the widget for `seed` with `generator`, compiles it and
     /// executes it, returning the execution stats.
     ///
     /// The widget output — and, when `collect_trace` is set, the dynamic

@@ -9,7 +9,7 @@
 //! * [`hashcore`] — the PoW function itself (`crates/core`),
 //! * [`hashcore_crypto`] — SHA-256/512, HMAC, Merkle trees,
 //! * [`hashcore_isa`] — the widget instruction set,
-//! * [`hashcore_vm`] — the functional executor (naive and prepared paths),
+//! * [`hashcore_vm`] — the functional executor (programs compiled to flat ops),
 //! * [`hashcore_gen`] — the seed-driven widget generator,
 //! * [`hashcore_profile`] — performance profiles and seed noise,
 //! * [`hashcore_sim`] — the trace-driven micro-architecture model,
