@@ -63,11 +63,13 @@ pub enum ValidateError {
         /// The missing successor.
         to: BlockId,
     },
-    /// An instruction references a register outside the architectural file.
+    /// An instruction or a branch terminator references a register outside
+    /// the architectural file.
     InvalidRegister {
         /// Block containing the instruction.
         block: BlockId,
-        /// Index of the instruction within the block.
+        /// Index of the instruction within the block; the body length for
+        /// the terminator.
         index: usize,
     },
     /// The memory size is not a power of two of at least 8 bytes.
@@ -207,8 +209,47 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ValidateError`] found, if any.
+    /// Returns the first [`ValidateError`] found, if any: program-wide
+    /// faults first (no blocks, then the memory size, then the entry), then
+    /// each block's faults in [`BlockId`] order (a missing successor, then
+    /// an out-of-range register, body instructions first and the
+    /// terminator last), then a missing halt.
     pub fn validate(&self) -> Result<(), ValidateError> {
+        self.validate_with(|block| {
+            let terminator = block.instructions.len();
+            let index = block
+                .instructions
+                .iter()
+                .position(|inst| !inst.registers_valid())
+                .or((!block.terminator.registers_valid()).then_some(terminator));
+            match index {
+                Some(index) => Err(ValidateError::InvalidRegister {
+                    block: block.id,
+                    index,
+                }),
+                None => Ok(()),
+            }
+        })
+    }
+
+    /// Runs every check of [`Program::validate`] except the register
+    /// ranges, and calls `check_block` on each block in their place.
+    ///
+    /// A block reaches `check_block` in [`BlockId`] order once its
+    /// successors are known to exist, and the first error from either side
+    /// is returned. A caller that reads every instruction anyway checks the
+    /// registers there (as `Program::validate` does, reporting
+    /// [`ValidateError::InvalidRegister`]) and gets the error `validate`
+    /// would return, without a second pass over the program.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first structural [`ValidateError`], or the first error
+    /// `check_block` returns, in [`Program::validate`]'s order.
+    pub fn validate_with(
+        &self,
+        mut check_block: impl FnMut(BasicBlock<'_>) -> Result<(), ValidateError>,
+    ) -> Result<(), ValidateError> {
         if self.blocks.is_empty() {
             return Err(ValidateError::Empty);
         }
@@ -225,17 +266,9 @@ impl Program {
         }
         let mut has_halt = false;
         for block in self.blocks() {
-            for (i, inst) in block.instructions.iter().enumerate() {
-                if !inst.registers_valid() {
-                    return Err(ValidateError::InvalidRegister {
-                        block: block.id,
-                        index: i,
-                    });
-                }
-            }
             // Successor edges are matched inline rather than through
             // `Terminator::successors` so validation performs no heap
-            // allocation: the prepared-execution path re-validates one
+            // allocation: the prepared-execution path validates one
             // program per nonce.
             let check = |to: BlockId| {
                 if to.index() >= self.blocks.len() {
@@ -254,6 +287,7 @@ impl Program {
                     check(not_taken)?;
                 }
             }
+            check_block(block)?;
         }
         if !has_halt {
             return Err(ValidateError::NoHalt);
@@ -408,6 +442,91 @@ mod tests {
             Err(ValidateError::InvalidRegister {
                 block: BlockId(0),
                 index: 0
+            })
+        );
+    }
+
+    #[test]
+    fn invalid_branch_register_rejected_at_the_terminator() {
+        let body = [Instruction::LoadImm {
+            dst: IntReg(3),
+            imm: 0,
+        }; 2];
+        let branch = |src1, src2| Terminator::Branch {
+            cond: BranchCond::Eq,
+            src1: IntReg(src1),
+            src2: IntReg(src2),
+            taken: BlockId(1),
+            not_taken: BlockId(1),
+        };
+        for terminator in [branch(16, 0), branch(0, 16)] {
+            let p = Program::new(
+                [(&body[..], terminator), (&[], Terminator::Halt)],
+                BlockId(0),
+                256,
+            );
+            assert_eq!(
+                p.validate(),
+                Err(ValidateError::InvalidRegister {
+                    block: BlockId(0),
+                    index: 2
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn a_block_reports_its_missing_successor_before_its_registers() {
+        let body = [Instruction::LoadImm {
+            dst: IntReg(200),
+            imm: 0,
+        }];
+        let p = Program::new(
+            [
+                (&body[..], Terminator::Jump(BlockId(7))),
+                (&[], Terminator::Halt),
+            ],
+            BlockId(0),
+            256,
+        );
+        assert_eq!(
+            p.validate(),
+            Err(ValidateError::DanglingEdge {
+                from: BlockId(0),
+                to: BlockId(7)
+            })
+        );
+    }
+
+    #[test]
+    fn validate_with_visits_every_block_once_in_order() {
+        let p = Program::new(
+            [
+                (&[][..], Terminator::Jump(BlockId(2))),
+                (&[], Terminator::Halt),
+                (&[], Terminator::Jump(BlockId(1))),
+            ],
+            BlockId(0),
+            256,
+        );
+        let mut seen = Vec::new();
+        assert_eq!(
+            p.validate_with(|block| {
+                seen.push(block.id);
+                Ok(())
+            }),
+            Ok(())
+        );
+        assert_eq!(seen, [BlockId(0), BlockId(1), BlockId(2)]);
+        // The first error from the callback stops the walk.
+        assert_eq!(
+            p.validate_with(|block| Err(ValidateError::DanglingEdge {
+                from: block.id,
+                to: block.id
+            })),
+            Err(ValidateError::DanglingEdge {
+                from: BlockId(0),
+                to: BlockId(0)
             })
         );
     }

@@ -1,8 +1,9 @@
 //! Prepared execution: programs compiled once into flat ops, plus reusable
 //! execution state.
 //!
-//! [`PreparedProgram::prepare`] validates a program once and compiles every
-//! static pc slot into one 16-byte [`Op`], in the block-major layout (each
+//! [`PreparedProgram::prepare`] validates a program and compiles every
+//! static pc slot into one 16-byte [`Op`] in a single pass, each register
+//! range checked as its instruction compiles, in the block-major layout (each
 //! block's body, then its terminator), so an op's index *is* its static
 //! program counter. An op names one operation — `Add`, `AddI`, `FDiv`,
 //! `Bltu`, … — with its register indices, its sign-extended immediate and
@@ -18,8 +19,8 @@
 
 use crate::state::MachineState;
 use hashcore_isa::{
-    BlockId, BranchCond, FpOp, Instruction, IntAluOp, IntMulOp, OpClass, Program, Terminator,
-    ValidateError, VecOp,
+    BlockId, BranchCond, FpOp, FpReg, Instruction, IntAluOp, IntMulOp, IntReg, OpClass, Program,
+    Terminator, ValidateError, VecOp, VecReg,
 };
 
 /// One compiled pc slot: a body instruction or a block terminator.
@@ -102,17 +103,28 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    /// Compiles one body instruction.
-    fn body(inst: Instruction) -> Op {
+    /// Compiles one body instruction, or returns `None` if it names a
+    /// register outside its file.
+    fn body(inst: Instruction) -> Option<Op> {
         let sext = |imm: i32| imm as i64 as u64;
-        match inst {
+        // Register indices, each range check folded into one flag so the
+        // compiled op is built without a branch per register.
+        let valid = std::cell::Cell::new(true);
+        let check = |ok: bool, r: u8| {
+            valid.set(valid.get() & ok);
+            r
+        };
+        let int = |r: IntReg| check(r.is_valid(), r.0);
+        let fp = |r: FpReg| check(r.is_valid(), r.0);
+        let vec = |r: VecReg| check(r.is_valid(), r.0);
+        let op = match inst {
             Instruction::IntAlu {
                 op,
                 dst,
                 src1,
                 src2,
             } => {
-                let (d, a, b) = (dst.0, src1.0, src2.0);
+                let (d, a, b) = (int(dst), int(src1), int(src2));
                 match op {
                     IntAluOp::Add => Op::Add(d, a, b),
                     IntAluOp::Sub => Op::Sub(d, a, b),
@@ -127,7 +139,7 @@ impl Op {
                 }
             }
             Instruction::IntAluImm { op, dst, src, imm } => {
-                let (d, a, imm) = (dst.0, src.0, sext(imm));
+                let (d, a, imm) = (int(dst), int(src), sext(imm));
                 match op {
                     IntAluOp::Add => Op::AddI(d, a, imm),
                     IntAluOp::Sub => Op::SubI(d, a, imm),
@@ -141,14 +153,14 @@ impl Op {
                     IntAluOp::Max => Op::MaxI(d, a, imm),
                 }
             }
-            Instruction::LoadImm { dst, imm } => Op::LoadImm(dst.0, imm as u64),
+            Instruction::LoadImm { dst, imm } => Op::LoadImm(int(dst), imm as u64),
             Instruction::IntMul {
                 op,
                 dst,
                 src1,
                 src2,
             } => {
-                let (d, a, b) = (dst.0, src1.0, src2.0);
+                let (d, a, b) = (int(dst), int(src1), int(src2));
                 match op {
                     IntMulOp::Mul => Op::Mul(d, a, b),
                     IntMulOp::MulHi => Op::MulHi(d, a, b),
@@ -160,7 +172,7 @@ impl Op {
                 src1,
                 src2,
             } => {
-                let (d, a, b) = (dst.0, src1.0, src2.0);
+                let (d, a, b) = (fp(dst), fp(src1), fp(src2));
                 match op {
                     FpOp::Add => Op::FAdd(d, a, b),
                     FpOp::Sub => Op::FSub(d, a, b),
@@ -170,15 +182,23 @@ impl Op {
                     FpOp::Max => Op::FMax(d, a, b),
                 }
             }
-            Instruction::FpFromInt { dst, src } => Op::FpFromInt(dst.0, src.0),
-            Instruction::FpToInt { dst, src } => Op::FpToInt(dst.0, src.0),
-            Instruction::Load { dst, base, offset } => Op::Load(dst.0, base.0, sext(offset)),
-            Instruction::Store { src, base, offset } => Op::Store(src.0, base.0, sext(offset)),
-            Instruction::FpLoad { dst, base, offset } => Op::FpLoad(dst.0, base.0, sext(offset)),
-            Instruction::FpStore { src, base, offset } => Op::FpStore(src.0, base.0, sext(offset)),
-            Instruction::VecLoad { dst, base, offset } => Op::VecLoad(dst.0, base.0, sext(offset)),
+            Instruction::FpFromInt { dst, src } => Op::FpFromInt(fp(dst), int(src)),
+            Instruction::FpToInt { dst, src } => Op::FpToInt(int(dst), fp(src)),
+            Instruction::Load { dst, base, offset } => Op::Load(int(dst), int(base), sext(offset)),
+            Instruction::Store { src, base, offset } => {
+                Op::Store(int(src), int(base), sext(offset))
+            }
+            Instruction::FpLoad { dst, base, offset } => {
+                Op::FpLoad(fp(dst), int(base), sext(offset))
+            }
+            Instruction::FpStore { src, base, offset } => {
+                Op::FpStore(fp(src), int(base), sext(offset))
+            }
+            Instruction::VecLoad { dst, base, offset } => {
+                Op::VecLoad(vec(dst), int(base), sext(offset))
+            }
             Instruction::VecStore { src, base, offset } => {
-                Op::VecStore(src.0, base.0, sext(offset))
+                Op::VecStore(vec(src), int(base), sext(offset))
             }
             Instruction::Vec {
                 op,
@@ -186,7 +206,7 @@ impl Op {
                 src1,
                 src2,
             } => {
-                let (d, a, b) = (dst.0, src1.0, src2.0);
+                let (d, a, b) = (vec(dst), vec(src1), vec(src2));
                 match op {
                     VecOp::Add => Op::VAdd(d, a, b),
                     VecOp::Xor => Op::VXor(d, a, b),
@@ -195,13 +215,15 @@ impl Op {
                 }
             }
             Instruction::Snapshot => Op::Snapshot,
-        }
+        };
+        valid.get().then_some(op)
     }
 
-    /// Compiles the terminator of a block with a body of `len` instructions;
+    /// Compiles the terminator of a block with a body of `len` instructions,
+    /// or returns `None` if a branch names a register outside the file;
     /// `slot` gives a block's first slot.
-    fn terminator(terminator: Terminator, len: u32, slot: impl Fn(BlockId) -> u32) -> Op {
-        match terminator {
+    fn terminator(terminator: Terminator, len: u32, slot: impl Fn(BlockId) -> u32) -> Option<Op> {
+        Some(match terminator {
             Terminator::Halt => Op::Halt(len),
             Terminator::Jump(to) => Op::Jump(slot(to), len),
             Terminator::Branch {
@@ -211,7 +233,9 @@ impl Op {
                 taken,
                 not_taken,
             } => {
-                let (a, b, to) = (src1.0, src2.0, [slot(not_taken), slot(taken)]);
+                let valid = |r: IntReg| r.is_valid().then_some(r.0);
+                let (a, b) = (valid(src1)?, valid(src2)?);
+                let to = [slot(not_taken), slot(taken)];
                 match cond {
                     BranchCond::Eq => Op::Beq(a, b, to, len),
                     BranchCond::Ne => Op::Bne(a, b, to, len),
@@ -221,6 +245,64 @@ impl Op {
                     BranchCond::Geu => Op::Bgeu(a, b, to, len),
                 }
             }
+        })
+    }
+
+    /// The variant's index in declaration order, below 64: the executor
+    /// branches on its bits to reach the op's handler.
+    pub(crate) fn tag(self) -> u8 {
+        match self {
+            Op::Add(..) => 0,
+            Op::Sub(..) => 1,
+            Op::And(..) => 2,
+            Op::Or(..) => 3,
+            Op::Xor(..) => 4,
+            Op::Shl(..) => 5,
+            Op::Shr(..) => 6,
+            Op::Rotl(..) => 7,
+            Op::Min(..) => 8,
+            Op::Max(..) => 9,
+            Op::AddI(..) => 10,
+            Op::SubI(..) => 11,
+            Op::AndI(..) => 12,
+            Op::OrI(..) => 13,
+            Op::XorI(..) => 14,
+            Op::ShlI(..) => 15,
+            Op::ShrI(..) => 16,
+            Op::RotlI(..) => 17,
+            Op::MinI(..) => 18,
+            Op::MaxI(..) => 19,
+            Op::LoadImm(..) => 20,
+            Op::Mul(..) => 21,
+            Op::MulHi(..) => 22,
+            Op::FAdd(..) => 23,
+            Op::FSub(..) => 24,
+            Op::FMul(..) => 25,
+            Op::FDiv(..) => 26,
+            Op::FMin(..) => 27,
+            Op::FMax(..) => 28,
+            Op::FpFromInt(..) => 29,
+            Op::FpToInt(..) => 30,
+            Op::Load(..) => 31,
+            Op::Store(..) => 32,
+            Op::FpLoad(..) => 33,
+            Op::FpStore(..) => 34,
+            Op::VecLoad(..) => 35,
+            Op::VecStore(..) => 36,
+            Op::VAdd(..) => 37,
+            Op::VXor(..) => 38,
+            Op::VMul(..) => 39,
+            Op::VRotl(..) => 40,
+            Op::Snapshot => 41,
+            Op::Beq(..) => 42,
+            Op::Bne(..) => 43,
+            Op::Blt(..) => 44,
+            Op::Bge(..) => 45,
+            Op::Bltu(..) => 46,
+            Op::Bgeu(..) => 47,
+            Op::Jump(..) => 48,
+            Op::NeverHalts => 49,
+            Op::Halt(..) => 50,
         }
     }
 
@@ -316,8 +398,11 @@ fn chain_end(ops: &[Op], mut slot: u32) -> Option<u32> {
 
 /// A validated widget program compiled for repeated execution.
 ///
-/// Construction runs [`Program::validate`] exactly once, then compiles each
-/// static pc slot into one op. Reuse one value across programs via
+/// Construction compiles each static pc slot into one op inside one pass of
+/// [`Program::validate_with`], which makes every check of
+/// [`Program::validate`] but the register ranges; compiling an instruction
+/// checks those, so an invalid program fails with the error `validate`
+/// returns for it. Reuse one value across programs via
 /// [`PreparedProgram::prepare`] to keep the op buffer's allocation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreparedProgram {
@@ -353,26 +438,37 @@ impl PreparedProgram {
     /// program is structurally invalid; `self` is left unspecified but safe
     /// to reuse.
     pub fn prepare(&mut self, program: &Program) -> Result<(), ValidateError> {
-        program.validate()?;
-
-        // One pass in block order: a block's slots are its body followed by
-        // its terminator, and a successor's first slot is its static pc,
-        // which the program's block table gives directly.
+        // One pass in block order, inside validation: a block's slots are
+        // its body followed by its terminator, each compiled as it is
+        // checked, and a successor's first slot is its static pc, which the
+        // program's block table gives directly.
         self.ops.clear();
         self.ops.reserve(program.pc_slot_count() as usize);
+        let ops = &mut self.ops;
         let slot = |id: BlockId| program.block_pc_base(id);
         let mut jumps_to_jumps = false;
-        for block in program.blocks() {
-            self.ops
-                .extend(block.instructions.iter().map(|&inst| Op::body(inst)));
+        program.validate_with(|block| {
+            let invalid = |index| ValidateError::InvalidRegister {
+                block: block.id,
+                index,
+            };
+            let start = ops.len();
+            ops.extend(block.instructions.iter().map_while(|&inst| Op::body(inst)));
+            let compiled = ops.len() - start;
+            if compiled < block.instructions.len() {
+                return Err(invalid(compiled));
+            }
             if let Terminator::Jump(to) = block.terminator {
                 let target = program.block(to);
                 jumps_to_jumps |= target.instructions.is_empty()
                     && matches!(target.terminator, Terminator::Jump(_));
             }
-            let len = block.instructions.len() as u32;
-            self.ops.push(Op::terminator(block.terminator, len, slot));
-        }
+            let len = block.instructions.len();
+            ops.push(
+                Op::terminator(block.terminator, len as u32, slot).ok_or_else(|| invalid(len))?,
+            );
+            Ok(())
+        })?;
         // Generated widgets never jump to an empty jump block, so they skip
         // the threading pass.
         if jumps_to_jumps {
