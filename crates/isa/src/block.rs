@@ -65,7 +65,7 @@ impl Terminator {
 
     /// Returns `true` if every register the terminator reads is inside its
     /// architectural file.
-    pub fn registers_valid(&self) -> bool {
+    pub(crate) fn registers_valid(&self) -> bool {
         match self {
             Terminator::Branch { src1, src2, .. } => src1.is_valid() && src2.is_valid(),
             Terminator::Jump(_) | Terminator::Halt => true,
@@ -135,22 +135,6 @@ mod tests {
         assert_eq!(branch.successors(), vec![BlockId(1), BlockId(2)]);
         assert!(branch.is_conditional());
         assert!(!Terminator::Halt.is_conditional());
-    }
-
-    #[test]
-    fn branch_registers_are_range_checked() {
-        let branch = |src1, src2| Terminator::Branch {
-            cond: BranchCond::Ltu,
-            src1: IntReg(src1),
-            src2: IntReg(src2),
-            taken: BlockId(0),
-            not_taken: BlockId(0),
-        };
-        assert!(branch(15, 0).registers_valid());
-        assert!(!branch(16, 0).registers_valid());
-        assert!(!branch(0, 255).registers_valid());
-        assert!(Terminator::Jump(BlockId(9)).registers_valid());
-        assert!(Terminator::Halt.registers_valid());
     }
 
     #[test]

@@ -216,19 +216,17 @@ impl Program {
     /// terminator last), then a missing halt.
     pub fn validate(&self) -> Result<(), ValidateError> {
         self.validate_with(|block| {
-            let terminator = block.instructions.len();
-            let index = block
-                .instructions
+            let body = block.instructions;
+            let invalid = body
                 .iter()
                 .position(|inst| !inst.registers_valid())
-                .or((!block.terminator.registers_valid()).then_some(terminator));
-            match index {
-                Some(index) => Err(ValidateError::InvalidRegister {
+                .or_else(|| (!block.terminator.registers_valid()).then_some(body.len()));
+            invalid.map_or(Ok(()), |index| {
+                Err(ValidateError::InvalidRegister {
                     block: block.id,
                     index,
-                }),
-                None => Ok(()),
-            }
+                })
+            })
         })
     }
 

@@ -202,15 +202,15 @@ impl Executor {
 /// conditional branches on its tag, one leaf per tag, not through one
 /// `match`, which compiles to a single indirect jump through a table. The
 /// tree relies on a property of generated widgets: long op sequences that
-/// do not repeat (a Leela-like widget runs about 32 passes over a random
-/// loop body of about 2,300 ops). One indirect jump cannot predict a
-/// sequence that long, while the tree's branches, each predicted on its
-/// own, do much better. On a 2-core x86-64 host, untraced Leela-like
-/// widgets went from 13–15 to 7–8 ns per retired instruction and
-/// fp-stencil widgets from about 7 to about 5. Short regular loops pay for
-/// it, since one indirect jump predicts them well: the four reference
-/// kernels, run only in traced profiling passes, went from 3–5 to 4.5–6.5
-/// ns per instruction.
+/// do not repeat (a Leela-like widget makes about 32 passes over a random
+/// loop body of about 2,300 ops). One indirect jump predicts a sequence
+/// that long poorly, while the tree's branches, each predicted on its own,
+/// do much better. On a 2-core x86-64 host, untraced, fresh Leela-like
+/// widgets run once each, as a miner runs them, went from 13–17 to 9–12 ns
+/// per retired instruction. Short regular loops pay for it, since one
+/// indirect jump predicts them well: the four reference kernels, run only
+/// in traced profiling passes, went from 3–5 to 4–7 ns per instruction
+/// untraced.
 ///
 /// Steps are counted, and the limit tested, only at control transfers,
 /// where a terminator adds its block's body length (and one for a branch).
@@ -274,7 +274,7 @@ fn run<const TRACE: bool>(
         let op = ops[pc];
         // The address a load or store used, for the trace.
         let mut addr = None;
-        // Runs the op's handler.
+        // The handlers, expanded once in each leaf of the tree below.
         macro_rules! execute {
             () => {
                 match op {

@@ -13,12 +13,18 @@
 //!   register-snapshot stream that is concatenated with the hash seed and
 //!   fed to the second hash gate),
 //! * [`PreparedProgram`] and [`ExecScratch`] provide the **zero-allocation
-//!   hot path** ([`Executor::execute_prepared`]): validate once, compile
-//!   the program into one flat op per static pc slot (operation, registers
-//!   and immediate resolved, so the interpreter dispatches once per
-//!   retired instruction), and reuse machine state and output/trace
+//!   hot path** ([`Executor::execute_prepared`]): validate and compile the
+//!   program in one pass into one flat op per static pc slot (operation,
+//!   registers and immediate resolved, so the interpreter dispatches once
+//!   per retired instruction), and reuse machine state and output/trace
 //!   buffers across runs — the unit of parallel mining fan-out;
 //!   [`Executor::execute`] is a wrapper over it,
+//! * the interpreter reaches each op's handler through a six-level binary
+//!   tree of conditional branches on the op's tag rather than one indirect
+//!   jump: generated widgets run long op sequences that do not repeat,
+//!   which one indirect jump predicts poorly and the tree's branches
+//!   predict well, at some cost on short regular loops (see the loop's
+//!   documentation in `exec.rs`),
 //! * on request ([`ExecConfig::collect_trace`]) it records a **dynamic
 //!   trace** ([`Trace`]) of every retired instruction, which `hashcore-sim`
 //!   replays through its micro-architecture model to measure IPC and

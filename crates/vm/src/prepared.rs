@@ -452,10 +452,12 @@ impl PreparedProgram {
                 block: block.id,
                 index,
             };
-            let start = ops.len();
+            // Compiling stops at the first instruction with a register out
+            // of range, so the number compiled is its index.
+            let (start, len) = (ops.len(), block.instructions.len());
             ops.extend(block.instructions.iter().map_while(|&inst| Op::body(inst)));
             let compiled = ops.len() - start;
-            if compiled < block.instructions.len() {
+            if compiled < len {
                 return Err(invalid(compiled));
             }
             if let Terminator::Jump(to) = block.terminator {
@@ -463,7 +465,6 @@ impl PreparedProgram {
                 jumps_to_jumps |= target.instructions.is_empty()
                     && matches!(target.terminator, Terminator::Jump(_));
             }
-            let len = block.instructions.len();
             ops.push(
                 Op::terminator(block.terminator, len as u32, slot).ok_or_else(|| invalid(len))?,
             );
