@@ -1,11 +1,11 @@
 //! Prepared execution: programs compiled once into flat ops, plus reusable
 //! execution state.
 //!
-//! [`PreparedProgram::prepare`] validates a program and compiles every
-//! static pc slot into one 16-byte [`Op`] in a single pass, each register
-//! range checked as its instruction compiles, in the block-major layout (each
-//! block's body, then its terminator), so an op's index *is* its static
-//! program counter. An op names one operation — `Add`, `AddI`, `FDiv`,
+//! [`PreparedProgram::prepare`] validates a program and compiles it in a
+//! single pass, checking each instruction's registers as it compiles it.
+//! Every static pc slot becomes one 16-byte [`Op`], in the block-major
+//! layout (each block's body, then its terminator), so an op's index *is*
+//! its static program counter. An op names one operation — `Add`, `AddI`, `FDiv`,
 //! `Bltu`, … — with its register indices, its sign-extended immediate and
 //! its successor slots already resolved, so
 //! [`crate::Executor::execute_prepared`] dispatches once per retired
