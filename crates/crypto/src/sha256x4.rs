@@ -282,7 +282,35 @@ pub fn sha256d_x4(messages: [&[u8]; SHA256_LANES]) -> [Digest256; SHA256_LANES] 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::tests::random_input;
     use crate::{sha256, sha256d};
+
+    #[test]
+    fn compress_x4_matches_scalar_compress_under_every_mask() {
+        let mut rng = 0x4_1a9e5;
+        for mask in 0..16u32 {
+            for _ in 0..64 {
+                let inputs: [([u32; 8], [u8; 64]); SHA256_LANES] =
+                    std::array::from_fn(|_| random_input(&mut rng));
+                let active = std::array::from_fn(|lane| mask & (1 << lane) != 0);
+                let mut state = [[0u32; SHA256_LANES]; 8];
+                for (lane, (words, _)) in inputs.iter().enumerate() {
+                    for (word, &value) in state.iter_mut().zip(words) {
+                        word[lane] = value;
+                    }
+                }
+                compress_x4(&mut state, &inputs.map(|(_, block)| block), active);
+                for (lane, (words, block)) in inputs.iter().enumerate() {
+                    let mut expected = *words;
+                    if active[lane] {
+                        crate::sha256::compress(&mut expected, block);
+                    }
+                    let got: [u32; 8] = std::array::from_fn(|i| state[i][lane]);
+                    assert_eq!(got, expected, "mask {mask:04b}, lane {lane}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn fips_vectors_per_lane() {
