@@ -11,13 +11,13 @@ pub type Digest256 = [u8; 32];
 
 /// Initial hash values (first 32 bits of the fractional parts of the square
 /// roots of the first eight primes).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
 /// Round constants (first 32 bits of the fractional parts of the cube roots of
 /// the first 64 primes).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -177,53 +177,62 @@ impl Sha256 {
     }
 }
 
+/// One SHA-256 round on named working variables.
+///
+/// The round leaves the new `a` in the variable passed as `$h` and the new
+/// `e` in the one passed as `$d`; the other six keep their values. The next
+/// round is written with every name passed one place on
+/// (`round!(h, a, b, c, d, e, f, g, ..)`), so no round moves a register and
+/// eight rounds bring the names back to where they started.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        $h = $h
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+            .wrapping_add($g ^ ($e & ($f ^ $g)))
+            .wrapping_add($kw);
+        $d = $d.wrapping_add($h);
+        $h = $h
+            .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add(($a & $b) | ($c & ($a | $b)));
+    };
+}
+
 /// Compresses one 64-byte block into `state`.
+///
+/// The message schedule is a 16-word ring: each group of 16 rounds reads
+/// the ring, and the next group's words are computed over it in place
+/// (word `i` of the ring is the schedule's word `t ≡ i (mod 16)`).
 pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ ((!e) & g);
-        let temp1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let temp2 = s0.wrapping_add(maj);
-
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(temp1);
-        d = c;
-        c = b;
-        b = a;
-        a = temp1.wrapping_add(temp2);
+    for (group, k) in K.chunks_exact(16).enumerate() {
+        if group > 0 {
+            for i in 0..16 {
+                let w15 = w[(i + 1) % 16];
+                let w2 = w[(i + 14) % 16];
+                w[i] = w[i]
+                    .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                    .wrapping_add(w[(i + 9) % 16])
+                    .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+            }
+        }
+        for i in (0..16).step_by(8) {
+            round!(a, b, c, d, e, f, g, h, k[i].wrapping_add(w[i]));
+            round!(h, a, b, c, d, e, f, g, k[i + 1].wrapping_add(w[i + 1]));
+            round!(g, h, a, b, c, d, e, f, k[i + 2].wrapping_add(w[i + 2]));
+            round!(f, g, h, a, b, c, d, e, k[i + 3].wrapping_add(w[i + 3]));
+            round!(e, f, g, h, a, b, c, d, k[i + 4].wrapping_add(w[i + 4]));
+            round!(d, e, f, g, h, a, b, c, k[i + 5].wrapping_add(w[i + 5]));
+            round!(c, d, e, f, g, h, a, b, k[i + 6].wrapping_add(w[i + 6]));
+            round!(b, c, d, e, f, g, h, a, k[i + 7].wrapping_add(w[i + 7]));
+        }
     }
-
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+    for (word, sum) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(sum);
+    }
 }
 
 /// Computes the SHA-256 digest of `data` in one call.

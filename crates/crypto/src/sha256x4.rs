@@ -1,15 +1,22 @@
 //! 4-lane SHA-256: four independent messages hashed per compression pass.
 //!
 //! The scalar [`crate::Sha256`] is latency-bound: every round depends on the
-//! previous one, so a modern core spends most of the compression waiting on
-//! a single dependency chain. This module lays the hash state out as a
-//! *struct of arrays* — each of the eight working variables is a `[u32; 4]`
-//! holding one word per lane — so the four chains interleave and the
-//! compiler can lower every round to 128-bit vector ops (or, failing that,
-//! to four independent scalar chains that fill the pipeline). It is plain
-//! safe Rust: no intrinsics, no `unsafe`, bit-identical per lane to the
-//! scalar implementation (pinned by the FIPS vectors below and the
-//! `proptest_sha256x4` equivalence sweep).
+//! previous one, so a core spends most of a compression waiting on one
+//! dependency chain. This module lays the hash state out as a *struct of
+//! arrays* — each working variable and each schedule word is a `[u32; 4]`
+//! holding one word per lane — so four chains run side by side.
+//!
+//! The compression is written for LLVM's vectoriser, not with intrinsics:
+//! it is plain safe Rust, bit-identical per lane to the scalar
+//! implementation (pinned by the kernel and FIPS tests below and the
+//! `proptest_sha256x4` sweep). Every step is a `for l in 0..SHA256_LANES`
+//! loop over lane arrays inside one out-of-line function, and the
+//! feed-forward is masked with a per-lane word rather than branched on, so
+//! each step becomes one 128-bit vector operation and the working
+//! variables stay in vector registers from the first round to the last.
+//! Built with the workspace's release profile for an AVX-512 host, the
+//! rotations lower to `vprold` and the three-input boolean functions to
+//! `vpternlogd`; the stack holds only the 16-word message schedule.
 //!
 //! Lanes are fully independent messages and may have different lengths: a
 //! lane that runs out of blocks keeps compressing a dummy block but its
@@ -23,132 +30,79 @@
 //! concatenation of a slice list. Everything here is allocation-free:
 //! state, schedules and staged blocks all live on the stack.
 
-use crate::sha256::Digest256;
+use crate::sha256::{Digest256, H0, K};
 
 /// Number of independent messages one multi-lane evaluation hashes.
 pub const SHA256_LANES: usize = 4;
 
 /// One word across all four lanes.
-type Lanes = [u32; 4];
-
-/// Initial hash values, identical to the scalar path's.
-const H0: [u32; 8] = [
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-];
-
-/// Round constants, identical to the scalar path's.
-const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
-
-#[inline(always)]
-fn vadd(a: Lanes, b: Lanes) -> Lanes {
-    [
-        a[0].wrapping_add(b[0]),
-        a[1].wrapping_add(b[1]),
-        a[2].wrapping_add(b[2]),
-        a[3].wrapping_add(b[3]),
-    ]
-}
-
-#[inline(always)]
-fn vxor(a: Lanes, b: Lanes) -> Lanes {
-    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
-}
-
-#[inline(always)]
-fn vand(a: Lanes, b: Lanes) -> Lanes {
-    [a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]]
-}
-
-#[inline(always)]
-fn vnot(a: Lanes) -> Lanes {
-    [!a[0], !a[1], !a[2], !a[3]]
-}
-
-#[inline(always)]
-fn vrotr(a: Lanes, n: u32) -> Lanes {
-    [
-        a[0].rotate_right(n),
-        a[1].rotate_right(n),
-        a[2].rotate_right(n),
-        a[3].rotate_right(n),
-    ]
-}
-
-#[inline(always)]
-fn vshr(a: Lanes, n: u32) -> Lanes {
-    [a[0] >> n, a[1] >> n, a[2] >> n, a[3] >> n]
-}
-
-/// Splats one scalar across all lanes.
-#[inline(always)]
-fn splat(x: u32) -> Lanes {
-    [x; SHA256_LANES]
-}
+type Lanes = [u32; SHA256_LANES];
 
 /// Compresses one 64-byte block per lane into `state`, feeding forward only
 /// the lanes flagged `active` — an inactive lane's state is untouched, as if
 /// the block had never been presented.
-#[inline(always)]
-fn compress_x4(state: &mut [Lanes; 8], blocks: &[[u8; 64]; SHA256_LANES], active: [bool; 4]) {
-    // Transpose the four blocks' big-endian words into the lane layout.
-    let mut w = [[0u32; SHA256_LANES]; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        for (lane, block) in blocks.iter().enumerate() {
-            word[lane] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+///
+/// Every step is a `for l in 0..SHA256_LANES` loop over `[u32; 4]` words in
+/// place, which LLVM turns into one 128-bit vector operation per step and
+/// keeps in vector registers across the whole compression. The function is
+/// kept out of line so it is optimised as that one loop nest wherever it is
+/// called from.
+#[inline(never)]
+fn compress_x4(
+    state: &mut [Lanes; 8],
+    blocks: &[[u8; 64]; SHA256_LANES],
+    active: [bool; SHA256_LANES],
+) {
+    let mut w = [[0u32; SHA256_LANES]; 16];
+    for (i, word) in w.iter_mut().enumerate() {
+        for l in 0..SHA256_LANES {
+            let bytes = &blocks[l][4 * i..4 * i + 4];
+            word[l] = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
     }
-    for i in 16..64 {
-        let s0 = vxor(
-            vxor(vrotr(w[i - 15], 7), vrotr(w[i - 15], 18)),
-            vshr(w[i - 15], 3),
-        );
-        let s1 = vxor(
-            vxor(vrotr(w[i - 2], 17), vrotr(w[i - 2], 19)),
-            vshr(w[i - 2], 10),
-        );
-        w[i] = vadd(vadd(w[i - 16], s0), vadd(w[i - 7], s1));
-    }
-
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-
-    for i in 0..64 {
-        let s1 = vxor(vxor(vrotr(e, 6), vrotr(e, 11)), vrotr(e, 25));
-        let ch = vxor(vand(e, f), vand(vnot(e), g));
-        let temp1 = vadd(vadd(h, s1), vadd(vadd(ch, splat(K[i])), w[i]));
-        let s0 = vxor(vxor(vrotr(a, 2), vrotr(a, 13)), vrotr(a, 22));
-        let maj = vxor(vxor(vand(a, b), vand(a, c)), vand(b, c));
-        let temp2 = vadd(s0, maj);
-
-        h = g;
-        g = f;
-        f = e;
-        e = vadd(d, temp1);
-        d = c;
-        c = b;
-        b = a;
-        a = vadd(temp1, temp2);
-    }
-
-    let sums = [a, b, c, d, e, f, g, h];
-    for (word, sum) in state.iter_mut().zip(sums) {
-        for lane in 0..SHA256_LANES {
-            if active[lane] {
-                word[lane] = word[lane].wrapping_add(sum[lane]);
+    let mut v = *state;
+    for (group, k) in K.chunks_exact(16).enumerate() {
+        if group > 0 {
+            // The schedule's next 16 words, over the 16-word ring in place.
+            for i in 0..16 {
+                let (w15, w7, w2) = (w[(i + 1) % 16], w[(i + 9) % 16], w[(i + 14) % 16]);
+                for l in 0..SHA256_LANES {
+                    w[i][l] = w[i][l]
+                        .wrapping_add(
+                            w15[l].rotate_right(7) ^ w15[l].rotate_right(18) ^ (w15[l] >> 3),
+                        )
+                        .wrapping_add(w7[l])
+                        .wrapping_add(
+                            w2[l].rotate_right(17) ^ w2[l].rotate_right(19) ^ (w2[l] >> 10),
+                        );
+                }
             }
+        }
+        for (&k, w) in k.iter().zip(&w) {
+            let [a, b, c, d, e, f, g, h] = v;
+            let mut new_a = [0u32; SHA256_LANES];
+            let mut new_e = [0u32; SHA256_LANES];
+            for l in 0..SHA256_LANES {
+                let t1 = h[l]
+                    .wrapping_add(
+                        e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25),
+                    )
+                    .wrapping_add(g[l] ^ (e[l] & (f[l] ^ g[l])))
+                    .wrapping_add(k.wrapping_add(w[l]));
+                let t2 = (a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22))
+                    .wrapping_add((a[l] & b[l]) | (c[l] & (a[l] | b[l])));
+                new_a[l] = t1.wrapping_add(t2);
+                new_e[l] = d[l].wrapping_add(t1);
+            }
+            v = [new_a, a, b, c, new_e, e, f, g];
+        }
+    }
+    // All ones for a lane whose block is fed forward, zero for one whose
+    // state must stay as it was.
+    let mask = active.map(|on| 0u32.wrapping_sub(u32::from(on)));
+    for (word, sum) in state.iter_mut().zip(v) {
+        for l in 0..SHA256_LANES {
+            word[l] = word[l].wrapping_add(sum[l] & mask[l]);
         }
     }
 }
@@ -226,10 +180,7 @@ pub fn sha256_x4_parts(lanes: [&[&[u8]]; SHA256_LANES]) -> [Digest256; SHA256_LA
     }
     let max_blocks = blocks.iter().copied().max().unwrap_or(0);
 
-    let mut state = [[0u32; SHA256_LANES]; 8];
-    for (word, init) in state.iter_mut().zip(H0) {
-        *word = splat(init);
-    }
+    let mut state = H0.map(|init| [init; SHA256_LANES]);
 
     let mut staged = [[0u8; 64]; SHA256_LANES];
     for block_index in 0..max_blocks {
