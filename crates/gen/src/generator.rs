@@ -548,6 +548,9 @@ impl WidgetGenerator {
             OpClass::Store,
             OpClass::Vector,
         ];
+        // Half of each class's per-segment budget: the expected count of
+        // one block, the same for every segment of the widget.
+        let halves = work_classes.map(|class| class_budget(budget, class) / segments as f64 * 0.5);
 
         for s in 0..segments {
             let next = if s + 1 == segments {
@@ -555,14 +558,12 @@ impl WidgetGenerator {
             } else {
                 seg_heads[s + 1]
             };
-            let share = |b: f64| b / segments as f64;
 
             // Head block: half of the segment's work (the other half lives in
             // the diamond arms, of which exactly one executes).
             emitter.builder.begin_reserved(seg_heads[s]);
-            for &class in &work_classes {
-                let per_segment = share(class_budget(budget, class));
-                let count = stochastic_round(per_segment * 0.5, &mut code_rng);
+            for (&class, &half) in work_classes.iter().zip(&halves) {
+                let count = stochastic_round(half, &mut code_rng);
                 for _ in 0..count {
                     emitter.emit_work(class, &mut code_rng, &mut mem_rng);
                 }
@@ -581,9 +582,8 @@ impl WidgetGenerator {
             // segment equals its budget.
             for arm in [seg_arms[s].0, seg_arms[s].1] {
                 emitter.builder.begin_reserved(arm);
-                for &class in &work_classes {
-                    let per_segment = share(class_budget(budget, class));
-                    let count = stochastic_round(per_segment * 0.5, &mut code_rng);
+                for (&class, &half) in work_classes.iter().zip(&halves) {
+                    let count = stochastic_round(half, &mut code_rng);
                     for _ in 0..count {
                         emitter.emit_work(class, &mut code_rng, &mut mem_rng);
                     }
