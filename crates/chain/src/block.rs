@@ -73,9 +73,16 @@ impl Block {
         MerkleTree::from_items(transactions.iter().map(|t| t.as_slice())).root()
     }
 
-    /// Returns `true` if the header's Merkle root matches the transactions.
+    /// Returns `true` if the header's Merkle root matches the transactions
+    /// and their tree pairs no two equal nodes
+    /// ([`MerkleTree::has_equal_siblings`]).
+    ///
+    /// The second test keeps one body per root: `[a, b, c, c]` has the root
+    /// of `[a, b, c]`, and a node that stored either could serve it under
+    /// the other's header.
     pub fn merkle_consistent(&self) -> bool {
-        Self::merkle_root(&self.transactions) == self.header.merkle_root
+        let tree = MerkleTree::from_items(self.transactions.iter().map(|t| t.as_slice()));
+        tree.root() == self.header.merkle_root && !tree.has_equal_siblings()
     }
 }
 
@@ -149,6 +156,26 @@ mod tests {
         };
         assert!(block.merkle_consistent());
         block.transactions.push(b"forged".to_vec());
+        assert!(!block.merkle_consistent());
+    }
+
+    #[test]
+    fn repeated_odd_tail_is_not_consistent() {
+        // [a, b, c, c] hashes to the root that commits [a, b, c].
+        let txs = vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()];
+        let mut block = Block {
+            header: BlockHeader {
+                merkle_root: Block::merkle_root(&txs),
+                ..header()
+            },
+            transactions: txs,
+        };
+        assert!(block.merkle_consistent());
+        block.transactions.push(b"c".to_vec());
+        assert_eq!(
+            Block::merkle_root(&block.transactions),
+            block.header.merkle_root
+        );
         assert!(!block.merkle_consistent());
     }
 }

@@ -787,6 +787,47 @@ mod tests {
     }
 
     #[test]
+    fn a_body_repeating_its_odd_tail_is_rejected_as_merkle() {
+        use crate::chain::InvalidReason;
+        // [a, b, c, c] hashes to the root that commits [a, b, c]: a relay
+        // that swaps in that body must not get it stored under the digest.
+        let txs = vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()];
+        let target = Target::from_leading_zero_bits(2);
+        let mut header = BlockHeader {
+            version: 1,
+            prev_hash: GENESIS_HASH,
+            merkle_root: Block::merkle_root(&txs),
+            timestamp: 0,
+            target: *target.threshold(),
+            nonce: 0,
+        };
+        while !target.is_met_by(&Sha256dPow.pow_hash(&header.bytes())) {
+            header.nonce += 1;
+        }
+        let mut repeated = txs.clone();
+        repeated.push(b"c".to_vec());
+        let mut tree = ForkTree::new(Sha256dPow);
+        assert_eq!(
+            tree.apply(Block {
+                header: header.clone(),
+                transactions: repeated,
+            }),
+            Err(ForkError::InvalidBlock {
+                reason: InvalidReason::Merkle,
+            })
+        );
+        let honest = Block {
+            header,
+            transactions: txs,
+        };
+        assert!(matches!(
+            tree.apply(honest.clone()),
+            Ok(ApplyOutcome::TipChanged { .. })
+        ));
+        assert_eq!(tree.block(&tree.tip()), Some(&honest));
+    }
+
+    #[test]
     fn extension_advances_the_tip_without_detaching() {
         let mut tree = ForkTree::new(Sha256dPow);
         assert_eq!(tree.tip(), GENESIS_HASH);

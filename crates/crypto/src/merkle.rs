@@ -11,7 +11,10 @@ use crate::sha256::{sha256, Digest256, Sha256};
 /// items.
 ///
 /// Odd nodes at any level are paired with themselves (the Bitcoin
-/// convention).
+/// convention). So a list that repeats its odd tail has the root of the
+/// list without the repeat: `[a, b, c, c]` has the root of `[a, b, c]`
+/// (CVE-2012-2459). [`MerkleTree::has_equal_siblings`] tells such trees
+/// apart.
 ///
 /// # Examples
 ///
@@ -20,7 +23,7 @@ use crate::sha256::{sha256, Digest256, Sha256};
 ///
 /// let tree = MerkleTree::from_items([b"tx-a".as_ref(), b"tx-b".as_ref()]);
 /// let proof = tree.proof(0).unwrap();
-/// assert!(MerkleTree::verify_proof(tree.root(), b"tx-a", 0, &proof));
+/// assert!(MerkleTree::verify_proof(tree.root(), b"tx-a", 0, tree.leaf_count(), &proof));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleTree {
@@ -72,6 +75,21 @@ impl MerkleTree {
         self.levels[0].len()
     }
 
+    /// Returns `true` if some level pairs a node with an equal real sibling.
+    ///
+    /// A list that repeats its odd tail has the root of the list without the
+    /// repeat, and its tree pairs two equal real nodes on some level:
+    /// `[a, b, c, c]` (the root of `[a, b, c]`) pairs `c` with `c`, and
+    /// `[a, …, f, e, f]` (the root of `[a, …, f]`) pairs the parent of `e`
+    /// and `f` with an equal node one level up. A verifier that rejects such
+    /// trees accepts only the shorter list for that root. Equal siblings
+    /// also arise from two equal items at an even and the next odd index.
+    pub fn has_equal_siblings(&self) -> bool {
+        self.levels[..self.levels.len() - 1]
+            .iter()
+            .any(|level| level.chunks_exact(2).any(|pair| pair[0] == pair[1]))
+    }
+
     /// Returns the inclusion proof (sibling path, leaf level upward) for the
     /// leaf at `index`, or `None` if `index` is out of range.
     pub fn proof(&self, index: usize) -> Option<Vec<Digest256>> {
@@ -94,8 +112,25 @@ impl MerkleTree {
     }
 
     /// Verifies an inclusion proof produced by [`MerkleTree::proof`] for the
-    /// raw (unhashed) `item` at leaf position `index`.
-    pub fn verify_proof(root: Digest256, item: &[u8], index: usize, proof: &[Digest256]) -> bool {
+    /// raw (unhashed) `item` at leaf position `index` of a tree of
+    /// `leaf_count` leaves.
+    ///
+    /// Rejects an `index` past the last leaf and a proof whose length is
+    /// not the tree's height. Without the first check, the last item of an
+    /// odd level would also prove at the index after it, where the tree
+    /// pairs it with itself; without the second, an interior node's two
+    /// children, concatenated into one 64-byte item, would prove with the
+    /// path above that node.
+    pub fn verify_proof(
+        root: Digest256,
+        item: &[u8],
+        index: usize,
+        leaf_count: usize,
+        proof: &[Digest256],
+    ) -> bool {
+        if index >= leaf_count || proof.len() != tree_height(leaf_count) {
+            return false;
+        }
         let mut node = sha256(item);
         let mut idx = index;
         for sibling in proof {
@@ -225,6 +260,12 @@ impl MerkleTree {
     }
 }
 
+/// Number of levels above the leaves in a tree of `leaf_count ≥ 1` leaves:
+/// ⌈log₂ `leaf_count`⌉.
+fn tree_height(leaf_count: usize) -> usize {
+    (usize::BITS - (leaf_count - 1).leading_zeros()) as usize
+}
+
 fn hash_pair(left: &Digest256, right: &Digest256) -> Digest256 {
     let mut hasher = Sha256::new();
     hasher.update(left);
@@ -267,7 +308,7 @@ mod tests {
             for (i, item) in data.iter().enumerate() {
                 let proof = tree.proof(i).expect("index in range");
                 assert!(
-                    MerkleTree::verify_proof(tree.root(), item, i, &proof),
+                    MerkleTree::verify_proof(tree.root(), item, i, n, &proof),
                     "n={n} i={i}"
                 );
             }
@@ -285,7 +326,13 @@ mod tests {
         let data = items(8);
         let tree = MerkleTree::from_items(data.iter().map(|v| v.as_slice()));
         let proof = tree.proof(3).unwrap();
-        assert!(!MerkleTree::verify_proof(tree.root(), b"tx-999", 3, &proof));
+        assert!(!MerkleTree::verify_proof(
+            tree.root(),
+            b"tx-999",
+            3,
+            8,
+            &proof
+        ));
     }
 
     #[test]
@@ -293,7 +340,82 @@ mod tests {
         let data = items(8);
         let tree = MerkleTree::from_items(data.iter().map(|v| v.as_slice()));
         let proof = tree.proof(3).unwrap();
-        assert!(!MerkleTree::verify_proof(tree.root(), &data[3], 4, &proof));
+        assert!(!MerkleTree::verify_proof(
+            tree.root(),
+            &data[3],
+            4,
+            8,
+            &proof
+        ));
+    }
+
+    #[test]
+    fn tree_height_is_the_number_of_levels_above_the_leaves() {
+        for n in 1..=17 {
+            let tree = MerkleTree::from_items(items(n).iter().map(|v| v.as_slice()));
+            assert_eq!(tree_height(n), tree.levels.len() - 1, "n={n}");
+        }
+    }
+
+    #[test]
+    fn repeated_odd_tail_is_told_apart_by_equal_siblings() {
+        // [a, b, c, c] and [a, …, f, e, f] have the roots of [a, b, c] and
+        // [a, …, f]; only the repeats pair two equal real nodes.
+        let data = items(6);
+        for (short, long) in [(3, vec![0, 1, 2, 2]), (6, vec![0, 1, 2, 3, 4, 5, 4, 5])] {
+            let honest = MerkleTree::from_items(data[..short].iter().map(|v| v.as_slice()));
+            let forged = MerkleTree::from_items(long.iter().map(|&i| data[i].as_slice()));
+            assert_eq!(honest.root(), forged.root(), "{short} leaves");
+            assert!(!honest.has_equal_siblings(), "{short} leaves");
+            assert!(forged.has_equal_siblings(), "{short} leaves");
+        }
+    }
+
+    #[test]
+    fn proof_past_the_last_leaf_is_rejected() {
+        // In [a, b, c] the tree pairs c with itself, so c's own path also
+        // hashes up to the root from index 3.
+        let data = items(3);
+        let tree = MerkleTree::from_items(data.iter().map(|v| v.as_slice()));
+        let proof = tree.proof(2).unwrap();
+        assert!(MerkleTree::verify_proof(
+            tree.root(),
+            &data[2],
+            2,
+            3,
+            &proof
+        ));
+        assert!(!MerkleTree::verify_proof(
+            tree.root(),
+            &data[2],
+            3,
+            3,
+            &proof
+        ));
+    }
+
+    #[test]
+    fn interior_node_as_a_64_byte_item_is_rejected() {
+        // sha256(a) ‖ sha256(b) hashes to the parent of a and b, so with
+        // the one sibling above that parent it reaches the root of
+        // [a, b, c, d] from index 0 — one level short of the tree's height.
+        let data = items(4);
+        let tree = MerkleTree::from_items(data.iter().map(|v| v.as_slice()));
+        let mut forged = sha256(&data[0]).to_vec();
+        forged.extend_from_slice(&sha256(&data[1]));
+        let path_above = [tree.proof(0).unwrap()[1]];
+        assert_eq!(
+            hash_pair(&sha256(&forged), &path_above[0]),
+            tree.root(),
+            "the forgery reaches the root"
+        );
+        assert!(!MerkleTree::verify_proof(
+            tree.root(),
+            &forged,
+            0,
+            4,
+            &path_above
+        ));
     }
 
     #[test]

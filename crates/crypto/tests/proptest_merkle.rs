@@ -25,7 +25,7 @@ proptest! {
         for (i, item) in data.iter().enumerate() {
             let proof = tree.proof(i).expect("index in range");
             prop_assert!(
-                MerkleTree::verify_proof(tree.root(), item, i, &proof),
+                MerkleTree::verify_proof(tree.root(), item, i, n, &proof),
                 "n={} i={}", n, i
             );
         }
@@ -41,7 +41,7 @@ proptest! {
             let mut proof = tree.proof(i).expect("index in range");
             proof.pop();
             prop_assert!(
-                !MerkleTree::verify_proof(tree.root(), item, i, &proof),
+                !MerkleTree::verify_proof(tree.root(), item, i, n, &proof),
                 "truncated proof accepted at n={} i={}", n, i
             );
         }
@@ -60,7 +60,7 @@ proptest! {
         proof.swap(0, 1);
         if proof[0] != proof[1] {
             prop_assert!(
-                !MerkleTree::verify_proof(tree.root(), &data[index], index, &proof),
+                !MerkleTree::verify_proof(tree.root(), &data[index], index, n, &proof),
                 "reordered proof accepted at n={} index={}", n, index
             );
         }
@@ -82,7 +82,7 @@ proptest! {
         let pos = pos % (proof.len() * 32);
         proof[pos / 32][pos % 32] ^= 1 << bit;
         prop_assert!(
-            !MerkleTree::verify_proof(tree.root(), &data[index], index, &proof),
+            !MerkleTree::verify_proof(tree.root(), &data[index], index, n, &proof),
             "bit-flipped proof accepted at n={} index={}", n, index
         );
     }
