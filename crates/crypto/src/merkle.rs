@@ -350,14 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_height_is_the_number_of_levels_above_the_leaves() {
-        for n in 1..=17 {
-            let tree = MerkleTree::from_items(items(n).iter().map(|v| v.as_slice()));
-            assert_eq!(tree_height(n), tree.levels.len() - 1, "n={n}");
-        }
-    }
-
-    #[test]
     fn repeated_odd_tail_is_told_apart_by_equal_siblings() {
         // [a, b, c, c] and [a, …, f, e, f] have the roots of [a, b, c] and
         // [a, …, f]; only the repeats pair two equal real nodes.

@@ -260,7 +260,7 @@ pub(crate) mod tests {
     use crate::hex;
 
     /// SplitMix64 step: a small deterministic source of kernel test inputs.
-    pub(crate) fn splitmix(state: &mut u64) -> u64 {
+    fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -42,11 +42,8 @@ type Lanes = [u32; SHA256_LANES];
 /// the lanes flagged `active` — an inactive lane's state is untouched, as if
 /// the block had never been presented.
 ///
-/// Every step is a `for l in 0..SHA256_LANES` loop over `[u32; 4]` words in
-/// place, which LLVM turns into one 128-bit vector operation per step and
-/// keeps in vector registers across the whole compression. The function is
-/// kept out of line so it is optimised as that one loop nest wherever it is
-/// called from.
+/// Kept out of line: inlined into [`sha256_x4_parts`], the same loops ran
+/// at half the speed (3.4–3.6 against 1.7–1.8 ns per byte per lane).
 #[inline(never)]
 fn compress_x4(
     state: &mut [Lanes; 8],
