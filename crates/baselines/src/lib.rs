@@ -34,7 +34,7 @@ mod sha256d_pow;
 pub use memory_hard::{MemoryHardPow, MemoryHardScratch};
 pub use randomx_lite::RandomxLitePow;
 pub use selection::SelectionPow;
-pub use sha256d_pow::Sha256dPow;
+pub use sha256d_pow::{Sha256dPow, Sha256dScratch};
 
 pub use hashcore::NONCE_LANES;
 use hashcore::{HashCore, MiningInput, Target, VerifyCost};
@@ -370,8 +370,9 @@ mod tests {
     #[test]
     fn default_mine_finds_easy_targets() {
         let target = Target::from_leading_zero_bits(4);
+        let mut scratch = Sha256dScratch::default();
         let found = Sha256dPow
-            .scan_nonces(&mut MiningInput::new(b"hdr"), target, 0, 256, &mut ())
+            .scan_nonces(&mut MiningInput::new(b"hdr"), target, 0, 256, &mut scratch)
             .expect("easy target");
         assert!(target.is_met_by(&found.1));
         assert_eq!(
@@ -393,8 +394,9 @@ mod tests {
         );
         assert_eq!(mem_scanned, reference_scan(&pow, b"hdr", target, 0, 256));
 
+        let mut scratch = Sha256dScratch::default();
         let scanned = Sha256dPow
-            .scan_nonces(&mut MiningInput::new(b"hdr"), target, 0, 256, &mut ())
+            .scan_nonces(&mut MiningInput::new(b"hdr"), target, 0, 256, &mut scratch)
             .expect("easy target");
         assert_eq!(
             Some(scanned),
@@ -407,7 +409,7 @@ mod tests {
             target,
             scanned.0 + 1,
             256,
-            &mut (),
+            &mut scratch,
         );
         assert_eq!(
             resumed,
@@ -426,13 +428,20 @@ mod tests {
         let start = u64::MAX - 5;
         let expected = reference_scan(&pow, b"hdr", target, start, 64);
         assert!(expected.is_some(), "easy target within 64 nonces");
-        let scanned = pow.scan_nonces(&mut MiningInput::new(b"hdr"), target, start, 64, &mut ());
+        let mut scratch = Sha256dScratch::default();
+        let scanned = pow.scan_nonces(
+            &mut MiningInput::new(b"hdr"),
+            target,
+            start,
+            64,
+            &mut scratch,
+        );
         assert_eq!(scanned, expected);
 
         // A miss followed by a wrapped resume covers the same 64 nonces.
         let hard = Target::from_leading_zero_bits(255);
         assert_eq!(
-            pow.scan_nonces(&mut MiningInput::new(b"hdr"), hard, start, 32, &mut ()),
+            pow.scan_nonces(&mut MiningInput::new(b"hdr"), hard, start, 32, &mut scratch),
             None
         );
         let resumed = pow.scan_nonces(
@@ -440,7 +449,7 @@ mod tests {
             target,
             start.wrapping_add(32),
             32,
-            &mut (),
+            &mut scratch,
         );
         assert_eq!(
             resumed,

@@ -240,14 +240,17 @@ fn main() {
 
     // 4. Pure hash-gate scan, scalar vs 4-lane: the sha256d baseline is all
     //    gate and no widget, so this pair isolates the multi-lane SHA-256
-    //    gain itself. The scalar row evaluates one nonce at a time; the x4
-    //    row is the lane-batched `scan_nonces`. Far more nonces — a sha256d
+    //    gain itself. The scalar row evaluates one nonce at a time, each
+    //    through a fresh scratch so that, like the lanes, it resumes from
+    //    no midstate and compresses every block; the x4 row is the
+    //    lane-batched `scan_nonces`. Far more nonces — a sha256d
     //    evaluation is ~1000x cheaper than a HashCore one.
     let gate_nonces = (nonces * 2_048).max(1 << 18);
     let mut gate_input = MiningInput::new(header);
     let started = Instant::now();
     for nonce in 0..gate_nonces {
-        let (digest, _) = Sha256dPow.evaluate(gate_input.with_nonce(nonce), &mut ());
+        let (digest, _) =
+            Sha256dPow.evaluate(gate_input.with_nonce(nonce), &mut Default::default());
         assert!(!unreachable.is_met_by(&digest));
     }
     measurements.push(Measurement {
@@ -258,7 +261,13 @@ fn main() {
     });
     let started = Instant::now();
     assert!(Sha256dPow
-        .scan_nonces(&mut gate_input, unreachable, 0, gate_nonces, &mut ())
+        .scan_nonces(
+            &mut gate_input,
+            unreachable,
+            0,
+            gate_nonces,
+            &mut Default::default(),
+        )
         .is_none());
     measurements.push(Measurement {
         mode: "sha256d_x4",

@@ -452,6 +452,14 @@ impl<P: PowFunction> ForkTree<P> {
     /// sequence (with the Merkle check as the body check), advancing the
     /// tip if the block's branch now carries the most cumulative work.
     ///
+    /// A block whose header equals the best tip's is
+    /// [`ApplyOutcome::AlreadyKnown`] with the tip's digest before any
+    /// hashing: equal headers have equal PoW digests, and a known digest
+    /// is `AlreadyKnown` whatever the body. Gossip delivers a node's
+    /// current tip back to it far more often than any other known block.
+    /// Any other known block is recognised by its digest, which costs one
+    /// PoW evaluation.
+    ///
     /// # Errors
     ///
     /// [`ForkError::UnknownParent`] when the parent is not stored (the
@@ -461,6 +469,12 @@ impl<P: PowFunction> ForkTree<P> {
     /// [`DifficultyRule`] expects at this branch position
     /// ([`InvalidReason::Target`]).
     pub fn apply(&mut self, block: Block) -> Result<ApplyOutcome, ForkError> {
+        if self
+            .tip_block()
+            .is_some_and(|tip| tip.header == block.header)
+        {
+            return Ok(ApplyOutcome::AlreadyKnown { digest: self.tip() });
+        }
         let (digest, cost_ratio) = self.digest_and_cost_of_header(&block.header);
         let accepted =
             self.chain
@@ -854,6 +868,66 @@ mod tests {
             tree.apply(a).unwrap(),
             ApplyOutcome::AlreadyKnown { .. }
         ));
+    }
+
+    /// Double SHA-256 that counts its evaluations.
+    #[derive(Default)]
+    struct CountingPow(std::cell::Cell<u64>);
+
+    impl PowFunction for CountingPow {
+        type Scratch = ();
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn dominant_resource(&self) -> hashcore_baselines::ResourceClass {
+            hashcore_baselines::ResourceClass::FixedFunction
+        }
+
+        fn evaluate(&self, input: &[u8], _: &mut ()) -> (Digest256, hashcore::VerifyCost) {
+            self.0.set(self.0.get() + 1);
+            (
+                hashcore_crypto::sha256d(input),
+                hashcore::VerifyCost::NOMINAL,
+            )
+        }
+    }
+
+    #[test]
+    fn a_redelivered_tip_is_known_without_hashing() {
+        let mut tree = ForkTree::new(CountingPow::default());
+        let a = mine_child(GENESIS_HASH, "a", 2);
+        let b = mine_child(digest(&a), "b", 2);
+        tree.apply(a.clone()).expect("valid");
+        tree.apply(b.clone()).expect("valid");
+        let evaluations = tree.pow().0.get();
+        let other_body = Block {
+            transactions: vec![b"another body".to_vec()],
+            ..b.clone()
+        };
+        for block in [b.clone(), other_body] {
+            assert_eq!(
+                tree.apply(block),
+                Ok(ApplyOutcome::AlreadyKnown { digest: digest(&b) })
+            );
+        }
+        assert_eq!(tree.pow().0.get(), evaluations, "the tip is not hashed");
+        // A known block below the tip is recognised by its digest.
+        assert_eq!(
+            tree.apply(a.clone()),
+            Ok(ApplyOutcome::AlreadyKnown { digest: digest(&a) })
+        );
+        assert_eq!(tree.pow().0.get(), evaluations + 1);
+        // A header that differs from the tip's only in its nonce is
+        // another block: one evaluation, then its own verdict.
+        let mut sibling = b;
+        sibling.header.nonce += 1;
+        assert!(!matches!(
+            tree.apply(sibling),
+            Ok(ApplyOutcome::AlreadyKnown { .. })
+        ));
+        assert_eq!(tree.pow().0.get(), evaluations + 2);
     }
 
     #[test]

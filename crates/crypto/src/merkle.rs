@@ -115,12 +115,18 @@ impl MerkleTree {
     /// raw (unhashed) `item` at leaf position `index` of a tree of
     /// `leaf_count` leaves.
     ///
-    /// Rejects an `index` past the last leaf and a proof whose length is
-    /// not the tree's height. Without the first check, the last item of an
-    /// odd level would also prove at the index after it, where the tree
-    /// pairs it with itself; without the second, an interior node's two
-    /// children, concatenated into one 64-byte item, would prove with the
-    /// path above that node.
+    /// Rejects an `index` past the last leaf, a proof whose length is not
+    /// the tree's height, and any step that hashes a node with an equal
+    /// sibling other than an odd level's last node paired with itself.
+    /// Without the first check, the last item of an odd level would also
+    /// prove at the index after it, where the tree pairs it with itself;
+    /// without the third, it would still do so under an overstated
+    /// `leaf_count`, by passing its own duplicate as a real sibling.
+    /// Without the second, an interior node's two children, concatenated
+    /// into one 64-byte item, would prove with the path above that node.
+    /// A tree that pairs two equal real nodes
+    /// ([`MerkleTree::has_equal_siblings`]) has no valid proofs through
+    /// them.
     pub fn verify_proof(
         root: Digest256,
         item: &[u8],
@@ -132,14 +138,23 @@ impl MerkleTree {
             return false;
         }
         let mut node = sha256(item);
-        let mut idx = index;
+        let (mut idx, mut level_size) = (index, leaf_count);
         for sibling in proof {
-            node = if idx.is_multiple_of(2) {
-                hash_pair(&node, sibling)
+            let parent = if !idx.is_multiple_of(2) {
+                hash_siblings(sibling, &node)
+            } else if idx + 1 < level_size {
+                hash_siblings(&node, sibling)
             } else {
-                hash_pair(sibling, &node)
+                // An odd level's last node, whose proof carries the node
+                // itself.
+                Some(hash_pair(&node, sibling))
             };
+            let Some(parent) = parent else {
+                return false;
+            };
+            node = parent;
             idx /= 2;
+            level_size = level_size.div_ceil(2);
         }
         node == root
     }
@@ -209,7 +224,12 @@ impl MerkleTree {
     /// `(leaf index, item)` pairs in any order.
     ///
     /// Rejects empty batches, duplicate or out-of-range indices, proofs with
-    /// missing or surplus nodes, and any digest mismatch against `root`.
+    /// missing or surplus nodes, any step that hashes a node with an equal
+    /// real sibling (shipped or proven), and any digest mismatch against
+    /// `root`. The leaf count comes with the proof, and no root commits to
+    /// it: the equal-sibling check is what stops an overstated count from
+    /// proving an odd level's last node at the index after it, where the
+    /// real tree pairs it with itself (see [`MerkleTree::verify_proof`]).
     pub fn verify_batch(root: Digest256, items: &[(usize, &[u8])], proof: &BatchProof) -> bool {
         let leaf_count = proof.leaf_count as usize;
         if items.is_empty() || leaf_count == 0 {
@@ -235,20 +255,21 @@ impl MerkleTree {
                 let parent = if idx.is_multiple_of(2) {
                     if entries.get(i + 1).is_some_and(|&(j, _)| j == idx + 1) {
                         i += 1;
-                        hash_pair(&node, &entries[i].1)
+                        hash_siblings(&node, &entries[i].1)
                     } else if idx + 1 < level_size {
-                        match supplied.next() {
-                            Some(sibling) => hash_pair(&node, sibling),
-                            None => return false,
-                        }
+                        supplied
+                            .next()
+                            .and_then(|sibling| hash_siblings(&node, sibling))
                     } else {
-                        hash_pair(&node, &node)
+                        Some(hash_pair(&node, &node))
                     }
                 } else {
-                    match supplied.next() {
-                        Some(sibling) => hash_pair(sibling, &node),
-                        None => return false,
-                    }
+                    supplied
+                        .next()
+                        .and_then(|sibling| hash_siblings(sibling, &node))
+                };
+                let Some(parent) = parent else {
+                    return false;
                 };
                 next.push((idx / 2, parent));
                 i += 1;
@@ -264,6 +285,13 @@ impl MerkleTree {
 /// ⌈log₂ `leaf_count`⌉.
 fn tree_height(leaf_count: usize) -> usize {
     (usize::BITS - (leaf_count - 1).leading_zeros()) as usize
+}
+
+/// The parent of two real sibling nodes, or `None` when they are equal:
+/// the verifiers' check against an odd level's last node passed as its own
+/// sibling.
+fn hash_siblings(left: &Digest256, right: &Digest256) -> Option<Digest256> {
+    (left != right).then(|| hash_pair(left, right))
 }
 
 fn hash_pair(left: &Digest256, right: &Digest256) -> Digest256 {
@@ -383,6 +411,52 @@ mod tests {
             3,
             3,
             &proof
+        ));
+    }
+
+    #[test]
+    fn an_overstated_leaf_count_proves_no_phantom_item() {
+        // In [a, b, c] the tree pairs c with itself. Claiming four leaves
+        // turns that duplicate into a real sibling, and c's path reaches
+        // the root from index 3.
+        let data = items(3);
+        let tree = MerkleTree::from_items(data.iter().map(|v| v.as_slice()));
+        let leaves: Vec<Digest256> = data.iter().map(|item| sha256(item)).collect();
+        let nodes = vec![leaves[2], hash_pair(&leaves[0], &leaves[1])];
+        assert_eq!(
+            hash_pair(&nodes[1], &hash_pair(&nodes[0], &leaves[2])),
+            tree.root(),
+            "the forgery reaches the root"
+        );
+        let forged = BatchProof {
+            leaf_count: 4,
+            nodes: nodes.clone(),
+        };
+        assert!(!MerkleTree::verify_batch(
+            tree.root(),
+            &[(3, &data[2])],
+            &forged
+        ));
+        assert!(!MerkleTree::verify_proof(
+            tree.root(),
+            &data[2],
+            3,
+            4,
+            &nodes
+        ));
+        // The honest proofs of c at index 2 still verify.
+        let honest = tree.proof_batch(&[2]).unwrap();
+        assert!(MerkleTree::verify_batch(
+            tree.root(),
+            &[(2, &data[2])],
+            &honest
+        ));
+        assert!(MerkleTree::verify_proof(
+            tree.root(),
+            &data[2],
+            2,
+            3,
+            &tree.proof(2).unwrap()
         ));
     }
 

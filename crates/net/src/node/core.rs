@@ -500,7 +500,7 @@ where
     /// [`ORPHAN_EASING_SLACK`] of the local tip's target — the
     /// anti-sync-DoS floor adaptive-rule nodes apply before requesting an
     /// unknown branch's ancestry.
-    pub(crate) fn orphan_target_plausible(&self, block: &Block) -> bool {
+    pub(crate) fn orphan_target_plausible(&self, target: &[u8; 32]) -> bool {
         let local = match self.tree.tip_block() {
             Some(tip) => Target::from_threshold(tip.header.target),
             None => self.rule().genesis_target(),
@@ -508,7 +508,7 @@ where
         let floor = local.scale(ORPHAN_EASING_SLACK);
         // Bigger threshold = easier target; beyond the eased floor is
         // implausible.
-        block.header.target <= *floor.threshold()
+        target <= floor.threshold()
     }
 
     /// Timestamp validity of one received header under the configured

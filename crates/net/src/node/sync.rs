@@ -47,8 +47,16 @@ where
             self.penalize(from);
             return Vec::new();
         }
-        match self.tree.apply(block.clone()) {
+        // The block moves into the tree and is cloned back only when it was
+        // stored, so a duplicate delivery allocates nothing.
+        let target = block.header.target;
+        match self.tree.apply(block) {
             Ok(outcome) if outcome.newly_stored() => {
+                let block = self
+                    .tree
+                    .block(&outcome.digest())
+                    .expect("a newly stored block")
+                    .clone();
                 self.stats.blocks_accepted += 1;
                 self.stats.verify_cost_ratio_sum += self.tree.cost_ratio_of(&outcome.digest());
                 self.stats.verify_cost_blocks += 1;
@@ -71,7 +79,7 @@ where
                 // dropped — but never penalised, since a post-partition
                 // honest branch can sit beyond the slack too (see
                 // ORPHAN_EASING_SLACK).
-                if self.rule().flat_target().is_none() && !self.orphan_target_plausible(&block) {
+                if self.rule().flat_target().is_none() && !self.orphan_target_plausible(&target) {
                     self.stats.rejections.target_policy += 1;
                     return Vec::new();
                 }

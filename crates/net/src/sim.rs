@@ -1404,8 +1404,12 @@ where
                     self.schedule(next, EventKind::MineSlice { node });
                 }
             }
-            self.tips[node] = tip;
-            self.update_convergence();
+            // Convergence is a function of the cached tips, so only an
+            // event that moved its node's tip can change it.
+            if self.tips[node] != tip {
+                self.tips[node] = tip;
+                self.update_convergence();
+            }
         }
     }
 
