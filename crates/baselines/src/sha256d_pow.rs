@@ -14,11 +14,11 @@ pub struct Sha256dPow;
 /// 64 bytes (one compression block) of a recent input, its *midstate*.
 ///
 /// An evaluation whose input starts with exactly those 64 bytes resumes
-/// from the midstate and skips one of its three compressions. Every nonce
-/// of one mining template shares them: the first 64 bytes of a 116-byte
-/// header are its version, its parent digest and most of its Merkle root,
-/// and the nonce is its last 8. A hit compares all 64 bytes, so no digest
-/// depends on the scratch.
+/// from the midstate and skips its first compression, one of the three
+/// that a 116-byte block header costs. Every nonce of one mining template
+/// shares them: the first 64 bytes of a header are its version, its
+/// parent digest and most of its Merkle root, and the nonce is its last 8.
+/// A hit compares all 64 bytes, so no digest depends on the scratch.
 ///
 /// The midstate is stored only once two consecutive evaluations begin with
 /// the same 64 bytes, judged by an 8-byte fingerprint of the last ones:
