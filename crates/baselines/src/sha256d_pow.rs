@@ -1,24 +1,39 @@
 //! The Bitcoin-style double-SHA-256 PoW baseline.
 
 use crate::{PowFunction, ResourceClass, NONCE_LANES};
-use hashcore::{lane_seeds, MiningInput, Target, VerifyCost};
-use hashcore_crypto::{sha256, sha256_x4, sha256d, Digest256, Sha256};
+use hashcore::{MiningInput, Target, VerifyCost};
+use hashcore_crypto::{sha256, sha256_x4, sha256_x4_resume, sha256d, Digest256, Sha256};
 
 /// `SHA256(SHA256(input))` — the PoW function the paper's introduction uses
 /// as the canonical example of a function for which specialised ASICs vastly
 /// outperform general purpose processors.
+///
+/// The whole function vectorises, and both evaluation paths use that: the
+/// lane hook hashes four nonces per 4-lane pass, and evaluations one nonce
+/// at a time through one [`Sha256dScratch`] resume from the midstate of
+/// their header's first block and hash consecutive nonces four to a pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sha256dPow;
 
 /// The reusable state of [`Sha256dPow`]: the SHA-256 state after the first
-/// 64 bytes (one compression block) of a recent input, its *midstate*.
+/// 64 bytes (one compression block) of a recent input, its *midstate*, and
+/// one lane batch of digests computed from it.
 ///
 /// An evaluation whose input starts with exactly those 64 bytes resumes
 /// from the midstate and skips its first compression, one of the three
 /// that a 116-byte block header costs. Every nonce of one mining template
 /// shares them: the first 64 bytes of a header are its version, its
 /// parent digest and most of its Merkle root, and the nonce is its last 8.
-/// A hit compares all 64 bytes, so no digest depends on the scratch.
+///
+/// When such an input is the next nonce of the last one (the same bytes
+/// but an 8-byte little-endian tail one higher, wrapping) and its bytes
+/// after the head fit one block with their padding (inputs of 72 to 119
+/// bytes), the evaluation hashes that nonce and the next three in one
+/// 4-lane pass from the midstate: one inner and one outer compression per
+/// lane. Later evaluations of exactly those four inputs are answered from
+/// the kept digests. A miner that evaluates one nonce at a time so pays one
+/// 4-lane pass per four nonces. Every hit compares the whole input, so no
+/// digest depends on the scratch.
 ///
 /// The midstate is stored only once two consecutive evaluations begin with
 /// the same 64 bytes, judged by an 8-byte fingerprint of the last ones:
@@ -33,11 +48,30 @@ pub struct Sha256dScratch {
     midstate: Option<Box<Midstate>>,
 }
 
-/// A 64-byte head and the hasher that has absorbed exactly it.
+/// A 64-byte head, the hasher that has absorbed exactly it, and the lane
+/// batch of the inputs that begin with it.
 #[derive(Debug)]
 struct Midstate {
     head: [u8; 64],
     hasher: Sha256,
+    lanes: LaneBatch,
+}
+
+/// The most bytes after the head that one block holds with the padding.
+const MAX_TAIL: usize = 55;
+
+/// The last input after the head, split into its middle and its nonce,
+/// and the digests of one lane batch with that middle.
+#[derive(Debug, Default)]
+struct LaneBatch {
+    /// The last input's bytes between the head and its nonce, and how
+    /// many there are; `None` when the last input had no nonce after its
+    /// head or too long a tail.
+    middle: Option<([u8; MAX_TAIL - 8], usize)>,
+    last_nonce: u64,
+    /// The digests of the inputs with the stored middle and the nonces
+    /// `first..first + 4` (wrapping), when a batch is kept.
+    digests: Option<(u64, [Digest256; NONCE_LANES])>,
 }
 
 impl Sha256dScratch {
@@ -47,40 +81,110 @@ impl Sha256dScratch {
         let Some((head, tail)) = input.split_first_chunk::<64>() else {
             return sha256d(input);
         };
-        let mut inner = match &self.midstate {
-            Some(midstate) if midstate.head == *head => midstate.hasher.clone(),
-            _ => {
-                let mut hasher = Sha256::new();
-                hasher.update(head);
-                self.keep(head, &hasher);
-                hasher
+        if self.midstate_of(head).is_none() {
+            let mut hasher = Sha256::new();
+            hasher.update(head);
+            if !self.keeps(head) {
+                return finish(hasher, tail);
             }
-        };
-        inner.update(tail);
-        sha256(&inner.finalize())
+            let kept = Midstate {
+                head: *head,
+                hasher,
+                lanes: LaneBatch::default(),
+            };
+            match &mut self.midstate {
+                Some(midstate) => **midstate = kept,
+                empty => *empty = Some(Box::new(kept)),
+            }
+        }
+        let midstate = self.midstate.as_mut().expect("a midstate of this head");
+        match midstate.lanes.answer(&midstate.hasher, tail) {
+            Some(digest) => digest,
+            None => finish(midstate.hasher.clone(), tail),
+        }
     }
 
-    /// Stores `hasher`, which has absorbed `head`, as the midstate: in
-    /// place of the stored one, or in a new allocation when the last input
-    /// began with the same bytes.
-    fn keep(&mut self, head: &[u8; 64], hasher: &Sha256) {
-        if self.midstate.is_none() {
-            let fingerprint = fingerprint(head);
-            let repeat = fingerprint == self.last_fingerprint;
-            self.last_fingerprint = fingerprint;
-            if !repeat {
-                return;
+    /// The stored midstate, when it has absorbed exactly `head`.
+    fn midstate_of(&self, head: &[u8]) -> Option<&Sha256> {
+        self.midstate
+            .as_ref()
+            .filter(|midstate| midstate.head == head)
+            .map(|midstate| &midstate.hasher)
+    }
+
+    /// Whether to store the midstate of `head`, which this scratch does
+    /// not hold: always once one is stored, and otherwise when the last
+    /// input began with the same bytes.
+    fn keeps(&mut self, head: &[u8; 64]) -> bool {
+        if self.midstate.is_some() {
+            return true;
+        }
+        let fingerprint = fingerprint(head);
+        let repeat = fingerprint == self.last_fingerprint;
+        self.last_fingerprint = fingerprint;
+        repeat
+    }
+}
+
+impl LaneBatch {
+    /// The digest of the input `head ‖ tail`, where `hasher` has absorbed
+    /// `head`, from a lane batch: a kept one, or a new one from `tail`'s
+    /// nonce when that is the next nonce of the last input. Records `tail`
+    /// as the last input; `None` when no batch answers.
+    fn answer(&mut self, hasher: &Sha256, tail: &[u8]) -> Option<Digest256> {
+        let Some((middle, nonce)) = tail
+            .split_last_chunk::<8>()
+            .filter(|_| tail.len() <= MAX_TAIL)
+        else {
+            *self = Self::default();
+            return None;
+        };
+        let nonce = u64::from_le_bytes(*nonce);
+        let follows = nonce == self.last_nonce.wrapping_add(1);
+        self.last_nonce = nonce;
+        if self.middle.as_ref().map(|(bytes, len)| &bytes[..*len]) != Some(middle) {
+            let mut bytes = [0; MAX_TAIL - 8];
+            bytes[..middle.len()].copy_from_slice(middle);
+            self.middle = Some((bytes, middle.len()));
+            self.digests = None;
+            return None;
+        }
+        if let Some((first, digests)) = &self.digests {
+            let lane = usize::try_from(nonce.wrapping_sub(*first)).ok();
+            if let Some(digest) = lane.and_then(|lane| digests.get(lane)) {
+                return Some(*digest);
             }
         }
-        let kept = Midstate {
-            head: *head,
-            hasher: hasher.clone(),
-        };
-        match &mut self.midstate {
-            Some(midstate) => **midstate = kept,
-            empty => *empty = Some(Box::new(kept)),
+        if !follows {
+            return None;
         }
+        let nonces = std::array::from_fn(|lane| nonce.wrapping_add(lane as u64));
+        let digests = sha256d_lanes(hasher, middle, nonces);
+        self.digests = Some((nonce, digests));
+        Some(digests[0])
     }
+}
+
+/// `sha256(sha256(m))` of the message `m` that `inner` has absorbed but
+/// for `tail`.
+fn finish(mut inner: Sha256, tail: &[u8]) -> Digest256 {
+    inner.update(tail);
+    sha256(&inner.finalize())
+}
+
+/// Double SHA-256 of `prefix ‖ rest ‖ nonce` for four nonces in one 4-lane
+/// pass per application, where `prefix` is what `hasher` has absorbed,
+/// a whole number of blocks.
+fn sha256d_lanes(
+    hasher: &Sha256,
+    rest: &[u8],
+    nonces: [u64; NONCE_LANES],
+) -> [Digest256; NONCE_LANES] {
+    let nonce_bytes = nonces.map(u64::to_le_bytes);
+    let parts: [[&[u8]; 2]; NONCE_LANES] =
+        std::array::from_fn(|lane| [rest, nonce_bytes[lane].as_slice()]);
+    let inner = sha256_x4_resume(hasher, parts.each_ref().map(|lane| lane.as_slice()));
+    sha256_x4(inner.each_ref().map(|digest| digest.as_slice()))
 }
 
 /// An 8-byte fingerprint of a 64-byte head, never 0. Equal heads have
@@ -121,21 +225,32 @@ impl PowFunction for Sha256dPow {
     }
 
     /// Both SHA-256 applications run four lanes wide: the inner hash over
-    /// `header ‖ nonce` via [`lane_seeds`], the outer hash over the four
-    /// fixed-size inner digests. This is the ASIC-friendly extreme — the
-    /// *entire* function vectorises, which is exactly the contrast the
-    /// bench's `simd_vs_scalar` metric quantifies against HashCore.
-    /// The lanes start from the initial state, not from the scratch's
-    /// midstate.
+    /// `header ‖ nonce`, the outer hash over the four fixed-size inner
+    /// digests. This is the ASIC-friendly extreme — the *entire* function
+    /// vectorises, which is exactly the contrast the bench's
+    /// `simd_vs_scalar` metric quantifies against HashCore.
+    ///
+    /// When the scratch holds a midstate of the header's first 64 bytes,
+    /// the lanes start from it and skip one of their three compressions;
+    /// otherwise they start from the initial state. The hook stores no
+    /// midstate and no lane batch of its own, so a scan through a fresh
+    /// scratch compresses every block, as one evaluation per nonce through
+    /// a fresh scratch does.
     fn first_hit_in_lanes(
         &self,
         input: &mut MiningInput,
         nonces: [u64; NONCE_LANES],
         target: Target,
-        _scratch: &mut Sha256dScratch,
+        scratch: &mut Sha256dScratch,
     ) -> Option<(u64, Digest256)> {
-        let inner = lane_seeds(input.header_bytes(), nonces);
-        let digests = sha256_x4(inner.each_ref().map(|digest| digest.as_slice()));
+        let header = input.header_bytes();
+        let resumed = header
+            .split_first_chunk::<64>()
+            .and_then(|(head, rest)| Some((scratch.midstate_of(head)?, rest)));
+        let digests = match resumed {
+            Some((hasher, rest)) => sha256d_lanes(hasher, rest, nonces),
+            None => sha256d_lanes(&Sha256::new(), header, nonces),
+        };
         nonces
             .into_iter()
             .zip(digests)
@@ -216,7 +331,7 @@ mod tests {
             assert_sha256d(&input, &mut scratch);
         }
         // Lane batches between scalar evaluations of one template: the
-        // lanes start from the initial state and leave the midstate alone.
+        // lanes resume from the midstate the scalar evaluations stored.
         let header = headed(4, &[5; 44]);
         let mut input = MiningInput::new(&header);
         let (hard, easy) = (
@@ -236,6 +351,74 @@ mod tests {
             let hit = Sha256dPow.scan_nonces(&mut input, easy, start, 64, &mut scratch);
             assert_eq!(hit, first_hit);
         }
+        // One nonce at a time across lane-batch boundaries, with jumps
+        // back inside a kept batch, past it and back, and a restart.
+        let header = headed(6, &[7; 44]);
+        let mut input = MiningInput::new(&header);
+        let scan = (0..13).chain([9, 12, 10, 11, 13, 14, 40, 41, 39, 42, 43, 41, 40, 0, 1, 2]);
+        for nonce in scan {
+            assert_sha256d(input.with_nonce(nonce), &mut scratch);
+        }
+        assert_eq!(kept_batch(&scratch), Some(1), "the restart batches again");
+        // A kept batch, then inputs that differ from its only between the
+        // head and the nonce: in the first or the last such byte.
+        for at in [64, 107] {
+            for nonce in 20..24 {
+                assert_sha256d(input.with_nonce(nonce), &mut scratch);
+            }
+            assert_eq!(kept_batch(&scratch), Some(21));
+            let mut changed = input.with_nonce(22).to_vec();
+            changed[at] ^= 1;
+            assert_sha256d(&changed, &mut scratch);
+            assert_sha256d(input.with_nonce(23), &mut scratch);
+        }
+        // Through the top of the nonce space, with a batch that wraps.
+        for nonce in (u64::MAX - 5..=u64::MAX).chain(0..6) {
+            assert_sha256d(input.with_nonce(nonce), &mut scratch);
+        }
+        // Lane-hook calls inside a kept batch leave it as it was.
+        for start in [100, 104, 103] {
+            assert_sha256d(input.with_nonce(start), &mut scratch);
+            assert_sha256d(input.with_nonce(start + 1), &mut scratch);
+            let nonces = std::array::from_fn(|lane| start + 2 + lane as u64);
+            let missed = Sha256dPow.first_hit_in_lanes(&mut input, nonces, hard, &mut scratch);
+            assert_eq!(missed, None);
+            assert_sha256d(input.with_nonce(start + 2), &mut scratch);
+            assert_eq!(kept_batch(&scratch), Some(start + 1));
+        }
+        // Inputs of 64 to 72 bytes, whose nonce overlaps the head below 72,
+        // and of 118 to 121, whose tail fits one block up to 119 bytes.
+        for len in (64..=72).chain(118..=121) {
+            let mut bytes = vec![8; len];
+            for nonce in 0..9u64 {
+                bytes[len - 8..].copy_from_slice(&nonce.to_le_bytes());
+                assert_sha256d(&bytes, &mut scratch);
+            }
+            let batched = (72..=119).contains(&len);
+            assert_eq!(kept_batch(&scratch).is_some(), batched, "{len} bytes");
+        }
+    }
+
+    /// The first nonce of the lane batch `scratch` keeps, if any.
+    fn kept_batch(scratch: &Sha256dScratch) -> Option<u64> {
+        let midstate = scratch.midstate.as_ref()?;
+        midstate.lanes.digests.as_ref().map(|(first, _)| *first)
+    }
+
+    /// The lane hook stores nothing in a fresh scratch, so a scan of whole
+    /// lane batches compresses every block, as evaluations through fresh
+    /// scratches do.
+    #[test]
+    fn lane_scans_store_no_midstate() {
+        let mut scratch = Sha256dScratch::default();
+        let mut input = MiningInput::new(&headed(9, &[1; 44]));
+        let hard = Target::from_leading_zero_bits(255);
+        for start in [0, 8] {
+            let missed = Sha256dPow.scan_nonces(&mut input, hard, start, 8, &mut scratch);
+            assert_eq!(missed, None);
+        }
+        assert!(scratch.midstate.is_none());
+        assert_eq!(scratch.last_fingerprint, 0);
     }
 
     /// Every network node holds two scratches, one in its fork tree and one

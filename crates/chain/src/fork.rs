@@ -476,6 +476,44 @@ impl<P: PowFunction> ForkTree<P> {
             return Ok(ApplyOutcome::AlreadyKnown { digest: self.tip() });
         }
         let (digest, cost_ratio) = self.digest_and_cost_of_header(&block.header);
+        self.accept(block, digest, cost_ratio)
+    }
+
+    /// [`ForkTree::apply`] for a block whose header the caller has already
+    /// evaluated through this tree's PoW, as
+    /// [`ForkTree::digest_and_cost_of_header`] does: `digest` and
+    /// `cost_ratio` are that evaluation's, and the block is not hashed
+    /// again. A miner that has just checked its hit's admission stores the
+    /// block this way. Debug builds re-evaluate the header to check
+    /// `digest`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ForkTree::apply`].
+    pub fn apply_evaluated(
+        &mut self,
+        block: Block,
+        digest: Digest256,
+        cost_ratio: f64,
+    ) -> Result<ApplyOutcome, ForkError> {
+        debug_assert_eq!(
+            digest,
+            self.pow.pow_hash(&block.header.bytes()),
+            "the digest is the PoW digest of the block's header"
+        );
+        self.accept(block, digest, cost_ratio)
+    }
+
+    /// The one acceptance path of [`ForkTree::apply`],
+    /// [`ForkTree::apply_evaluated`] and [`ForkTree::mine_next`]: the
+    /// [`HeaderChain`] acceptance sequence for `block`, whose header has
+    /// PoW `digest` and cost ratio `cost_ratio`.
+    fn accept(
+        &mut self,
+        block: Block,
+        digest: Digest256,
+        cost_ratio: f64,
+    ) -> Result<ApplyOutcome, ForkError> {
         let accepted =
             self.chain
                 .accept_item(block, digest, cost_ratio, Block::merkle_consistent)?;
@@ -555,8 +593,7 @@ impl<P: PowFunction> ForkTree<P> {
                     header,
                     transactions: transactions.to_vec(),
                 };
-                self.chain
-                    .accept_item(block, digest, cost_ratio, Block::merkle_consistent)
+                self.accept(block, digest, cost_ratio)
                     .expect("the rule-consistent child of the tip is accepted");
                 return Ok(self.block(&digest).expect("the mined block is stored"));
             }

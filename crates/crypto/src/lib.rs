@@ -8,7 +8,9 @@
 //!
 //! * [`Sha256`] / [`sha256()`](fn@sha256) — the hash-gate function `G` in the paper,
 //! * [`sha256_x4`] / [`sha256d_x4`] — the 4-lane struct-of-arrays variant the
-//!   nonce-scanning loops batch hash-gate evaluations through,
+//!   nonce-scanning loops batch hash-gate evaluations through, and
+//!   [`sha256_x4_resume`], its form that starts every lane from one scalar
+//!   midstate,
 //! * [`Sha512`] / [`sha512()`](fn@sha512) — used by the memory-hard baseline,
 //! * [`sha256d`] — double SHA-256 (the Bitcoin PoW baseline),
 //! * [`hmac_sha256`] — keyed hashing used by the deterministic stream cipher
@@ -44,7 +46,7 @@ pub mod sha512;
 pub use hmac::hmac_sha256;
 pub use merkle::{BatchProof, MerkleTree};
 pub use sha256::{sha256, sha256d, Digest256, Sha256};
-pub use sha256x4::{sha256_x4, sha256_x4_parts, sha256d_x4, SHA256_LANES};
+pub use sha256x4::{sha256_x4, sha256_x4_parts, sha256_x4_resume, sha256d_x4, SHA256_LANES};
 pub use sha512::{sha512, Digest512, Sha512};
 
 /// Number of bytes in a SHA-256 digest (the hash-gate output width `n`).

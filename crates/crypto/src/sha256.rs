@@ -11,7 +11,7 @@ pub type Digest256 = [u8; 32];
 
 /// Initial hash values (first 32 bits of the fractional parts of the square
 /// roots of the first eight primes).
-pub(crate) const H0: [u32; 8] = [
+const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -167,6 +167,13 @@ impl Sha256 {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
+    }
+
+    /// The chaining state and the number of bytes absorbed, when those
+    /// bytes are whole 64-byte blocks and nothing is buffered: a state a
+    /// multi-lane pass can start from.
+    pub(crate) fn block_state(&self) -> Option<([u32; 8], u64)> {
+        (self.buffer_len == 0).then_some((self.state, self.total_len))
     }
 
     /// One-shot convenience: hash `data` and return the digest.

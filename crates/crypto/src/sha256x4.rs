@@ -27,10 +27,13 @@
 //! Callers that assemble a lane from non-contiguous pieces (the mining
 //! loops hash `header ‖ nonce` without materialising four separate
 //! buffers) use [`sha256_x4_parts`], which treats each lane as the
-//! concatenation of a slice list. Everything here is allocation-free:
-//! state, schedules and staged blocks all live on the stack.
+//! concatenation of a slice list. [`sha256_x4_resume`] does the same from a
+//! scalar [`crate::Sha256`] that has absorbed a shared prefix of whole
+//! blocks, and [`sha256_x4_parts`] is its case for the initial state.
+//! Everything here is allocation-free: state, schedules and staged blocks
+//! all live on the stack.
 
-use crate::sha256::{Digest256, H0, K};
+use crate::sha256::{Digest256, Sha256, K};
 
 /// Number of independent messages one multi-lane evaluation hashes.
 pub const SHA256_LANES: usize = 4;
@@ -106,14 +109,16 @@ fn compress_x4(
 
 /// Writes block `block_index` of the padded stream for a message formed by
 /// concatenating `parts` (total length `total_len`, spanning `blocks` padded
-/// blocks) into `out`.
+/// blocks) after a prefix of `prefix_len` bytes, whole blocks already
+/// compressed, into `out`.
 ///
 /// The padded stream is the FIPS 180-4 framing: the message bytes, one
-/// `0x80` terminator, zeros, and the 64-bit big-endian bit length closing
-/// the final block.
+/// `0x80` terminator, zeros, and the 64-bit big-endian bit length of the
+/// prefix and the message closing the final block.
 fn fill_block(
     parts: &[&[u8]],
     total_len: usize,
+    prefix_len: u64,
     blocks: usize,
     block_index: usize,
     out: &mut [u8; 64],
@@ -143,7 +148,7 @@ fn fill_block(
 
     // The bit length closes the last block.
     if block_index + 1 == blocks {
-        let bit_len = (total_len as u64) * 8;
+        let bit_len = (prefix_len + total_len as u64) * 8;
         out[56..64].copy_from_slice(&bit_len.to_be_bytes());
     }
 }
@@ -155,7 +160,7 @@ fn fill_block(
 /// [`crate::sha256()`](fn@crate::sha256)`(concat(lanes[i]))`. Lanes may have different total
 /// lengths; the compression loop runs until the longest lane's final block
 /// and masks finished lanes out of the feed-forward. No heap allocation is
-/// performed.
+/// performed. This is [`sha256_x4_resume`] from the initial state.
 ///
 /// This is the mining loops' entry point: a `header ‖ nonce` input is two
 /// slices, so four nonce variants hash without materialising four buffers.
@@ -165,19 +170,45 @@ fn fill_block(
 /// Panics (in debug builds) if a lane exceeds the 2^61 − 1 byte FIPS length
 /// bound — the same contract as the scalar [`crate::Sha256`].
 pub fn sha256_x4_parts(lanes: [&[&[u8]]; SHA256_LANES]) -> [Digest256; SHA256_LANES] {
+    sha256_x4_resume(&Sha256::new(), lanes)
+}
+
+/// Hashes four messages that share the prefix `prefix` has absorbed, each
+/// lane continuing it with the concatenation of its slice list.
+///
+/// Lane `i`'s digest is byte-identical to the digest of `prefix` after
+/// absorbing `concat(lanes[i])`. All four lanes start from `prefix`'s
+/// chaining state, so the prefix is compressed once, not once per lane:
+/// a miner whose nonces share the first block of their header (its
+/// *midstate*) resumes four of them from it. Lanes may have different
+/// lengths, as in [`sha256_x4_parts`], and no heap allocation is performed.
+///
+/// # Panics
+///
+/// Panics if `prefix` has absorbed a length that is not a multiple of
+/// 64 bytes: the lanes could not share a part-filled block. Panics (in
+/// debug builds) if a lane's whole message exceeds the 2^61 − 1 byte FIPS
+/// length bound, the same contract as the scalar [`crate::Sha256`].
+pub fn sha256_x4_resume(
+    prefix: &Sha256,
+    lanes: [&[&[u8]]; SHA256_LANES],
+) -> [Digest256; SHA256_LANES] {
+    let (chain, prefix_len) = prefix
+        .block_state()
+        .expect("the prefix hasher has absorbed whole 64-byte blocks");
     let mut total_len = [0usize; SHA256_LANES];
     let mut blocks = [0usize; SHA256_LANES];
     for lane in 0..SHA256_LANES {
         total_len[lane] = lanes[lane].iter().map(|part| part.len()).sum();
         debug_assert!(
-            (total_len[lane] as u64) < 1u64 << 61,
+            prefix_len + (total_len[lane] as u64) < 1u64 << 61,
             "message exceeds the FIPS 180-4 64-bit length field"
         );
         blocks[lane] = (total_len[lane] + 9).div_ceil(64);
     }
     let max_blocks = blocks.iter().copied().max().unwrap_or(0);
 
-    let mut state = H0.map(|init| [init; SHA256_LANES]);
+    let mut state = chain.map(|word| [word; SHA256_LANES]);
 
     let mut staged = [[0u8; 64]; SHA256_LANES];
     for block_index in 0..max_blocks {
@@ -187,6 +218,7 @@ pub fn sha256_x4_parts(lanes: [&[&[u8]]; SHA256_LANES]) -> [Digest256; SHA256_LA
                 fill_block(
                     lanes[lane],
                     total_len[lane],
+                    prefix_len,
                     blocks[lane],
                     block_index,
                     &mut staged[lane],
@@ -334,6 +366,41 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         assert_eq!(digests[1], sha256(b"abc"));
         assert_eq!(digests[2], sha256(b"abc"));
         assert_eq!(digests[3], sha256(b"abcdefg"));
+    }
+
+    #[test]
+    fn resumed_lanes_match_scalar_over_prefix_and_lane() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(128 + 203).collect();
+        for prefix_len in [64, 128] {
+            let (prefix, rest) = data.split_at(prefix_len);
+            let mut hasher = Sha256::new();
+            hasher.update(prefix);
+            for len in 0..=200 {
+                // Four different lengths and contents, each lane in two parts.
+                let lanes: [&[u8]; SHA256_LANES] =
+                    std::array::from_fn(|lane| &rest[lane..][..(len + 50 * lane) % 201]);
+                let parts = lanes.map(|lane| lane.split_at(lane.len() / 3));
+                let parts = parts.map(|(first, second)| [first, second]);
+                let digests = sha256_x4_resume(&hasher, parts.each_ref().map(|p| p.as_slice()));
+                for (lane, bytes) in lanes.iter().enumerate() {
+                    let whole = [prefix, bytes].concat();
+                    assert_eq!(
+                        digests[lane],
+                        sha256(&whole),
+                        "prefix {prefix_len}, lane {lane} of {} bytes",
+                        bytes.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole 64-byte blocks")]
+    fn a_part_filled_prefix_is_refused() {
+        let mut hasher = Sha256::new();
+        hasher.update(&[0; 65]);
+        sha256_x4_resume(&hasher, [&[], &[], &[], &[]]);
     }
 
     #[test]

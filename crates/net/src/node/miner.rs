@@ -134,7 +134,7 @@ where
             return Vec::new();
         }
         let mut remaining = attempts;
-        let (block, cost_ratio) = loop {
+        let (block, digest, cost_ratio) = loop {
             if remaining == 0 {
                 return Vec::new();
             }
@@ -182,12 +182,13 @@ where
                     header,
                     transactions: self.miner.transactions.clone(),
                 },
+                digest,
                 cost_ratio,
             );
         };
         let outcome = self
             .tree
-            .apply(block.clone())
+            .apply_evaluated(block.clone(), digest, cost_ratio)
             .expect("a locally mined block extends a stored tip");
         self.stats.blocks_mined += 1;
         self.stats.verify_cost_ratio_sum += cost_ratio;

@@ -6,6 +6,7 @@ use hashcore_baselines::Sha256dPow;
 use hashcore_chain::{Block, BlockHeader, DifficultyRule, GENESIS_HASH};
 use hashcore_store::ChainStore;
 use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn node(id: usize) -> Node<Sha256dPow> {
     Node::new(id, Sha256dPow, Target::from_leading_zero_bits(2), 2)
@@ -57,6 +58,57 @@ fn mining_resumes_across_slices() {
     assert_eq!(sliced, bulk);
     assert_eq!(a.tip(), b.tip());
     assert_eq!(a.stats().blocks_mined, 1);
+}
+
+/// Double SHA-256 that counts its evaluations through a scratch already
+/// used once. A node's miner and fork tree keep their scratches; a one-off
+/// `pow_hash`, such as a debug build's check of a caller's digest, starts
+/// from a fresh one and is not counted.
+#[derive(Debug, Default)]
+struct CountingPow(AtomicU64);
+
+impl hashcore_baselines::PowFunction for CountingPow {
+    /// Whether the scratch has been used.
+    type Scratch = bool;
+
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn dominant_resource(&self) -> hashcore_baselines::ResourceClass {
+        hashcore_baselines::ResourceClass::FixedFunction
+    }
+
+    fn evaluate(&self, input: &[u8], used: &mut bool) -> (Digest256, hashcore::VerifyCost) {
+        if std::mem::replace(used, true) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        (
+            hashcore_crypto::sha256d(input),
+            hashcore::VerifyCost::NOMINAL,
+        )
+    }
+}
+
+#[test]
+fn a_mined_block_is_hashed_once_after_its_scan() {
+    let target = Target::from_leading_zero_bits(2);
+    let mut node = Node::new(0, CountingPow::default(), target, 1);
+    let evaluations = |node: &Node<CountingPow>| node.tree().pow().0.load(Ordering::Relaxed);
+    // The first block puts the miner's scratch and the tree's to use.
+    for round in 0..4 {
+        let before = evaluations(&node);
+        let out = node.mine_slice(round, 1_000);
+        let Some(Outgoing::Broadcast(Message::Block(block))) = out.first() else {
+            panic!("a 2-bit target is met within 1,000 nonces");
+        };
+        // The scan evaluated nonces 0 to the hit, and admission one more.
+        if round > 0 {
+            assert_eq!(evaluations(&node) - before, block.header.nonce + 2);
+        }
+    }
+    assert_eq!(node.stats().blocks_mined, 4);
+    assert_eq!(node.tip_height(), 4);
 }
 
 #[test]
