@@ -62,6 +62,15 @@ const MAX_TAIL: usize = 55;
 
 /// The last input after the head, split into its middle and its nonce,
 /// and the digests of one lane batch with that middle.
+///
+/// The batch sits here, not in a miner that knows its next nonces, because
+/// only the scratch holds the midstate. A miner's lookahead through the
+/// lane hook would start from the initial state: three 4-lane compressions
+/// per four nonces of a 116-byte header, against two here. A hook that
+/// stored a midstate would make `bench_mining`'s `sha256d_x4` row skip a
+/// compression its `sha256d_scalar` row pays. Inputs that never batch,
+/// such as a fork tree's gossiped headers, pay only a compare and a copy
+/// of at most 47 bytes per evaluation.
 #[derive(Debug, Default)]
 struct LaneBatch {
     /// The last input's bytes between the head and its nonce, and how
@@ -81,7 +90,7 @@ impl Sha256dScratch {
         let Some((head, tail)) = input.split_first_chunk::<64>() else {
             return sha256d(input);
         };
-        if self.midstate_of(head).is_none() {
+        if !matches!(&self.midstate, Some(midstate) if midstate.head == *head) {
             let mut hasher = Sha256::new();
             hasher.update(head);
             if !self.keeps(head) {
@@ -102,14 +111,6 @@ impl Sha256dScratch {
             Some(digest) => digest,
             None => finish(midstate.hasher.clone(), tail),
         }
-    }
-
-    /// The stored midstate, when it has absorbed exactly `head`.
-    fn midstate_of(&self, head: &[u8]) -> Option<&Sha256> {
-        self.midstate
-            .as_ref()
-            .filter(|midstate| midstate.head == head)
-            .map(|midstate| &midstate.hasher)
     }
 
     /// Whether to store the midstate of `head`, which this scratch does
@@ -230,27 +231,19 @@ impl PowFunction for Sha256dPow {
     /// vectorises, which is exactly the contrast the bench's
     /// `simd_vs_scalar` metric quantifies against HashCore.
     ///
-    /// When the scratch holds a midstate of the header's first 64 bytes,
-    /// the lanes start from it and skip one of their three compressions;
-    /// otherwise they start from the initial state. The hook stores no
-    /// midstate and no lane batch of its own, so a scan through a fresh
-    /// scratch compresses every block, as one evaluation per nonce through
-    /// a fresh scratch does.
+    /// The lanes start from the initial state, not from the scratch's
+    /// midstate, and the hook leaves the scratch as it was. A scan of
+    /// whole lane batches so compresses every block, as one evaluation per
+    /// nonce through a fresh scratch does, and `bench_mining`'s
+    /// `simd_vs_scalar` stays the lane gain alone.
     fn first_hit_in_lanes(
         &self,
         input: &mut MiningInput,
         nonces: [u64; NONCE_LANES],
         target: Target,
-        scratch: &mut Sha256dScratch,
+        _scratch: &mut Sha256dScratch,
     ) -> Option<(u64, Digest256)> {
-        let header = input.header_bytes();
-        let resumed = header
-            .split_first_chunk::<64>()
-            .and_then(|(head, rest)| Some((scratch.midstate_of(head)?, rest)));
-        let digests = match resumed {
-            Some((hasher, rest)) => sha256d_lanes(hasher, rest, nonces),
-            None => sha256d_lanes(&Sha256::new(), header, nonces),
-        };
+        let digests = sha256d_lanes(&Sha256::new(), input.header_bytes(), nonces);
         nonces
             .into_iter()
             .zip(digests)
@@ -331,7 +324,7 @@ mod tests {
             assert_sha256d(&input, &mut scratch);
         }
         // Lane batches between scalar evaluations of one template: the
-        // lanes resume from the midstate the scalar evaluations stored.
+        // lanes start from the initial state and leave the midstate alone.
         let header = headed(4, &[5; 44]);
         let mut input = MiningInput::new(&header);
         let (hard, easy) = (

@@ -504,10 +504,11 @@ impl<P: PowFunction> ForkTree<P> {
         self.accept(block, digest, cost_ratio)
     }
 
-    /// The one acceptance path of [`ForkTree::apply`],
-    /// [`ForkTree::apply_evaluated`] and [`ForkTree::mine_next`]: the
-    /// [`HeaderChain`] acceptance sequence for `block`, whose header has
-    /// PoW `digest` and cost ratio `cost_ratio`.
+    /// The acceptance path of [`ForkTree::apply`] and
+    /// [`ForkTree::apply_evaluated`]: the [`HeaderChain`] acceptance
+    /// sequence for `block`, whose header has PoW `digest` and cost ratio
+    /// `cost_ratio`, and its outcome. [`ForkTree::mine_next`] runs the same
+    /// sequence but builds no outcome.
     fn accept(
         &mut self,
         block: Block,
@@ -593,7 +594,8 @@ impl<P: PowFunction> ForkTree<P> {
                     header,
                     transactions: transactions.to_vec(),
                 };
-                self.accept(block, digest, cost_ratio)
+                self.chain
+                    .accept_item(block, digest, cost_ratio, Block::merkle_consistent)
                     .expect("the rule-consistent child of the tip is accepted");
                 return Ok(self.block(&digest).expect("the mined block is stored"));
             }
