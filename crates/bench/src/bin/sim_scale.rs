@@ -1,4 +1,4 @@
-//! Internet-scale simulation harness: the sharded parallel scheduler and
+//! Internet-scale simulation harness: the parallel scheduler and
 //! the peer-topology overlay, swept across node counts, plus the eclipse
 //! attack/defence pair.
 //!

@@ -3,14 +3,26 @@
 //! The paper's widget pipeline generates a C program which gcc compiles to
 //! native x86 (Section IV-B). For portability and verification determinism
 //! the reproduction *executes* widgets on the `hashcore-vm` interpreter, but
-//! this module emits the equivalent C source so the original pipeline remains
-//! inspectable: the emitted translation unit is a faithful rendering of the
-//! widget's control-flow graph using `goto`-labelled blocks, 64-bit integer
-//! arithmetic and IEEE-754 doubles.
+//! this module emits a C rendering of the widget so the original pipeline
+//! remains inspectable: the emitted translation unit walks the widget's
+//! control-flow graph through `goto`-labelled blocks, with 64-bit integer
+//! arithmetic and IEEE-754 doubles, and at each snapshot writes the integer
+//! and FP registers to `stdout`.
 //!
-//! The emitted program writes the same snapshot stream to `stdout` that the
-//! VM produces, so compiling it with a C compiler and diffing the output
-//! against the VM is a (manual, out-of-band) cross-check of the interpreter.
+//! The C is not yet a bit-exact oracle for the VM: compiled, it prints
+//! different bytes. It departs from the VM in five known ways.
+//!
+//! 1. It starts from zero registers and zero memory. The VM's
+//!    `MachineState::seed` fills memory, then the integer, FP and vector
+//!    registers, from one splitmix64 stream of the memory seed.
+//! 2. A snapshot writes the integer and FP registers only (256 bytes). The
+//!    VM's also writes the 32 vector lanes (512 bytes in all).
+//! 3. Its `canon` turns NaN into 0.0 but keeps -0.0; the VM's turns both
+//!    into +0.0. Its `FpLoad` and `FpStore` copy raw bits; the VM
+//!    canonicalises both.
+//! 4. `FpToInt` casts with `(int64_t)`, which is undefined in C for an
+//!    out-of-range value; Rust's `as` saturates.
+//! 5. It has no step limit, so a program that never halts hangs it.
 
 use crate::block::Terminator;
 use crate::inst::{FpOp, Instruction, IntAluOp, IntMulOp, VecOp};
@@ -18,7 +30,9 @@ use crate::program::Program;
 use crate::reg::{NUM_FP_REGS, NUM_INT_REGS, NUM_VEC_REGS, VEC_LANES};
 use std::fmt::Write as _;
 
-/// Emits a self-contained C translation unit equivalent to `program`.
+/// Emits a self-contained C translation unit that renders `program`'s
+/// control flow and instructions. Its output is not the VM's: see the
+/// module docs for the five ways it departs.
 ///
 /// # Examples
 ///

@@ -24,17 +24,23 @@
 //! `run_wall_seconds`) vary between runs, and they are excluded from the
 //! fingerprint.
 //!
-//! # The sharded parallel scheduler
+//! # The scheduler: timestamp buckets, one thread or N
 //!
-//! The event queue is sharded per node ([`ShardedQueue`]) and merged back
-//! under the same `(time, seq)` total order. Because every handler
-//! schedules strictly into the future, the scheduler pops whole timestamp
-//! batches, fans the node-local handler runs across `thread::scope`
-//! workers (`SimConfig::threads`), and replays their outcomes — sends,
-//! RNG draws, convergence transitions — sequentially in `seq` order.
-//! N-thread runs are therefore **byte-identical** to 1-thread runs; a
-//! proptest and the pinned honest fingerprint gate this, and the
-//! `sim_scale` bench measures the resulting events/sec at 8–256 nodes.
+//! The event queue ([`EventQueue`]) keeps one bucket of events per
+//! timestamp. A bucket needs no sort: the scheduler hands out `seq` in
+//! push order, so each bucket is already in `(time, seq)` order. Because
+//! every handler schedules strictly into the future, the scheduler pops
+//! whole timestamp batches. On one thread it runs each node event's
+//! handler and merges its outcome — sends, RNG draws, convergence
+//! transitions — before the next handler runs. With
+//! `SimConfig::threads > 1` it fans the node-local handler runs across
+//! `thread::scope` workers, one lane per node, and merges their outcomes
+//! afterwards in `seq` order. Handlers touch only their own node and
+//! draw no RNG, and a merge writes nothing a handler reads, so N-thread
+//! runs are **byte-identical** to 1-thread runs; a proptest, a
+//! thread-count test and the pinned honest fingerprint gate this, and
+//! the `sim_scale` bench measures the resulting events/sec at 8–256
+//! nodes.
 //!
 //! # Peer topology and eclipse attacks
 //!
@@ -116,7 +122,7 @@ pub use node::{
     LightConfig, Message, Node, NodeStats, Outgoing, RejectionCounts, Role, SyncReorg,
     TimestampRule, MAX_HEADERS_PER_MSG,
 };
-pub use sched::{Scheduled, ShardedQueue};
+pub use sched::{EventQueue, Scheduled};
 pub use sim::{
     CostPolicyConfig, CrashRestart, LatencyModel, LightSimConfig, Partition, PersistenceConfig,
     RetargetConfig, SimConfig, SimReport, Simulation,

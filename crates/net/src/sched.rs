@@ -1,30 +1,29 @@
-//! Deterministic event ordering and the sharded event queue.
+//! Deterministic event ordering and the time-bucketed event queue.
 //!
 //! The simulation's determinism rests on one invariant: events fire in
 //! ascending `(time, seq)` order, where `seq` is the global insertion
-//! counter. This module owns that invariant. [`Scheduled`] pins the total
-//! order (earlier time first, insertion order breaking ties), and
-//! [`ShardedQueue`] splits the single global heap into one heap per node
-//! plus a global heap for barrier events — yet merges them under exactly
-//! the same total order, so replacing the global `BinaryHeap` with the
-//! sharded queue is behaviour-preserving by construction.
+//! counter. This module owns that invariant. [`Scheduled::key`] names the
+//! total order (earlier time first, insertion order breaking ties), and
+//! [`EventQueue`] keeps one bucket of events per timestamp.
 //!
-//! The sharding exists for the parallel scheduler: because every handler
-//! schedules strictly into the future (`time > now` on every path), all
-//! events sharing the earliest timestamp are already queued when that
-//! timestamp is reached. [`ShardedQueue::pop_time_batch`] therefore pops
-//! the *whole* front timestamp at once — the batch whose node-local runs
-//! the simulation fans out across `thread::scope` workers.
+//! A bucket needs no sort. The simulation hands out `seq` in push order,
+//! so appending each event to its timestamp's bucket keeps every bucket in
+//! ascending `seq` order, whatever times the pushes carry. Popping the
+//! front bucket therefore yields exactly the events a single
+//! `(time, seq)`-ordered heap would pop next, already in that order.
+//!
+//! Popping whole timestamps is what the scheduler builds on: because every
+//! handler schedules strictly into the future (`time > now` on every
+//! path), all events sharing the earliest timestamp are already queued
+//! when that timestamp is reached. One thread runs each node event's
+//! handler and merges its outcome before the next handler runs; N threads
+//! fan a batch's node-local events out as per-node lanes and merge the
+//! outcomes afterwards in `seq` order. See [`crate::Simulation::run`] for
+//! why the two are identical.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
-/// A queued event, ordered by `(time, seq)` — `seq` is the insertion
-/// counter, so ties break deterministically in insertion order.
-///
-/// The `Ord` implementation is **reversed** (later `(time, seq)` compares
-/// as smaller) so that `BinaryHeap`, a max-heap, pops the earliest event
-/// first. Use [`Scheduled::key`] when plain ascending order is wanted.
+/// A queued event: the `(time, seq)` pair that orders it and what it does.
 #[derive(Debug, Clone)]
 pub struct Scheduled<K> {
     /// Simulated fire time, milliseconds.
@@ -37,125 +36,65 @@ pub struct Scheduled<K> {
 
 impl<K> Scheduled<K> {
     /// The `(time, seq)` ordering key, ascending: earlier events have
-    /// smaller keys.
+    /// smaller keys, and [`EventQueue`] pops in ascending key order.
     pub fn key(&self) -> (u64, u64) {
         (self.time, self.seq)
     }
 }
 
-impl<K> PartialEq for Scheduled<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<K> Eq for Scheduled<K> {}
-
-impl<K> PartialOrd for Scheduled<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K> Ord for Scheduled<K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// Per-node event heaps merged under the global `(time, seq)` total order.
+/// Events bucketed by fire time, each bucket in push order.
 ///
-/// Events targeting one node go to that node's shard; events touching
-/// global state (partitions, crashes, topology ticks) go to the global
-/// shard. Popping always yields the event with the smallest `(time, seq)`
-/// across every shard — byte-identical to one global heap.
+/// Pushes must carry ascending `seq`s (the simulation's insertion
+/// counter); then the queue pops in ascending `(time, seq)` order.
 #[derive(Debug)]
-pub struct ShardedQueue<K> {
-    shards: Vec<BinaryHeap<Scheduled<K>>>,
-    global: BinaryHeap<Scheduled<K>>,
-    len: usize,
+pub struct EventQueue<K> {
+    buckets: BTreeMap<u64, Vec<Scheduled<K>>>,
+    /// Emptied bucket vectors, reused so a running simulation allocates
+    /// bucket storage only when it has more timestamps pending than ever
+    /// before.
+    spare: Vec<Vec<Scheduled<K>>>,
 }
 
-impl<K> ShardedQueue<K> {
-    /// Creates a queue with `shards` per-node heaps plus the global heap.
-    pub fn new(shards: usize) -> Self {
+impl<K> Default for EventQueue<K> {
+    fn default() -> Self {
         Self {
-            shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            global: BinaryHeap::new(),
-            len: 0,
+            buckets: BTreeMap::new(),
+            spare: Vec::new(),
         }
     }
+}
 
-    /// Pushes an event onto node shard `shard`, or the global shard when
-    /// `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn push(&mut self, shard: Option<usize>, event: Scheduled<K>) {
-        match shard {
-            Some(node) => self.shards[node].push(event),
-            None => self.global.push(event),
-        }
-        self.len += 1;
+impl<K> EventQueue<K> {
+    /// Appends `event` to its timestamp's bucket.
+    pub fn push(&mut self, event: Scheduled<K>) {
+        self.buckets
+            .entry(event.time)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .push(event);
     }
 
-    /// Total queued events across every shard.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no shard holds any event.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The earliest `(time, seq)` key across every shard, if any.
-    fn min_key(&self) -> Option<(u64, u64)> {
-        self.shards
-            .iter()
-            .chain(std::iter::once(&self.global))
-            .filter_map(|heap| heap.peek().map(Scheduled::key))
-            .min()
-    }
-
-    /// Pops every event scheduled at the earliest queued timestamp into
-    /// `out` (cleared first), sorted ascending by `seq`.
-    ///
-    /// Leaves `out` empty when the queue is empty. Because `seq` is a
-    /// global counter, concatenating successive batches reproduces exactly
-    /// the pop order of a single `(time, seq)`-ordered heap.
+    /// Moves every event of the earliest queued timestamp into `out`,
+    /// which is cleared first, in push order. Leaves `out` empty when
+    /// the queue is empty.
     pub fn pop_time_batch(&mut self, out: &mut Vec<Scheduled<K>>) {
         out.clear();
-        let Some((time, _)) = self.min_key() else {
-            return;
-        };
-        for heap in self
-            .shards
-            .iter_mut()
-            .chain(std::iter::once(&mut self.global))
-        {
-            while heap.peek().is_some_and(|event| event.time == time) {
-                out.push(heap.pop().expect("peeked event pops"));
-            }
+        if let Some((_, mut bucket)) = self.buckets.pop_first() {
+            std::mem::swap(out, &mut bucket);
+            self.spare.push(bucket);
         }
-        self.len -= out.len();
-        out.sort_unstable_by_key(Scheduled::key);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
 
     fn ev(time: u64, seq: u64) -> Scheduled<u32> {
         Scheduled { time, seq, kind: 0 }
     }
 
-    /// The total order: earlier time first, then earlier seq; the heap
-    /// ordering is the exact reverse so `BinaryHeap::pop` yields the
-    /// earliest event.
+    /// The total order: earlier time first, then earlier seq.
     #[test]
     fn time_then_seq_is_the_total_order() {
         assert_eq!(ev(5, 0).key().cmp(&ev(6, 0).key()), Ordering::Less);
@@ -164,83 +103,71 @@ mod tests {
         assert_eq!(ev(5, 2).key().cmp(&ev(5, 2).key()), Ordering::Equal);
         // A later seq never beats an earlier time.
         assert_eq!(ev(4, 99).key().cmp(&ev(5, 0).key()), Ordering::Less);
-        // The heap order is reversed: the earlier event compares Greater,
-        // so a max-heap pops it first.
-        assert_eq!(ev(5, 1).cmp(&ev(5, 2)), Ordering::Greater);
-        assert_eq!(ev(4, 99).cmp(&ev(5, 0)), Ordering::Greater);
-        assert_eq!(ev(5, 2).cmp(&ev(5, 2)), Ordering::Equal);
     }
 
+    /// Seeded random interleavings of pushes (ascending `seq`, times at
+    /// or after the last popped batch) and pops: every batch holds one
+    /// timestamp, and the batches concatenate to the stable `(time, seq)`
+    /// sort of everything pushed.
     #[test]
-    fn a_heap_of_scheduled_pops_in_time_seq_order() {
-        let mut heap = BinaryHeap::new();
-        for (time, seq) in [(30, 0), (10, 3), (10, 1), (20, 2), (10, 4)] {
-            heap.push(ev(time, seq));
-        }
-        let popped: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop().map(|e| e.key())).collect();
-        assert_eq!(popped, [(10, 1), (10, 3), (10, 4), (20, 2), (30, 0)]);
-    }
-
-    /// The sharded queue merges per-node heaps identically to one global
-    /// heap: a mixed insertion drains in global `(time, seq)` order.
-    #[test]
-    fn sharded_merge_matches_a_single_heap() {
-        let mut sharded = ShardedQueue::new(3);
-        let mut reference = BinaryHeap::new();
-        // A deterministic pseudo-random-ish insertion pattern across
-        // shards, times and a strictly increasing seq.
-        let mut state = 0x9e37_79b9_u64;
-        for seq in 0..200 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let time = (state >> 33) % 17;
-            let shard = match (state >> 7) % 4 {
-                3 => None,
-                s => Some(s as usize),
+    fn batches_concatenate_to_the_time_seq_sort_of_the_pushes() {
+        for seed in 0..64u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = |bound: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % bound
             };
-            sharded.push(shard, ev(time, seq));
-            reference.push(ev(time, seq));
-        }
-        assert_eq!(sharded.len(), 200);
-        let mut merged = Vec::new();
-        let mut batch = Vec::new();
-        loop {
-            sharded.pop_time_batch(&mut batch);
-            if batch.is_empty() {
-                break;
+            let mut queue = EventQueue::default();
+            let mut pushed = Vec::new();
+            let mut popped = Vec::new();
+            let mut batch = Vec::new();
+            let mut floor = 0;
+            let mut seq = 0;
+            for _ in 0..400 {
+                if next(3) == 0 {
+                    queue.pop_time_batch(&mut batch);
+                    if let Some(first) = batch.first() {
+                        floor = first.time;
+                        assert!(
+                            batch.iter().all(|e| e.time == floor),
+                            "a batch holds one timestamp"
+                        );
+                    }
+                    popped.extend(batch.iter().map(Scheduled::key));
+                } else {
+                    // Occasionally far ahead, mostly within a few ticks,
+                    // so buckets both grow and get emptied and reused.
+                    let ahead = if next(8) == 0 { next(1_000) } else { next(6) };
+                    queue.push(ev(floor + ahead, seq));
+                    pushed.push((floor + ahead, seq));
+                    seq += 1;
+                }
             }
-            let time = batch[0].time;
-            for pair in batch.windows(2) {
-                assert_eq!(pair[0].time, time, "a batch spans one timestamp");
-                assert!(pair[0].seq < pair[1].seq, "batches are seq-sorted");
+            loop {
+                queue.pop_time_batch(&mut batch);
+                let Some(first) = batch.first() else { break };
+                let time = first.time;
+                assert!(batch.iter().all(|e| e.time == time));
+                popped.extend(batch.iter().map(Scheduled::key));
             }
-            merged.extend(batch.iter().map(Scheduled::key));
+            pushed.sort_by_key(|&(time, _)| time);
+            assert_eq!(popped, pushed, "seed {seed}");
         }
-        assert!(sharded.is_empty());
-        let expected: Vec<(u64, u64)> =
-            std::iter::from_fn(|| reference.pop().map(|e| e.key())).collect();
-        assert_eq!(merged, expected);
     }
 
     #[test]
-    fn pop_time_batch_takes_the_whole_front_timestamp_across_shards() {
-        let mut queue = ShardedQueue::new(2);
-        queue.push(Some(0), ev(10, 2));
-        queue.push(Some(1), ev(10, 0));
-        queue.push(None, ev(10, 1));
-        queue.push(Some(0), ev(11, 3));
-        let mut batch = Vec::new();
+    fn an_empty_queue_leaves_out_empty() {
+        let mut queue = EventQueue::default();
+        let mut batch = vec![ev(3, 0)];
+        queue.pop_time_batch(&mut batch);
+        assert!(batch.is_empty());
+        queue.push(ev(7, 1));
         queue.pop_time_batch(&mut batch);
         assert_eq!(
             batch.iter().map(Scheduled::key).collect::<Vec<_>>(),
-            [(10, 0), (10, 1), (10, 2)]
-        );
-        assert_eq!(queue.len(), 1);
-        queue.pop_time_batch(&mut batch);
-        assert_eq!(
-            batch.iter().map(Scheduled::key).collect::<Vec<_>>(),
-            [(11, 3)]
+            [(7, 1)]
         );
         queue.pop_time_batch(&mut batch);
         assert!(batch.is_empty());

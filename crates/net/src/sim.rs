@@ -2,7 +2,7 @@
 //! fan-out, partitions, request timeouts, and the simulation report.
 
 use crate::node::{LightConfig, Message, Node, Outgoing, RejectionCounts, Role, TimestampRule};
-use crate::sched::{Scheduled, ShardedQueue};
+use crate::sched::{EventQueue, Scheduled};
 use crate::strategy::{Honest, Strategy};
 use crate::topology::{Overlay, TopologyConfig};
 use hashcore::Target;
@@ -283,25 +283,19 @@ enum EventKind {
 }
 
 impl EventKind {
-    /// The node shard this event belongs to. `None` marks a *barrier*
-    /// event: it touches global scheduler state (the partition split, the
-    /// down flags, the topology overlay) and must execute alone, never
-    /// concurrently with node-local work.
-    fn shard(&self) -> Option<usize> {
-        match self {
-            EventKind::MineSlice { node } | EventKind::Timeout { node, .. } => Some(*node),
-            EventKind::Deliver { to, .. } => Some(*to),
-            EventKind::PartitionStart { .. }
-            | EventKind::PartitionEnd { .. }
-            | EventKind::Crash { .. }
-            | EventKind::Restart { .. }
-            | EventKind::TopologyTick => None,
-        }
+    /// `true` for a *barrier* event: it touches global scheduler state
+    /// (the partition split, the down flags, the topology overlay) and
+    /// must execute alone, never concurrently with node-local work.
+    fn is_barrier(&self) -> bool {
+        !matches!(
+            self,
+            EventKind::MineSlice { .. } | EventKind::Deliver { .. } | EventKind::Timeout { .. }
+        )
     }
 }
 
-/// A node-local handler invocation, extracted from an [`EventKind`] during
-/// batch preparation.
+/// A node-local handler invocation, taken from a node event's
+/// [`EventKind`].
 #[derive(Debug)]
 enum NodeAction {
     /// Run one mining slice of `attempts` nonces.
@@ -310,21 +304,27 @@ enum NodeAction {
     Deliver { from: usize, message: Message },
     /// Fire a request-timeout check.
     Timeout { token: Digest256 },
+    /// The node is down and runs no handler. A skipped mining slice
+    /// (`mine`) still reschedules the slice clock, so mining resumes
+    /// after the restart.
+    Skip { mine: bool },
 }
 
-/// One unit of node-local work, tagged with the event's global `seq` so
-/// results merge back in the exact sequential order.
+/// One node event ready to execute, tagged with its global `seq` so a
+/// lane's outcomes merge back in the exact sequential order.
 #[derive(Debug)]
 struct NodeEvent {
     seq: u64,
+    node: usize,
     action: NodeAction,
 }
 
-/// What one node-local event produced, captured on the worker thread and
-/// merged back sequentially in `seq` order. Everything the sequential
-/// post-handler code needs — outgoing sends, the node's tip after the
-/// event, the facts feeding topology scoring — is here, so the merge
-/// phase consumes the RNG in exactly the sequential order.
+/// What one node-local event produced, captured by
+/// [`Simulation::execute`] and replayed by [`Simulation::merge`].
+/// Everything the post-handler code needs — outgoing sends, the node's
+/// tip after the event, the facts feeding topology scoring — is here, so
+/// the merge consumes the RNG in `seq` order whichever thread ran the
+/// handler.
 #[derive(Debug)]
 struct EventOutcome {
     seq: u64,
@@ -651,7 +651,7 @@ where
     /// Indices of the non-adversarial nodes (all nodes when every strategy
     /// is adversarial, so reports never divide by zero).
     honest: Vec<usize>,
-    queue: ShardedQueue<EventKind>,
+    queue: EventQueue<EventKind>,
     rng: WidgetRng,
     adversary_rng: WidgetRng,
     seq: u64,
@@ -865,7 +865,7 @@ where
             rng,
             adversary_rng: WidgetRng::new(config.seed ^ 0xADAD_F0F0_1234_5678),
             down: vec![false; config.nodes],
-            queue: ShardedQueue::new(config.nodes),
+            queue: EventQueue::default(),
             nodes,
             honest,
             seq: 0,
@@ -926,8 +926,7 @@ where
     fn schedule(&mut self, time: u64, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        let shard = kind.shard();
-        self.queue.push(shard, Scheduled { time, seq, kind });
+        self.queue.push(Scheduled { time, seq, kind });
     }
 
     /// The RNG stream `from`'s traffic draws on — the isolation that keeps
@@ -1089,51 +1088,56 @@ where
     /// Runs the simulation to completion — mining until the horizon, then
     /// draining in-flight traffic — and reports the aggregate outcome.
     ///
-    /// # The sharded parallel scheduler
+    /// # Timestamp batches, on one thread and on many
     ///
     /// Every scheduling path lands strictly after `now` (latency floors
     /// at 1 ms, timers floor at 1 ms, slice clocks add `slice_ms`), so
     /// when the earliest queued timestamp is reached, *every* event at
     /// that timestamp is already queued. The loop therefore pops whole
-    /// timestamp batches ([`ShardedQueue::pop_time_batch`]) and splits
-    /// each batch at *barrier* events (partitions, crashes, topology
-    /// ticks — anything touching global state). The node-local runs in
-    /// between fan out across `thread::scope` workers, one lane per
-    /// node: handlers only touch their own node and draw no RNG, so
-    /// executing them concurrently and then replaying their outcomes —
-    /// sends, scoring credits, slice reschedules, convergence updates —
-    /// sequentially in global `seq` order consumes the seeded RNG in
-    /// exactly the order the single-threaded scheduler did. N-thread
-    /// runs are byte-identical to 1-thread runs; the sharded-scheduler
-    /// proptest and the pinned honest fingerprint both gate this.
+    /// timestamp batches ([`EventQueue::pop_time_batch`]). A batch needs
+    /// no sort: `Simulation::schedule` hands out `seq` in push order, so
+    /// each timestamp's bucket is already in `seq` order.
+    ///
+    /// Barrier events (partitions, crashes, topology ticks — anything
+    /// touching global state) execute alone. With one thread, every node
+    /// event runs its handler and merges its outcome — sends, RNG draws,
+    /// scoring credits, the slice clock, convergence — before the next
+    /// handler runs. With `threads > 1`, the node events between two
+    /// barriers fan out across `thread::scope` workers, one lane per
+    /// node, and their outcomes merge afterwards in `seq` order.
+    ///
+    /// The two are identical. A handler touches only its own node and
+    /// draws no RNG, and a merge writes only scheduler state and the
+    /// nodes' byte counters, which no handler reads. So running a node's
+    /// later handlers before an earlier event's merge changes nothing any
+    /// handler or merge sees, and N-thread runs are byte-identical to
+    /// 1-thread runs; the sharded-scheduler proptest, the thread-count
+    /// test and the pinned honest fingerprint gate this.
     pub fn run(&mut self) -> SimReport {
         let started = Instant::now();
         let mut batch: Vec<Scheduled<EventKind>> = Vec::new();
-        let mut group: Vec<Scheduled<EventKind>> = Vec::new();
+        let mut pending: Vec<NodeEvent> = Vec::new();
         loop {
             self.queue.pop_time_batch(&mut batch);
-            if batch.is_empty() {
-                break;
-            }
-            self.now = batch[0].time;
+            let Some(first) = batch.first() else { break };
+            self.now = first.time;
             self.events_processed += batch.len() as u64;
-            // Walk the batch in seq order, splitting at barriers: maximal
-            // runs of node-local events execute (potentially) in
-            // parallel, barriers execute alone.
-            batch.reverse();
-            while let Some(event) = batch.pop() {
-                if event.kind.shard().is_none() {
+            for event in batch.drain(..) {
+                if event.kind.is_barrier() {
+                    self.run_lanes(&mut pending);
                     self.run_barrier(event.kind);
                     self.update_convergence();
+                    continue;
+                }
+                let event = self.node_event(event);
+                if self.config.threads > 1 {
+                    pending.push(event);
                 } else {
-                    group.clear();
-                    group.push(event);
-                    while batch.last().is_some_and(|next| next.kind.shard().is_some()) {
-                        group.push(batch.pop().expect("peeked event pops"));
-                    }
-                    self.run_node_events(&mut group);
+                    let outcome = Self::execute(self.now, &mut self.nodes[event.node], event);
+                    self.merge(outcome);
                 }
             }
+            self.run_lanes(&mut pending);
         }
         self.run_wall_seconds = started.elapsed().as_secs_f64();
         self.report()
@@ -1234,213 +1238,156 @@ where
         }
     }
 
-    /// Executes a barrier-free run of node-local events sharing one
-    /// timestamp: prepare per-node lanes in seq order, execute the lanes
-    /// (in parallel when configured), then merge every outcome back
-    /// strictly in seq order — sends, topology bookkeeping, slice
-    /// reschedules and convergence updates all replay sequentially.
-    fn run_node_events(&mut self, group: &mut Vec<Scheduled<EventKind>>) {
-        let mut outcomes: Vec<EventOutcome> = Vec::with_capacity(group.len());
-        let mut work: Vec<(usize, Vec<NodeEvent>)> = Vec::new();
-        let queue_work =
-            |work: &mut Vec<(usize, Vec<NodeEvent>)>, node: usize, ev: NodeEvent| match work
-                .iter_mut()
-                .find(|(id, _)| *id == node)
-            {
-                Some((_, events)) => events.push(ev),
-                None => work.push((node, vec![ev])),
-            };
-        for event in group.drain(..) {
-            let seq = event.seq;
-            match event.kind {
-                EventKind::MineSlice { node } => {
-                    if self.down[node] {
-                        // A crashed node mines nothing, but the slice
-                        // clock keeps ticking so mining resumes after the
-                        // restart.
-                        outcomes.push(EventOutcome {
-                            seq,
-                            node,
-                            outgoing: Vec::new(),
-                            tip: self.tips[node],
-                            relayer: None,
-                            useful: false,
-                            mine: true,
-                        });
-                    } else {
-                        let attempts = self.config.attempts_for(node);
-                        queue_work(
-                            &mut work,
-                            node,
-                            NodeEvent {
-                                seq,
-                                action: NodeAction::Mine { attempts },
-                            },
-                        );
-                    }
-                }
-                EventKind::Deliver { to, from, message } => {
-                    if self.down[to] {
-                        // In-flight messages sent before the crash arrive
-                        // at a dead socket.
-                        self.messages_lost_to_crashes += 1;
-                        outcomes.push(EventOutcome {
-                            seq,
-                            node: to,
-                            outgoing: Vec::new(),
-                            tip: self.tips[to],
-                            relayer: None,
-                            useful: false,
-                            mine: false,
-                        });
-                    } else {
-                        queue_work(
-                            &mut work,
-                            to,
-                            NodeEvent {
-                                seq,
-                                action: NodeAction::Deliver { from, message },
-                            },
-                        );
-                    }
-                }
-                EventKind::Timeout { node, token } => {
-                    if self.down[node] {
-                        outcomes.push(EventOutcome {
-                            seq,
-                            node,
-                            outgoing: Vec::new(),
-                            tip: self.tips[node],
-                            relayer: None,
-                            useful: false,
-                            mine: false,
-                        });
-                    } else {
-                        queue_work(
-                            &mut work,
-                            node,
-                            NodeEvent {
-                                seq,
-                                action: NodeAction::Timeout { token },
-                            },
-                        );
-                    }
-                }
-                _ => unreachable!("barriers never enter a node-event group"),
+    /// Takes a node-local event apart for [`Simulation::execute`]. A down
+    /// node runs no handler, and a message to it is lost.
+    fn node_event(&mut self, event: Scheduled<EventKind>) -> NodeEvent {
+        let (node, action) = match event.kind {
+            EventKind::MineSlice { node } if self.down[node] => {
+                (node, NodeAction::Skip { mine: true })
             }
-        }
-        let now = self.now;
-        let threads = self.config.threads.min(work.len()).max(1);
-        if threads <= 1 {
-            for (node, events) in work {
-                Self::execute_lane(now, node, &mut self.nodes[node], events, &mut outcomes);
+            EventKind::MineSlice { node } => {
+                let attempts = self.config.attempts_for(node);
+                (node, NodeAction::Mine { attempts })
             }
-        } else {
-            // One lane per node with work; disjoint `&mut Node` handles
-            // fan out across scoped workers, chunked evenly — the same
-            // shape as `validate_segment_parallel`.
-            let mut slots: Vec<Option<Vec<NodeEvent>>> =
-                (0..self.config.nodes).map(|_| None).collect();
-            for (node, events) in work {
-                slots[node] = Some(events);
+            EventKind::Deliver { to, .. } if self.down[to] => {
+                // In-flight messages sent before the crash arrive at a
+                // dead socket.
+                self.messages_lost_to_crashes += 1;
+                (to, NodeAction::Skip { mine: false })
             }
-            type Lane<'n, P> = (usize, &'n mut Node<P>, Vec<NodeEvent>, Vec<EventOutcome>);
-            let mut lanes: Vec<Lane<'_, P>> = Vec::new();
-            for (node, node_ref) in self.nodes.iter_mut().enumerate() {
-                if let Some(events) = slots[node].take() {
-                    lanes.push((node, node_ref, events, Vec::new()));
-                }
+            EventKind::Deliver { to, from, message } => (to, NodeAction::Deliver { from, message }),
+            EventKind::Timeout { node, .. } if self.down[node] => {
+                (node, NodeAction::Skip { mine: false })
             }
-            let chunk = lanes.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for piece in lanes.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for (node, node_ref, events, outs) in piece.iter_mut() {
-                            Self::execute_lane(now, *node, node_ref, std::mem::take(events), outs);
-                        }
-                    });
-                }
-            });
-            for (_, _, _, mut outs) in lanes {
-                outcomes.append(&mut outs);
-            }
-        }
-        // Merge strictly in global seq order: this is where all RNG draws
-        // and global-state mutations happen, reproducing the sequential
-        // scheduler exactly.
-        outcomes.sort_unstable_by_key(|outcome| outcome.seq);
-        for outcome in outcomes {
-            let EventOutcome {
-                node,
-                outgoing,
-                tip,
-                relayer,
-                useful,
-                mine,
-                ..
-            } = outcome;
-            if mine && !self.down[node] {
-                // Eclipse pressure: a sybil's mining slice is one
-                // connection attempt against its victim's peer table.
-                if let (Some(victim), Some(overlay)) =
-                    (self.nodes[node].eclipse_target(), self.overlay.as_mut())
-                {
-                    self.connect_attempts += 1;
-                    overlay.connect(node, victim, false);
-                }
-            }
-            if useful {
-                // The relayer of an accepted block earns usefulness
-                // credit — the signal that keeps honest links scored
-                // above freshly connected sybils.
-                if let (Some(from), Some(overlay)) = (relayer, self.overlay.as_mut()) {
-                    overlay.credit(node, from);
-                }
-            }
-            self.dispatch(node, outgoing);
-            if mine {
-                let next = self.now + self.config.slice_ms;
-                if next <= self.config.duration_ms {
-                    self.schedule(next, EventKind::MineSlice { node });
-                }
-            }
-            // Convergence is a function of the cached tips, so only an
-            // event that moved its node's tip can change it.
-            if self.tips[node] != tip {
-                self.tips[node] = tip;
-                self.update_convergence();
-            }
+            EventKind::Timeout { node, token } => (node, NodeAction::Timeout { token }),
+            _ => unreachable!("barriers never reach a node's handlers"),
+        };
+        NodeEvent {
+            seq: event.seq,
+            node,
+            action,
         }
     }
 
-    /// Runs one node's events for the current timestamp, in seq order,
-    /// capturing each event's outcome. Touches nothing but the node
-    /// itself — the property that makes lanes safe to run concurrently.
-    fn execute_lane(
-        now: u64,
-        node_id: usize,
-        node: &mut Node<P>,
-        events: Vec<NodeEvent>,
-        outcomes: &mut Vec<EventOutcome>,
-    ) {
-        for event in events {
-            let before = node.stats().blocks_accepted;
-            let (outgoing, mine, relayer) = match event.action {
-                NodeAction::Mine { attempts } => (node.mine_slice(now, attempts), true, None),
-                NodeAction::Deliver { from, message } => {
-                    (node.handle(now, from, message), false, Some(from))
-                }
-                NodeAction::Timeout { token } => (node.on_timer(token), false, None),
-            };
-            outcomes.push(EventOutcome {
-                seq: event.seq,
-                node: node_id,
-                outgoing,
-                tip: node.tip(),
-                relayer,
-                useful: node.stats().blocks_accepted > before,
-                mine,
-            });
+    /// Runs one node event's handler and captures its outcome. Touches
+    /// nothing but `node` — the property that makes lanes safe to run
+    /// concurrently.
+    fn execute(now: u64, node: &mut Node<P>, event: NodeEvent) -> EventOutcome {
+        let before = node.stats().blocks_accepted;
+        let (outgoing, mine, relayer) = match event.action {
+            NodeAction::Mine { attempts } => (node.mine_slice(now, attempts), true, None),
+            NodeAction::Deliver { from, message } => {
+                (node.handle(now, from, message), false, Some(from))
+            }
+            NodeAction::Timeout { token } => (node.on_timer(token), false, None),
+            NodeAction::Skip { mine } => (Vec::new(), mine, None),
+        };
+        EventOutcome {
+            seq: event.seq,
+            node: event.node,
+            outgoing,
+            tip: node.tip(),
+            relayer,
+            useful: node.stats().blocks_accepted > before,
+            mine,
+        }
+    }
+
+    /// Executes the node events queued since the last barrier, one lane
+    /// per node spread over [`SimConfig::threads`] workers, then merges
+    /// every outcome strictly in `seq` order.
+    fn run_lanes(&mut self, pending: &mut Vec<NodeEvent>) {
+        if pending.is_empty() {
+            return;
+        }
+        let mut slots: Vec<Vec<NodeEvent>> = (0..self.config.nodes).map(|_| Vec::new()).collect();
+        for event in pending.drain(..) {
+            slots[event.node].push(event);
+        }
+        type Lane<'n, P> = (&'n mut Node<P>, Vec<NodeEvent>, Vec<EventOutcome>);
+        let mut lanes: Vec<Lane<'_, P>> = self
+            .nodes
+            .iter_mut()
+            .zip(slots)
+            .filter(|(_, events)| !events.is_empty())
+            .map(|(node, events)| (node, events, Vec::new()))
+            .collect();
+        let now = self.now;
+        let run = move |piece: &mut [Lane<'_, P>]| {
+            for (node, events, outcomes) in piece {
+                outcomes.extend(
+                    events
+                        .drain(..)
+                        .map(|event| Self::execute(now, node, event)),
+                );
+            }
+        };
+        // Disjoint `&mut Node` handles, chunked evenly — the same shape
+        // as `validate_segment_parallel`. This thread runs the first
+        // chunk, so a single lane spawns nothing.
+        let chunk = lanes.len().div_ceil(self.config.threads);
+        std::thread::scope(|scope| {
+            let mut pieces = lanes.chunks_mut(chunk);
+            let first = pieces.next().expect("a non-empty run has a lane");
+            for piece in pieces {
+                scope.spawn(move || run(piece));
+            }
+            run(first);
+        });
+        let mut outcomes: Vec<EventOutcome> = lanes
+            .into_iter()
+            .flat_map(|(_, _, outcomes)| outcomes)
+            .collect();
+        outcomes.sort_unstable_by_key(|outcome| outcome.seq);
+        for outcome in outcomes {
+            self.merge(outcome);
+        }
+    }
+
+    /// Replays one node event's outcome: the eclipse connection attempt,
+    /// the scoring credit, the sends, the slice clock and the convergence
+    /// check. All RNG draws and global-state writes of node events happen
+    /// here, in `seq` order, whichever thread ran the handler.
+    fn merge(&mut self, outcome: EventOutcome) {
+        let EventOutcome {
+            node,
+            outgoing,
+            tip,
+            relayer,
+            useful,
+            mine,
+            ..
+        } = outcome;
+        if mine && !self.down[node] {
+            // Eclipse pressure: a sybil's mining slice is one connection
+            // attempt against its victim's peer table.
+            if let (Some(victim), Some(overlay)) =
+                (self.nodes[node].eclipse_target(), self.overlay.as_mut())
+            {
+                self.connect_attempts += 1;
+                overlay.connect(node, victim, false);
+            }
+        }
+        if useful {
+            // The relayer of an accepted block earns usefulness credit —
+            // the signal that keeps honest links scored above freshly
+            // connected sybils.
+            if let (Some(from), Some(overlay)) = (relayer, self.overlay.as_mut()) {
+                overlay.credit(node, from);
+            }
+        }
+        self.dispatch(node, outgoing);
+        if mine {
+            let next = self.now + self.config.slice_ms;
+            if next <= self.config.duration_ms {
+                self.schedule(next, EventKind::MineSlice { node });
+            }
+        }
+        // Convergence is a function of the cached tips, so only an event
+        // that moved its node's tip can change it.
+        if self.tips[node] != tip {
+            self.tips[node] = tip;
+            self.update_convergence();
         }
     }
 
@@ -1581,7 +1528,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{SegmentSpam, SegmentStalling, SelfishMining, Silent, StallMode};
+    use crate::strategy::{
+        SegmentSpam, SegmentStalling, SelfishMining, Silent, StallMode, Strategy,
+    };
     use hashcore_baselines::Sha256dPow;
 
     fn quick_config() -> SimConfig {
@@ -2037,41 +1986,120 @@ mod tests {
         assert_eq!(persisted.fingerprint(), volatile.fingerprint());
     }
 
-    /// The tentpole guarantee: the sharded parallel scheduler is
-    /// byte-identical to the single-threaded one, with and without a
-    /// partition and a topology in play.
+    /// N threads replay the 1-thread run byte for byte. One thread merges
+    /// each outcome before the next handler runs, N threads merge whole
+    /// lanes afterwards, so each case below drives branches of both
+    /// paths: a partition, a topology, a crash-restart (a down node's
+    /// slices, deliveries and timers), light clients, and a stalling
+    /// adversary whose delayed segments trip request timeouts.
     #[test]
     fn thread_count_never_changes_the_fingerprint() {
-        let configs = [
-            SimConfig {
-                partitions: vec![Partition {
-                    start_ms: 4_000,
-                    end_ms: 9_000,
-                    split: 2,
-                }],
-                ..quick_config()
-            },
-            SimConfig {
-                nodes: 8,
-                topology: Some(TopologyConfig::defended()),
-                request_timeout_ms: Some(1_500),
-                ..quick_config()
-            },
+        type Strategies = fn(usize) -> Box<dyn Strategy>;
+        let honest: Strategies = |_| Box::new(Honest);
+        let stalling: Strategies = |id| {
+            if id == 0 {
+                Box::new(SegmentStalling {
+                    mode: StallMode::Delay(30_000),
+                })
+            } else {
+                Box::new(Honest)
+            }
+        };
+        let crash = SimConfig {
+            persistence: Some(PersistenceConfig {
+                dir: PathBuf::new(),
+                snapshot_interval: 4,
+                sync_appends: false,
+            }),
+            crashes: vec![CrashRestart {
+                node: 1,
+                at_ms: 5_050,
+                down_ms: 4_000,
+                torn_tail_bytes: 0,
+            }],
+            partitions: vec![Partition {
+                start_ms: 2_000,
+                end_ms: 5_000,
+                split: 2,
+            }],
+            request_timeout_ms: Some(1_500),
+            ..quick_config()
+        };
+        let light = SimConfig {
+            nodes: 7,
+            light: Some(LightSimConfig {
+                first_light: 3,
+                request_timeout_ms: 1_000,
+                proof_indices: vec![0],
+                proof_quota: 0,
+                body_bytes: 512,
+            }),
+            ..quick_config()
+        };
+        let stall = SimConfig {
+            nodes: 5,
+            seed: 5,
+            request_timeout_ms: Some(1_500),
+            partitions: vec![Partition {
+                start_ms: 7_000,
+                end_ms: 14_000,
+                split: 2,
+            }],
+            ..quick_config()
+        };
+        // Each case: a config, its strategies, and a check that the run
+        // reached the branches the case is there for.
+        type Reached = fn(&SimReport) -> bool;
+        let cases: [(SimConfig, Strategies, Reached); 5] = [
+            (
+                SimConfig {
+                    partitions: vec![Partition {
+                        start_ms: 4_000,
+                        end_ms: 9_000,
+                        split: 2,
+                    }],
+                    ..quick_config()
+                },
+                honest,
+                |report| report.messages_dropped > 0,
+            ),
+            (
+                SimConfig {
+                    nodes: 8,
+                    topology: Some(TopologyConfig::defended()),
+                    request_timeout_ms: Some(1_500),
+                    ..quick_config()
+                },
+                honest,
+                |report| report.anchor_rotations > 0,
+            ),
+            (crash, honest, |report| report.messages_lost_to_crashes > 0),
+            (light, honest, |report| report.proofs_verified > 0),
+            (stall, stalling, |report| report.stalls_detected > 0),
         ];
-        for config in configs {
-            let sequential = Simulation::new(config.clone(), |_| Sha256dPow).run();
+        for (config, strategies, reached) in cases {
+            // Each persistence run needs a store directory of its own.
+            let run = |threads: usize| {
+                let dir = hashcore_store::TempDir::new("sim-threads").unwrap();
+                let mut config = SimConfig {
+                    threads,
+                    ..config.clone()
+                };
+                if let Some(persistence) = &mut config.persistence {
+                    persistence.dir = dir.path().to_path_buf();
+                }
+                Simulation::with_strategies(config, |_| Sha256dPow, strategies).run()
+            };
+            let sequential = run(1);
+            assert!(
+                reached(&sequential),
+                "{}",
+                sequential.fingerprint_extended()
+            );
             for threads in [2, 4, 7] {
-                let parallel = Simulation::new(
-                    SimConfig {
-                        threads,
-                        ..config.clone()
-                    },
-                    |_| Sha256dPow,
-                )
-                .run();
                 assert_eq!(
                     sequential.fingerprint_extended(),
-                    parallel.fingerprint_extended(),
+                    run(threads).fingerprint_extended(),
                     "threads={threads} must replay the 1-thread run byte for byte"
                 );
             }

@@ -1,8 +1,16 @@
-//! Property-based byte-identity of the sharded parallel scheduler: for
-//! any seed, node count and thread count — with or without a topology
-//! overlay and an adversary in play — the N-thread run's extended
-//! fingerprint equals the single-threaded run's. Parallelism is purely a
-//! wall-clock knob; it must never change a single reported bit.
+//! Property-based byte-identity of the parallel scheduler: for any seed,
+//! node count and thread count — with or without a topology overlay and
+//! an adversary in play — the N-thread run's extended fingerprint equals
+//! the single-threaded run's. Parallelism is purely a wall-clock knob; it
+//! must never change a single reported bit.
+//!
+//! The two runs take different paths. Both pop each timestamp's bucket
+//! of the event queue unsorted, since `seq` is handed out in push order.
+//! One thread then merges each node event's outcome before the next
+//! handler runs; N threads run per-node lanes and merge the outcomes
+//! afterwards in `seq` order. They agree because handlers touch only
+//! their own node and draw no RNG, and a merge writes nothing a handler
+//! reads.
 
 use hashcore_baselines::Sha256dPow;
 use hashcore_net::{Eclipse, Honest, SimConfig, Simulation, TopologyConfig};

@@ -4,7 +4,7 @@
 //! core, generates a widget from a hash seed, and compares the widget's
 //! measured behaviour (instruction mix, IPC, branch prediction) against the
 //! reference — a single-widget version of Figures 2 and 3. Also prints the
-//! widget's disassembly header and the equivalent generated C source preview.
+//! widget's disassembly header and a preview of its generated C source.
 //!
 //! Run with: `cargo run --release --example widget_analysis`
 
@@ -60,14 +60,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Show the artefacts a miner/verifier never needs to read but a
-    //    researcher will: assembly and the equivalent C translation unit.
+    //    researcher will: assembly and the C rendering of the widget.
     let asm = widget.program.to_string();
     let c_source = emit_c_source(&widget.program);
     println!("\nfirst lines of the widget disassembly:");
     for line in asm.lines().take(12) {
         println!("  {line}");
     }
-    println!("\nfirst lines of the equivalent C program (the paper's gcc pipeline):");
+    println!(
+        "\nfirst lines of the C rendering (the paper's gcc pipeline; not yet bit-exact with the VM):"
+    );
     for line in c_source.lines().take(12) {
         println!("  {line}");
     }
