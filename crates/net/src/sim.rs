@@ -2005,6 +2005,9 @@ mod tests {
                 Box::new(Honest)
             }
         };
+        // The crash lands 50 ms after the heal, while tip announcements
+        // are still in flight to node 1 and before the timers of its sync
+        // requests fire.
         let crash = SimConfig {
             persistence: Some(PersistenceConfig {
                 dir: PathBuf::new(),
@@ -2036,6 +2039,8 @@ mod tests {
             }),
             ..quick_config()
         };
+        // With this seed, peers ask the stalling node 0 for segments
+        // after the heal, and its delayed answers come too late.
         let stall = SimConfig {
             nodes: 5,
             seed: 5,
