@@ -8,38 +8,31 @@ use hashcore_crypto::{sha256, sha256_x4, sha256_x4_resume, sha256d, Digest256, S
 /// as the canonical example of a function for which specialised ASICs vastly
 /// outperform general purpose processors.
 ///
-/// The whole function vectorises, and both evaluation paths use that: the
-/// lane hook hashes four nonces per 4-lane pass, and evaluations one nonce
-/// at a time through one [`Sha256dScratch`] resume from the midstate of
-/// their header's first block and hash consecutive nonces four to a pass.
+/// The whole function vectorises, and the lane hook uses that: it hashes
+/// four nonces per 4-lane pass. The lane hook and evaluations one nonce at
+/// a time both resume from the midstate of their header's first block that
+/// their [`Sha256dScratch`] stores.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sha256dPow;
 
 /// The reusable state of [`Sha256dPow`]: the SHA-256 state after the first
-/// 64 bytes (one compression block) of a recent input, its *midstate*, and
-/// one lane batch of digests computed from it.
+/// 64 bytes (one compression block) of a recent input, its *midstate*.
 ///
 /// An evaluation whose input starts with exactly those 64 bytes resumes
 /// from the midstate and skips its first compression, one of the three
-/// that a 116-byte block header costs. Every nonce of one mining template
-/// shares them: the first 64 bytes of a header are its version, its
-/// parent digest and most of its Merkle root, and the nonce is its last 8.
+/// that a 116-byte block header costs. A lane-hook call whose header
+/// starts with them resumes all four lanes from it, so a lane batch of a
+/// 116-byte header costs one inner and one outer 4-lane compression. Every
+/// nonce of one mining template shares them: the first 64 bytes of a
+/// header are its version, its parent digest and most of its Merkle root,
+/// and the nonce is its last 8.
 ///
-/// When such an input is the next nonce of the last one (the same bytes
-/// but an 8-byte little-endian tail one higher, wrapping) and its bytes
-/// after the head fit one block with their padding (inputs of 72 to 119
-/// bytes), the evaluation hashes that nonce and the next three in one
-/// 4-lane pass from the midstate: one inner and one outer compression per
-/// lane. Later evaluations of exactly those four inputs are answered from
-/// the kept digests. A miner that evaluates one nonce at a time so pays one
-/// 4-lane pass per four nonces. Every hit compares the whole input, so no
-/// digest depends on the scratch.
-///
-/// The midstate is stored only once two consecutive evaluations begin with
-/// the same 64 bytes, judged by an 8-byte fingerprint of the last ones:
-/// a scratch used once ([`PowFunction::pow_hash`]) or fed inputs that never
-/// repeat allocates nothing and stays 16 bytes. Once stored, it follows
-/// the latest input.
+/// The midstate is stored only once two consecutive uses (evaluations or
+/// lane-hook calls) begin with the same 64 bytes, judged by an 8-byte
+/// fingerprint of the last ones: a scratch used once
+/// ([`PowFunction::pow_hash`]) or fed inputs that never repeat allocates
+/// nothing and stays 16 bytes. Once stored, it follows the latest input.
+/// No digest depends on the scratch.
 #[derive(Debug, Default)]
 pub struct Sha256dScratch {
     /// [`fingerprint`] of the last input's first 64 bytes while no
@@ -48,69 +41,47 @@ pub struct Sha256dScratch {
     midstate: Option<Box<Midstate>>,
 }
 
-/// A 64-byte head, the hasher that has absorbed exactly it, and the lane
-/// batch of the inputs that begin with it.
+/// A 64-byte head and the hasher that has absorbed exactly it.
 #[derive(Debug)]
 struct Midstate {
     head: [u8; 64],
     hasher: Sha256,
-    lanes: LaneBatch,
-}
-
-/// The most bytes after the head that one block holds with the padding.
-const MAX_TAIL: usize = 55;
-
-/// The last input after the head, split into its middle and its nonce,
-/// and the digests of one lane batch with that middle.
-///
-/// The batch sits here, not in a miner that knows its next nonces, because
-/// only the scratch holds the midstate. A miner's lookahead through the
-/// lane hook would start from the initial state: three 4-lane compressions
-/// per four nonces of a 116-byte header, against two here. A hook that
-/// stored a midstate would make `bench_mining`'s `sha256d_x4` row skip a
-/// compression its `sha256d_scalar` row pays. Inputs that never batch,
-/// such as a fork tree's gossiped headers, pay only a compare and a copy
-/// of at most 47 bytes per evaluation.
-#[derive(Debug, Default)]
-struct LaneBatch {
-    /// The last input's bytes between the head and its nonce, and how
-    /// many there are; `None` when the last input had no nonce after its
-    /// head or too long a tail.
-    middle: Option<([u8; MAX_TAIL - 8], usize)>,
-    last_nonce: u64,
-    /// The digests of the inputs with the stored middle and the nonces
-    /// `first..first + 4` (wrapping), when a batch is kept.
-    digests: Option<(u64, [Digest256; NONCE_LANES])>,
 }
 
 impl Sha256dScratch {
     /// `sha256d(input)`, resuming from the midstate when `input` starts
     /// with its head.
     fn sha256d(&mut self, input: &[u8]) -> Digest256 {
-        let Some((head, tail)) = input.split_first_chunk::<64>() else {
-            return sha256d(input);
-        };
-        if !matches!(&self.midstate, Some(midstate) if midstate.head == *head) {
-            let mut hasher = Sha256::new();
-            hasher.update(head);
-            if !self.keeps(head) {
-                return finish(hasher, tail);
+        match input.split_first_chunk::<64>() {
+            Some((head, tail)) => {
+                let mut inner = self.absorbed(head);
+                inner.update(tail);
+                sha256(&inner.finalize())
             }
+            None => sha256d(input),
+        }
+    }
+
+    /// A hasher that has absorbed `head`: a copy of the midstate when it
+    /// is of `head`, and otherwise a new one, stored when
+    /// [`Sha256dScratch::keeps`] says so.
+    fn absorbed(&mut self, head: &[u8; 64]) -> Sha256 {
+        if let Some(midstate) = self.midstate.as_ref().filter(|m| m.head == *head) {
+            return midstate.hasher.clone();
+        }
+        let mut hasher = Sha256::new();
+        hasher.update(head);
+        if self.keeps(head) {
             let kept = Midstate {
                 head: *head,
-                hasher,
-                lanes: LaneBatch::default(),
+                hasher: hasher.clone(),
             };
             match &mut self.midstate {
                 Some(midstate) => **midstate = kept,
                 empty => *empty = Some(Box::new(kept)),
             }
         }
-        let midstate = self.midstate.as_mut().expect("a midstate of this head");
-        match midstate.lanes.answer(&midstate.hasher, tail) {
-            Some(digest) => digest,
-            None => finish(midstate.hasher.clone(), tail),
-        }
+        hasher
     }
 
     /// Whether to store the midstate of `head`, which this scratch does
@@ -125,52 +96,6 @@ impl Sha256dScratch {
         self.last_fingerprint = fingerprint;
         repeat
     }
-}
-
-impl LaneBatch {
-    /// The digest of the input `head ‖ tail`, where `hasher` has absorbed
-    /// `head`, from a lane batch: a kept one, or a new one from `tail`'s
-    /// nonce when that is the next nonce of the last input. Records `tail`
-    /// as the last input; `None` when no batch answers.
-    fn answer(&mut self, hasher: &Sha256, tail: &[u8]) -> Option<Digest256> {
-        let Some((middle, nonce)) = tail
-            .split_last_chunk::<8>()
-            .filter(|_| tail.len() <= MAX_TAIL)
-        else {
-            *self = Self::default();
-            return None;
-        };
-        let nonce = u64::from_le_bytes(*nonce);
-        let follows = nonce == self.last_nonce.wrapping_add(1);
-        self.last_nonce = nonce;
-        if self.middle.as_ref().map(|(bytes, len)| &bytes[..*len]) != Some(middle) {
-            let mut bytes = [0; MAX_TAIL - 8];
-            bytes[..middle.len()].copy_from_slice(middle);
-            self.middle = Some((bytes, middle.len()));
-            self.digests = None;
-            return None;
-        }
-        if let Some((first, digests)) = &self.digests {
-            let lane = usize::try_from(nonce.wrapping_sub(*first)).ok();
-            if let Some(digest) = lane.and_then(|lane| digests.get(lane)) {
-                return Some(*digest);
-            }
-        }
-        if !follows {
-            return None;
-        }
-        let nonces = std::array::from_fn(|lane| nonce.wrapping_add(lane as u64));
-        let digests = sha256d_lanes(hasher, middle, nonces);
-        self.digests = Some((nonce, digests));
-        Some(digests[0])
-    }
-}
-
-/// `sha256(sha256(m))` of the message `m` that `inner` has absorbed but
-/// for `tail`.
-fn finish(mut inner: Sha256, tail: &[u8]) -> Digest256 {
-    inner.update(tail);
-    sha256(&inner.finalize())
 }
 
 /// Double SHA-256 of `prefix ‖ rest ‖ nonce` for four nonces in one 4-lane
@@ -231,19 +156,21 @@ impl PowFunction for Sha256dPow {
     /// vectorises, which is exactly the contrast the bench's
     /// `simd_vs_scalar` metric quantifies against HashCore.
     ///
-    /// The lanes start from the initial state, not from the scratch's
-    /// midstate, and the hook leaves the scratch as it was. A scan of
-    /// whole lane batches so compresses every block, as one evaluation per
-    /// nonce through a fresh scratch does, and `bench_mining`'s
-    /// `simd_vs_scalar` stays the lane gain alone.
+    /// The lanes resume from the scratch's midstate of the header's first
+    /// 64 bytes, stored by the same rule as for an evaluation, and start
+    /// from SHA-256's initial state when the header is shorter.
     fn first_hit_in_lanes(
         &self,
         input: &mut MiningInput,
         nonces: [u64; NONCE_LANES],
         target: Target,
-        _scratch: &mut Sha256dScratch,
+        scratch: &mut Sha256dScratch,
     ) -> Option<(u64, Digest256)> {
-        let digests = sha256d_lanes(&Sha256::new(), input.header_bytes(), nonces);
+        let header = input.header_bytes();
+        let digests = match header.split_first_chunk::<64>() {
+            Some((head, rest)) => sha256d_lanes(&scratch.absorbed(head), rest, nonces),
+            None => sha256d_lanes(&Sha256::new(), header, nonces),
+        };
         nonces
             .into_iter()
             .zip(digests)
@@ -294,17 +221,6 @@ mod tests {
     #[test]
     fn one_scratch_over_many_inputs_matches_sha256d() {
         let mut scratch = Sha256dScratch::default();
-        let hard = Target::from_leading_zero_bits(255);
-        // Scans of whole lane batches leave a fresh scratch as it was, so
-        // they compress every block, as evaluations through fresh
-        // scratches do.
-        let mut input = MiningInput::new(&headed(9, &[1; 44]));
-        for start in [0, 8] {
-            let missed = Sha256dPow.scan_nonces(&mut input, hard, start, 8, &mut scratch);
-            assert_eq!(missed, None);
-        }
-        assert!(scratch.midstate.is_none());
-        assert_eq!(scratch.last_fingerprint, 0);
         // An all-zero head first: a fresh scratch must not read it as a
         // repeat.
         assert_sha256d(&[0; 116], &mut scratch);
@@ -334,76 +250,47 @@ mod tests {
             input[63] = last;
             assert_sha256d(&input, &mut scratch);
         }
-        // Lane batches between scalar evaluations of one template: the
-        // lanes start from the initial state and leave the midstate alone.
-        let header = headed(4, &[5; 44]);
-        let mut input = MiningInput::new(&header);
+        // Lane scans of headers shorter and longer than 64 bytes, between
+        // evaluations of the same template and through the top of the
+        // nonce space. From 64 bytes on the lanes resume from the stored
+        // midstate of the header's head; below, from the initial state.
+        let hard = Target::from_leading_zero_bits(255);
         let easy = Target::from_leading_zero_bits(3);
-        for start in [0, 9, 30] {
-            assert_sha256d(input.with_nonce(start), &mut scratch);
-            // Six attempts: one lane batch, then two scalar evaluations.
-            let missed = Sha256dPow.scan_nonces(&mut input, hard, start, 6, &mut scratch);
-            assert_eq!(missed, None);
-            assert_sha256d(input.with_nonce(start + 1), &mut scratch);
-            let first_hit = (start..start + 64)
-                .map(|nonce| (nonce, sha256d(&HashCore::mining_input(&header, nonce))))
-                .find(|(_, digest)| easy.is_met_by(digest));
-            assert!(first_hit.is_some(), "easy target within 64 nonces");
-            let hit = Sha256dPow.scan_nonces(&mut input, easy, start, 64, &mut scratch);
-            assert_eq!(hit, first_hit);
+        for len in [19, 56, 63, 64, 100, 108, 119, 120, 150] {
+            let header: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let mut input = MiningInput::new(&header);
+            for start in [0, 9, 30, u64::MAX - 5] {
+                let missed = Sha256dPow.scan_nonces(&mut input, hard, start, 8, &mut scratch);
+                assert_eq!(missed, None);
+                let first_hit = (0..64)
+                    .map(|k| start.wrapping_add(k))
+                    .map(|nonce| (nonce, sha256d(&HashCore::mining_input(&header, nonce))))
+                    .find(|(_, digest)| easy.is_met_by(digest));
+                assert!(first_hit.is_some(), "easy target within 64 nonces");
+                let hit = Sha256dPow.scan_nonces(&mut input, easy, start, 64, &mut scratch);
+                assert_eq!(hit, first_hit, "{len}-byte header from {start}");
+                assert_sha256d(input.with_nonce(start), &mut scratch);
+            }
+            if len >= 64 {
+                assert_eq!(stored_head(&scratch), Some(&header[..64]));
+            }
         }
-        // One nonce at a time across lane-batch boundaries, with jumps
-        // back inside a kept batch, past it and back, and a restart.
-        let header = headed(6, &[7; 44]);
+        // A fresh scratch's lane-hook calls store a midstate by the rule
+        // evaluations follow: not at a template's first call, at its
+        // second.
+        let mut scratch = Sha256dScratch::default();
+        let header = headed(9, &[1; 44]);
         let mut input = MiningInput::new(&header);
-        let scan = (0..13).chain([9, 12, 10, 11, 13, 14, 40, 41, 39, 42, 43, 41, 40, 0, 1, 2]);
-        for nonce in scan {
-            assert_sha256d(input.with_nonce(nonce), &mut scratch);
-        }
-        assert_eq!(kept_batch(&scratch), Some(1), "the restart batches again");
-        // A kept batch, then inputs that differ from its only between the
-        // head and the nonce: in the first or the last such byte.
-        for at in [64, 107] {
-            for nonce in 20..24 {
-                assert_sha256d(input.with_nonce(nonce), &mut scratch);
-            }
-            assert_eq!(kept_batch(&scratch), Some(21));
-            let mut changed = input.with_nonce(22).to_vec();
-            changed[at] ^= 1;
-            assert_sha256d(&changed, &mut scratch);
-            assert_sha256d(input.with_nonce(23), &mut scratch);
-        }
-        // Through the top of the nonce space, with a batch that wraps.
-        for nonce in (u64::MAX - 5..=u64::MAX).chain(0..6) {
-            assert_sha256d(input.with_nonce(nonce), &mut scratch);
-        }
-        // Lane-hook calls inside a kept batch leave it as it was.
-        for start in [100, 104, 103] {
-            assert_sha256d(input.with_nonce(start), &mut scratch);
-            assert_sha256d(input.with_nonce(start + 1), &mut scratch);
-            let nonces = std::array::from_fn(|lane| start + 2 + lane as u64);
-            let missed = Sha256dPow.first_hit_in_lanes(&mut input, nonces, hard, &mut scratch);
+        for (start, stored) in [(0, None), (4, Some(&header[..64]))] {
+            let missed = Sha256dPow.scan_nonces(&mut input, hard, start, 4, &mut scratch);
             assert_eq!(missed, None);
-            assert_sha256d(input.with_nonce(start + 2), &mut scratch);
-            assert_eq!(kept_batch(&scratch), Some(start + 1));
-        }
-        // Inputs of 64 to 72 bytes, whose nonce overlaps the head below 72,
-        // and of 118 to 121, whose tail fits one block up to 119 bytes.
-        for len in (64..=72).chain(118..=121) {
-            let mut bytes = vec![8; len];
-            for nonce in 0..9u64 {
-                bytes[len - 8..].copy_from_slice(&nonce.to_le_bytes());
-                assert_sha256d(&bytes, &mut scratch);
-            }
-            let batched = (72..=119).contains(&len);
-            assert_eq!(kept_batch(&scratch).is_some(), batched, "{len} bytes");
+            assert_eq!(stored_head(&scratch), stored);
         }
     }
 
-    /// The first nonce of the lane batch `scratch` keeps, if any.
-    fn kept_batch(scratch: &Sha256dScratch) -> Option<u64> {
-        let midstate = scratch.midstate.as_ref()?;
-        midstate.lanes.digests.as_ref().map(|(first, _)| *first)
+    /// The head of the midstate `scratch` stores, if any.
+    fn stored_head(scratch: &Sha256dScratch) -> Option<&[u8]> {
+        scratch.midstate.as_ref().map(|midstate| &midstate.head[..])
     }
 
     /// Every network node holds two scratches, one in its fork tree and one

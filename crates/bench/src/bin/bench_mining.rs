@@ -33,6 +33,7 @@
 
 use hashcore::{HashCore, HashScratch, MiningInput, Target, NONCE_LANES};
 use hashcore_baselines::{PowFunction, Sha256dPow};
+use hashcore_bench::simbench::positional_arg;
 use hashcore_profile::PerformanceProfile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,13 +96,6 @@ impl Measurement {
     fn hashes_per_sec(&self) -> f64 {
         self.hashes as f64 / self.seconds
     }
-}
-
-fn positional_arg(index: usize, default: u64) -> u64 {
-    std::env::args()
-        .nth(index)
-        .and_then(|arg| arg.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Thread counts to sweep `mine_parallel` over: the 1-2-4 ladder plus the
@@ -240,17 +234,18 @@ fn main() {
 
     // 4. Pure hash-gate scan, scalar vs 4-lane: the sha256d baseline is all
     //    gate and no widget, so this pair isolates the multi-lane SHA-256
-    //    gain itself. The scalar row evaluates one nonce at a time, each
-    //    through a fresh scratch so that, like the lanes, it resumes from
-    //    no midstate and compresses every block; the x4 row is the
-    //    lane-batched `scan_nonces`. Far more nonces — a sha256d
-    //    evaluation is ~1000x cheaper than a HashCore one.
+    //    gain itself. The scalar row evaluates one nonce at a time and the
+    //    x4 row is the lane-batched `scan_nonces`, each through one
+    //    scratch. The header is shorter than one 64-byte block, so
+    //    neither row resumes from a midstate and both compress every
+    //    block. Far more nonces — a sha256d evaluation is ~1000x cheaper
+    //    than a HashCore one.
     let gate_nonces = (nonces * 2_048).max(1 << 18);
     let mut gate_input = MiningInput::new(header);
+    let mut gate_scratch = Default::default();
     let started = Instant::now();
     for nonce in 0..gate_nonces {
-        let (digest, _) =
-            Sha256dPow.evaluate(gate_input.with_nonce(nonce), &mut Default::default());
+        let (digest, _) = Sha256dPow.evaluate(gate_input.with_nonce(nonce), &mut gate_scratch);
         assert!(!unreachable.is_met_by(&digest));
     }
     measurements.push(Measurement {
@@ -493,10 +488,5 @@ mod tests {
         assert_eq!(sweep_thread_counts(3), vec![1, 2, 3]);
         assert_eq!(sweep_thread_counts(4), vec![1, 2, 4]);
         assert_eq!(sweep_thread_counts(8), vec![1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn positional_args_fall_back_to_defaults() {
-        assert_eq!(positional_arg(7, 42), 42);
     }
 }

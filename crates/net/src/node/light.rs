@@ -220,8 +220,6 @@ where
                 Ok(HeaderOutcome::AlreadyKnown) => {}
                 Ok(HeaderOutcome::TipChanged { .. }) | Ok(HeaderOutcome::SideChain) => {
                     self.stats.headers_accepted += 1;
-                    self.stats.verify_cost_ratio_sum += cost_ratio;
-                    self.stats.verify_cost_blocks += 1;
                 }
                 Err(ForkError::UnknownParent { .. }) => {
                     // A gap: catch up from the sender, starting at our

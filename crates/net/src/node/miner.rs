@@ -2,7 +2,7 @@
 //! template whose nonce scan continues across mining slices.
 
 use crate::strategy::{MinedAction, MiningMode};
-use hashcore::{MiningInput, Target};
+use hashcore::{MiningInput, Target, NONCE_LANES};
 use hashcore_baselines::PowFunction;
 use hashcore_chain::{Block, BlockHeader, GENESIS_HASH};
 use hashcore_crypto::Digest256;
@@ -11,13 +11,24 @@ use super::{Message, Node, Outgoing, Role};
 
 /// The resumable per-worker mining state: one scratch, one input buffer,
 /// one header template whose nonce scan continues across slices.
+///
+/// The scan runs in whole lane batches, so it may hash nonces past the end
+/// of a slice. The miner remembers how many it hashed from `next_nonce` on
+/// and whether the last of them met the target, and answers later slices
+/// of the same template from that before it hashes again.
 #[derive(Debug)]
 pub(crate) struct Miner<S> {
     pub(crate) scratch: S,
     pub(crate) input: MiningInput,
     pub(crate) header: BlockHeader,
     pub(crate) transactions: Vec<Vec<u8>>,
+    /// The first nonce no slice has covered yet.
     pub(crate) next_nonce: u64,
+    /// How many nonces from `next_nonce` on are already hashed.
+    pub(crate) ahead: u64,
+    /// Whether the last of those `ahead` nonces met the target; all the
+    /// others missed it.
+    pub(crate) ahead_hit: bool,
     pub(crate) template_tip: Digest256,
     pub(crate) template_valid: bool,
     pub(crate) header_bytes: Vec<u8>,
@@ -38,10 +49,52 @@ impl<S: Default> Miner<S> {
             },
             transactions: Vec::new(),
             next_nonce: 0,
+            ahead: 0,
+            ahead_hit: false,
             template_tip: GENESIS_HASH,
             template_valid: false,
             header_bytes: Vec::new(),
         }
+    }
+}
+
+impl<S> Miner<S> {
+    /// The first nonce meeting `target` among the next `attempts` of the
+    /// template, the one a scan of exactly those nonces finds. Advances
+    /// `next_nonce` past that hit, or past all `attempts` when none hits.
+    /// Nonces not yet hashed are scanned in whole lane batches.
+    fn first_hit<P: PowFunction<Scratch = S>>(
+        &mut self,
+        pow: &P,
+        target: Target,
+        attempts: u64,
+    ) -> Option<u64> {
+        if !self.ahead_hit && self.ahead < attempts {
+            let needed = attempts - self.ahead;
+            let count = needed
+                .checked_next_multiple_of(NONCE_LANES as u64)
+                .unwrap_or(needed);
+            let start = self.next_nonce.wrapping_add(self.ahead);
+            match pow.scan_nonces(&mut self.input, target, start, count, &mut self.scratch) {
+                Some((nonce, _)) => {
+                    self.ahead += nonce.wrapping_sub(start) + 1;
+                    self.ahead_hit = true;
+                }
+                None => self.ahead += count,
+            }
+        }
+        if self.ahead_hit && self.ahead <= attempts {
+            let nonce = self.next_nonce.wrapping_add(self.ahead - 1);
+            self.next_nonce = nonce.wrapping_add(1);
+            self.ahead = 0;
+            self.ahead_hit = false;
+            return Some(nonce);
+        }
+        // Wrapping, as the scan does, so a miner near the top of the nonce
+        // space neither overflows nor rescans.
+        self.next_nonce = self.next_nonce.wrapping_add(attempts);
+        self.ahead -= attempts;
+        None
     }
 }
 
@@ -90,6 +143,8 @@ where
         miner.header.write_pow_input(&mut miner.header_bytes);
         miner.input.set_header(&miner.header_bytes);
         miner.next_nonce = 0;
+        miner.ahead = 0;
+        miner.ahead_hit = false;
         miner.template_tip = prev;
         miner.template_valid = true;
     }
@@ -138,26 +193,12 @@ where
             if remaining == 0 {
                 return Vec::new();
             }
-            let start = self.miner.next_nonce;
-            let found = {
-                let Self { tree, miner, .. } = &mut *self;
-                tree.pow().scan_nonces(
-                    &mut miner.input,
-                    target,
-                    start,
-                    remaining,
-                    &mut miner.scratch,
-                )
-            };
-            let Some((nonce, _)) = found else {
-                // Resume point per the scan-nonce wrap contract: wrapping,
-                // so a long-running miner near the top of the nonce space
-                // neither overflows nor rescans.
-                self.miner.next_nonce = start.wrapping_add(remaining);
+            let Self { tree, miner, .. } = &mut *self;
+            let start = miner.next_nonce;
+            let Some(nonce) = miner.first_hit(tree.pow(), target, remaining) else {
                 return Vec::new();
             };
             remaining -= nonce.wrapping_sub(start).wrapping_add(1);
-            self.miner.next_nonce = nonce.wrapping_add(1);
             let header = BlockHeader {
                 nonce,
                 ..self.miner.header.clone()
@@ -191,8 +232,6 @@ where
             .apply_evaluated(block.clone(), digest, cost_ratio)
             .expect("a locally mined block extends a stored tip");
         self.stats.blocks_mined += 1;
-        self.stats.verify_cost_ratio_sum += cost_ratio;
-        self.stats.verify_cost_blocks += 1;
         self.record_tip_change(&outcome);
         self.persist_block(&block);
         self.miner.template_valid = false;
@@ -273,18 +312,8 @@ where
             self.reset_template(parent, tag, 0, self.target, 1);
         }
         let target = self.target;
-        let found = {
-            let Self { tree, miner, .. } = &mut *self;
-            tree.pow().scan_nonces(
-                &mut miner.input,
-                target,
-                miner.next_nonce,
-                attempts,
-                &mut miner.scratch,
-            )
-        };
-        let Some((nonce, digest)) = found else {
-            self.miner.next_nonce = self.miner.next_nonce.wrapping_add(attempts);
+        let Self { tree, miner, .. } = &mut *self;
+        let Some(nonce) = miner.first_hit(tree.pow(), target, attempts) else {
             return Vec::new();
         };
         let block = Block {
@@ -294,6 +323,7 @@ where
             },
             transactions: self.miner.transactions.clone(),
         };
+        let digest = self.tree.digest_of(&block);
         self.miner.template_valid = false;
         self.stats.fake_orphans += 1;
         self.stats.spam_digests.push(digest);

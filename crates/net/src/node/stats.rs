@@ -172,9 +172,4 @@ pub struct NodeStats {
     /// PoW-winning seeds the cost-aware admission bound rejected before
     /// the block was ever built.
     pub seeds_inadmissible: u64,
-    /// Sum of verifier-cost ratios (observed over nominal) across every
-    /// block this node stored, mined or received.
-    pub verify_cost_ratio_sum: f64,
-    /// Blocks behind [`verify_cost_ratio_sum`](Self::verify_cost_ratio_sum).
-    pub verify_cost_blocks: u64,
 }

@@ -58,8 +58,6 @@ where
                     .expect("a newly stored block")
                     .clone();
                 self.stats.blocks_accepted += 1;
-                self.stats.verify_cost_ratio_sum += self.tree.cost_ratio_of(&outcome.digest());
-                self.stats.verify_cost_blocks += 1;
                 self.persist_block(&block);
                 self.record_tip_change(&outcome);
                 let mut out = self.note_public_work(outcome.digest());
@@ -300,8 +298,6 @@ where
             };
             if outcome.newly_stored() {
                 self.stats.blocks_accepted += 1;
-                self.stats.verify_cost_ratio_sum += self.tree.cost_ratio_of(&outcome.digest());
-                self.stats.verify_cost_blocks += 1;
                 self.persist_block(block);
             }
             if let ApplyOutcome::TipChanged { reorg, .. } = &outcome {

@@ -1,8 +1,10 @@
 use super::*;
-use crate::strategy::{FakeProof, PoisonedSync, ProofWithholding, SegmentSpam, SelfishMining};
+use crate::strategy::{
+    CostSteering, FakeProof, PoisonedSync, ProofWithholding, SegmentSpam, SelfishMining,
+};
 use crate::strategy::{Honest, Strategy};
 use hashcore::Target;
-use hashcore_baselines::Sha256dPow;
+use hashcore_baselines::{PowFunction, Sha256dPow};
 use hashcore_chain::{Block, BlockHeader, DifficultyRule, GENESIS_HASH};
 use hashcore_store::ChainStore;
 use std::io;
@@ -41,23 +43,151 @@ fn mine_one(node: &mut Node<Sha256dPow>, now_ms: u64) -> Block {
     panic!("no block found at trivial difficulty");
 }
 
-#[test]
-fn mining_resumes_across_slices() {
-    let mut a = node(0);
-    // Tiny slices: the search must carry `next_nonce` across calls and
-    // eventually find the same block one big slice would.
-    let mut sliced = Vec::new();
-    for _ in 0..64 {
-        sliced = a.mine_slice(5, 1);
-        if !sliced.is_empty() {
-            break;
+/// The first nonce from `start` on at which a per-nonce `evaluate` scan
+/// of `template` meets the target the template embeds with a cost ratio
+/// `accepts` takes.
+fn per_nonce_hit(template: &BlockHeader, start: u64, accepts: impl Fn(f64) -> bool) -> u64 {
+    let target = Target::from_threshold(template.target);
+    let mut scratch = Default::default();
+    (0..10_000u64)
+        .map(|k| start.wrapping_add(k))
+        .find(|&nonce| {
+            let header = BlockHeader {
+                nonce,
+                ..template.clone()
+            };
+            let (digest, cost) = Sha256dPow.evaluate(&header.bytes(), &mut scratch);
+            target.is_met_by(&digest) && accepts(cost.ratio(Sha256dPow.nominal_cost()))
+        })
+        .expect("a hit within 10,000 nonces")
+}
+
+/// Mines in slices of `attempts` nonces at `now_ms` until a slice sends
+/// something; returns that slice's index and its sends.
+fn mine_in_slices(node: &mut Node<Sha256dPow>, now_ms: u64, attempts: u64) -> (u64, Vec<Outgoing>) {
+    for slice in 0..10_000 {
+        let out = node.mine_slice(now_ms, attempts);
+        if !out.is_empty() {
+            return (slice, out);
         }
     }
-    let mut b = node(0);
-    let bulk = b.mine_slice(5, 64);
-    assert_eq!(sliced, bulk);
-    assert_eq!(a.tip(), b.tip());
-    assert_eq!(a.stats().blocks_mined, 1);
+    panic!("no block within 10,000 slices");
+}
+
+/// The block one big slice of `node` mines at `now_ms`, and its sends.
+fn mine_in_one_slice(node: &mut Node<Sha256dPow>, now_ms: u64) -> (Block, Vec<Outgoing>) {
+    let out = node.mine_slice(now_ms, 10_000);
+    let Some(Outgoing::Broadcast(Message::Block(block))) = out.last().cloned() else {
+        panic!("one big slice mines a block");
+    };
+    (block, out)
+}
+
+/// Slices of every size find the block one big slice finds, in the slice
+/// that holds its nonce: the first hit of a per-nonce scan. The miner
+/// hashes whole lane batches past a slice and answers the next slices from
+/// them, so a miner that reported a remembered hit a slice early, or
+/// skipped one, would fail here.
+#[test]
+fn mining_resumes_across_slices() {
+    let miner = || Node::new(0, Sha256dPow, Target::from_leading_zero_bits(5), 2);
+    let mut bulk_node = miner();
+    let (block, bulk) = mine_in_one_slice(&mut bulk_node, 5);
+    let hit = block.header.nonce;
+    assert_eq!(hit, per_nonce_hit(&block.header, 0, |_| true));
+    assert!(hit >= 8, "the hit lies past the first slice of every size");
+    for attempts in [1, 3, 4, 7] {
+        let mut sliced = miner();
+        let (slice, out) = mine_in_slices(&mut sliced, 5, attempts);
+        assert_eq!(slice, hit / attempts, "{attempts}-nonce slices");
+        assert_eq!(out, bulk);
+        assert_eq!(sliced.tip(), bulk_node.tip());
+        assert_eq!(sliced.stats().blocks_mined, 1);
+    }
+}
+
+/// A new template forgets the nonces hashed past the last slice of the
+/// old one, misses and hit alike: its first hit, inside the batch the old
+/// template left remembered, is found where a per-nonce scan finds it.
+#[test]
+fn a_template_reset_forgets_the_remembered_batch() {
+    let parent = mine_one(&mut node(1), 0);
+    // At these times the old template first hits at nonce 4 (past the
+    // batch) and at nonce 3 (inside it).
+    for (now, remembered_hit) in [(0, false), (3, true)] {
+        let mut sliced = node(0);
+        // One 1-nonce slice hashes nonces 0 to 3 of the genesis template.
+        assert!(sliced.mine_slice(now, 1).is_empty(), "nonce 0 misses");
+        let miner = &sliced.miner;
+        assert_eq!((miner.ahead, miner.ahead_hit), (3, remembered_hit));
+        // The tip moves, so the next slice mines a new template.
+        sliced.handle(now + 1, 1, Message::Block(parent.clone()));
+        let mut bulk_node = node(0);
+        bulk_node.handle(now + 1, 1, Message::Block(parent.clone()));
+        let (block, bulk) = mine_in_one_slice(&mut bulk_node, now + 2);
+        let hit = block.header.nonce;
+        assert_eq!(hit, per_nonce_hit(&block.header, 0, |_| true));
+        assert!(hit < 3, "the new template hits inside the old batch");
+        assert_eq!(mine_in_slices(&mut sliced, now + 2, 1), (hit, bulk));
+    }
+}
+
+/// A hit the strategy rejects resumes the scan at the next nonce, inside
+/// the lane batch that found it: slices of every size discard the same
+/// seeds and mine the same block as one big slice, the first hit a
+/// per-nonce scan accepts.
+#[test]
+fn a_rejected_hit_resumes_the_scan_at_the_next_nonce() {
+    let min_cost_ratio = 2.5;
+    let steering = || node(0).with_strategy(Box::new(CostSteering { min_cost_ratio }));
+    let mut bulk_node = steering();
+    let (block, bulk) = mine_in_one_slice(&mut bulk_node, 8);
+    let hit = block.header.nonce;
+    assert_eq!(
+        hit,
+        per_nonce_hit(&block.header, 0, |ratio| ratio >= min_cost_ratio)
+    );
+    // The nonce before the block's is a rejected hit of the same batch.
+    assert_eq!(per_nonce_hit(&block.header, hit - 1, |_| true), hit - 1);
+    assert_ne!(hit % 4, 0);
+    let discarded = bulk_node.stats().seeds_discarded;
+    assert!(discarded >= 2, "{discarded} hits rejected before the block");
+    for attempts in [1, 3, 4, 7] {
+        let mut sliced = steering();
+        let (slice, out) = mine_in_slices(&mut sliced, 8, attempts);
+        assert_eq!(slice, hit / attempts, "{attempts}-nonce slices");
+        assert_eq!(out, bulk);
+        assert_eq!(sliced.stats().seeds_discarded, discarded);
+    }
+}
+
+/// Remembered batches at the top of the nonce space, one that wraps past
+/// `u64::MAX` and one that ends there, answer the slices after the wrap.
+#[test]
+fn a_remembered_batch_wraps_past_the_top_of_the_nonce_space() {
+    for start in [u64::MAX - 1, u64::MAX - 3] {
+        let from_the_top = || {
+            let mut node = node(0);
+            node.refresh_template(5);
+            node.miner.next_nonce = start;
+            node
+        };
+        let mut bulk_node = from_the_top();
+        let (block, bulk) = mine_in_one_slice(&mut bulk_node, 5);
+        let hit = block.header.nonce;
+        assert_eq!(hit, per_nonce_hit(&block.header, start, |_| true));
+        assert!(hit < 2, "the hit lies just past the wrap");
+        for attempts in [1, 3] {
+            let mut sliced = from_the_top();
+            let (slice, out) = mine_in_slices(&mut sliced, 5, attempts);
+            assert_eq!(
+                slice,
+                hit.wrapping_sub(start) / attempts,
+                "{attempts}-nonce slices from {start}"
+            );
+            assert_eq!(out, bulk);
+        }
+    }
 }
 
 /// Double SHA-256 that counts its evaluations through a scratch already

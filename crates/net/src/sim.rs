@@ -1724,7 +1724,9 @@ mod tests {
     }
 
     /// A stalling adversary cannot stop convergence: honest peers time
-    /// out, exclude it, and sync from each other.
+    /// out, exclude it, and sync from each other. Node 1 is asked for
+    /// segments in this configuration, so every mode trips the timeout and
+    /// re-request path the test is named for.
     #[test]
     fn stalling_is_survived_through_timeouts_and_rerequests() {
         for mode in [
@@ -1750,7 +1752,7 @@ mod tests {
                 config,
                 |_| Sha256dPow,
                 move |id| {
-                    if id == 2 {
+                    if id == 1 {
                         Box::new(SegmentStalling { mode })
                     } else {
                         Box::new(Honest)
@@ -1761,6 +1763,11 @@ mod tests {
             assert!(
                 report.converged,
                 "honest nodes must converge despite {mode:?}: {}",
+                report.fingerprint_extended()
+            );
+            assert!(
+                report.stalls_detected > 0 && report.requests_retried > 0,
+                "{mode:?} must trip a timeout and a re-request: {}",
                 report.fingerprint_extended()
             );
             for node in sim.nodes() {
