@@ -489,4 +489,9 @@ mod tests {
         assert_eq!(sweep_thread_counts(4), vec![1, 2, 4]);
         assert_eq!(sweep_thread_counts(8), vec![1, 2, 4, 8]);
     }
+
+    #[test]
+    fn positional_args_fall_back_to_defaults() {
+        assert_eq!(positional_arg(7, 42), 42);
+    }
 }
