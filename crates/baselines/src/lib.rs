@@ -46,9 +46,12 @@ use std::convert::Infallible;
 /// state, plus enough metadata for comparative reporting.
 ///
 /// An implementation supplies one evaluation, [`PowFunction::evaluate`],
-/// and may override one lane hook, [`PowFunction::first_hit_in_lanes`].
+/// and may override two lane hooks: [`PowFunction::first_hit_in_lanes`]
+/// for a miner's consecutive nonces of one header, and
+/// [`PowFunction::evaluate_lanes`] for a verifier's independent inputs.
+/// An override returns exactly what the hook's default would.
 /// [`PowFunction::pow_hash`] and [`PowFunction::scan_nonces`] are built on
-/// those two and are never overridden.
+/// those and are never overridden.
 pub trait PowFunction {
     /// Reusable per-worker evaluation state; `Default` produces a fresh,
     /// empty scratch whose buffers grow on first use. Batch consumers —
@@ -100,6 +103,20 @@ pub trait PowFunction {
             let digest = self.evaluate(input.with_nonce(nonce), scratch).0;
             target.is_met_by(&digest).then_some((nonce, digest))
         })
+    }
+
+    /// The lane hook of a verifier holding several independent inputs:
+    /// the [`PowFunction::evaluate`] results of `inputs`, in order.
+    ///
+    /// The default evaluates the inputs one at a time. A function whose
+    /// whole evaluation vectorises (double SHA-256) overrides it; an
+    /// override returns the same digests and costs as the default.
+    fn evaluate_lanes(
+        &self,
+        inputs: [&[u8]; NONCE_LANES],
+        scratch: &mut Self::Scratch,
+    ) -> [(Digest256, VerifyCost); NONCE_LANES] {
+        inputs.map(|input| self.evaluate(input, scratch))
     }
 
     /// Evaluates the PoW digest for `input` with a fresh scratch.
@@ -455,6 +472,50 @@ mod tests {
             resumed,
             reference_scan(&pow, b"hdr", target, start.wrapping_add(32), 32)
         );
+    }
+
+    /// Inputs of 0, 55, 64, 116 and 150 bytes: empty, the longest that
+    /// pads into one block, one whole block, a block header, and more
+    /// than two blocks.
+    fn lane_inputs() -> Vec<Vec<u8>> {
+        [0usize, 55, 64, 116, 150]
+            .into_iter()
+            .map(|len| (0..len).map(|i| (i * 31 + len) as u8).collect())
+            .collect()
+    }
+
+    /// `evaluate_lanes` over every rotation of four of the
+    /// [`lane_inputs`] returns exactly the four `evaluate` results, in
+    /// order, through a fresh scratch and through one reused across the
+    /// calls; an `evaluate` through that scratch afterwards is unchanged.
+    fn assert_lanes_match_evaluations<P: PowFunction>(pow: &P) {
+        let inputs = lane_inputs();
+        let mut reused = P::Scratch::default();
+        for rotation in 0..inputs.len() {
+            let lanes: [&[u8]; NONCE_LANES] =
+                std::array::from_fn(|lane| inputs[(rotation + lane) % inputs.len()].as_slice());
+            let want = lanes.map(|input| pow.evaluate(input, &mut P::Scratch::default()));
+            let fresh = pow.evaluate_lanes(lanes, &mut P::Scratch::default());
+            assert_eq!(fresh, want, "{} rotation {rotation}", pow.name());
+            let through_reused = pow.evaluate_lanes(lanes, &mut reused);
+            assert_eq!(through_reused, want, "{} rotation {rotation}", pow.name());
+            assert_eq!(
+                pow.evaluate(lanes[0], &mut reused),
+                want[0],
+                "{} after rotation {rotation}",
+                pow.name()
+            );
+        }
+    }
+
+    #[test]
+    fn lane_evaluations_match_scalar_evaluations_for_every_baseline() {
+        let (sha, memory, randomx, selection, hashcore) = five_pows();
+        assert_lanes_match_evaluations(&sha);
+        assert_lanes_match_evaluations(&memory);
+        assert_lanes_match_evaluations(&randomx);
+        assert_lanes_match_evaluations(&selection);
+        assert_lanes_match_evaluations(&hashcore);
     }
 
     fn assert_scan_matches_reference<P: PowFunction>(pow: &P, attempts: u64) {

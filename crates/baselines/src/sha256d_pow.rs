@@ -2,14 +2,17 @@
 
 use crate::{PowFunction, ResourceClass, NONCE_LANES};
 use hashcore::{MiningInput, Target, VerifyCost};
-use hashcore_crypto::{sha256, sha256_x4, sha256_x4_resume, sha256d, Digest256, Sha256};
+use hashcore_crypto::{
+    sha256, sha256_x4, sha256_x4_resume, sha256d, sha256d_x4, Digest256, Sha256,
+};
 
 /// `SHA256(SHA256(input))` — the PoW function the paper's introduction uses
 /// as the canonical example of a function for which specialised ASICs vastly
 /// outperform general purpose processors.
 ///
-/// The whole function vectorises, and the lane hook uses that: it hashes
-/// four nonces per 4-lane pass. The lane hook and evaluations one nonce at
+/// The whole function vectorises, and both lane hooks use that: the
+/// miner's hashes four nonces per 4-lane pass, and the verifier's four
+/// independent inputs. The miner's lane hook and evaluations one input at
 /// a time both resume from the midstate of their header's first block that
 /// their [`Sha256dScratch`] stores.
 #[derive(Debug, Clone, Copy, Default)]
@@ -176,6 +179,18 @@ impl PowFunction for Sha256dPow {
             .zip(digests)
             .find(|(_, digest)| target.is_met_by(digest))
     }
+
+    /// Both SHA-256 applications run four lanes wide over four whole
+    /// inputs ([`sha256d_x4`]), from SHA-256's initial state. The scratch
+    /// is neither read nor changed: independent headers, such as the
+    /// blocks a restarting node reads back, share no first block.
+    fn evaluate_lanes(
+        &self,
+        inputs: [&[u8]; NONCE_LANES],
+        _scratch: &mut Sha256dScratch,
+    ) -> [(Digest256, VerifyCost); NONCE_LANES] {
+        sha256d_x4(inputs).map(|digest| (digest, synthetic_cost(&digest)))
+    }
 }
 
 /// The log-uniform synthetic cost of one digest (see
@@ -285,6 +300,41 @@ mod tests {
             let missed = Sha256dPow.scan_nonces(&mut input, hard, start, 4, &mut scratch);
             assert_eq!(missed, None);
             assert_eq!(stored_head(&scratch), stored);
+        }
+    }
+
+    #[test]
+    fn lane_evaluations_match_sha256d_beside_a_stored_midstate() {
+        let inputs: Vec<Vec<u8>> = [0usize, 55, 64, 116, 150]
+            .into_iter()
+            .map(|len| (0..len).map(|i| (i * 13 + len) as u8).collect())
+            .collect();
+        // A scratch holding the midstate of a 116-byte header's head.
+        let header = headed(5, &[7; 52]);
+        let mut scratch = Sha256dScratch::default();
+        assert_sha256d(&header, &mut scratch);
+        assert_sha256d(&header, &mut scratch);
+        assert_eq!(stored_head(&scratch), Some(&header[..64]));
+        for rotation in 0..inputs.len() {
+            // Once stored, the midstate follows the latest input: put the
+            // header's back.
+            assert_sha256d(&header, &mut scratch);
+            let lanes: [&[u8]; NONCE_LANES] =
+                std::array::from_fn(|lane| inputs[(rotation + lane) % inputs.len()].as_slice());
+            let want = lanes.map(|input| {
+                let digest = sha256d(input);
+                (digest, synthetic_cost(&digest))
+            });
+            let fresh = Sha256dPow.evaluate_lanes(lanes, &mut Sha256dScratch::default());
+            assert_eq!(fresh, want, "rotation {rotation}");
+            assert_eq!(
+                Sha256dPow.evaluate_lanes(lanes, &mut scratch),
+                want,
+                "rotation {rotation}"
+            );
+            // The lanes leave the stored midstate where it was.
+            assert_eq!(stored_head(&scratch), Some(&header[..64]));
+            assert_sha256d(lanes[0], &mut scratch);
         }
     }
 

@@ -17,7 +17,7 @@ use crate::chain::{validate_segment_with_rule, ChainError, InvalidReason};
 use crate::difficulty::DifficultyRule;
 use crate::header_chain::{Accepted, Entry, HeaderChain};
 use hashcore::{MiningInput, Target};
-use hashcore_baselines::PowFunction;
+use hashcore_baselines::{PowFunction, NONCE_LANES};
 use hashcore_crypto::{Digest256, Sha256};
 use std::fmt;
 
@@ -205,8 +205,9 @@ pub enum RestoreError {
     /// corrupted snapshot, since the live tree only ever stored valid
     /// blocks.
     RootPow,
-    /// A non-root block failed [`ForkTree::apply`] during the replay;
-    /// carries the index of the offending block in the snapshot ordering.
+    /// A non-root block failed the acceptance [`ForkTree::apply`] runs
+    /// during the replay; carries the index of the offending block in the
+    /// snapshot ordering.
     Apply {
         /// Index into [`TreeSnapshot::blocks`].
         index: usize,
@@ -504,11 +505,64 @@ impl<P: PowFunction> ForkTree<P> {
         self.accept(block, digest, cost_ratio)
     }
 
+    /// Applies a run of stored `blocks` in order, as [`ForkTree::apply`]
+    /// would one at a time, and returns how many of them it accepted
+    /// (stored, or known already). Each block that fails is passed with
+    /// its index in `blocks` to `rejected`: `Ok` skips the block and goes
+    /// on, and `Err` ends the run with that error.
+    ///
+    /// This is how a node reads its blocks back from disk: a snapshot
+    /// restore, a log replay. Headers are evaluated [`NONCE_LANES`] per
+    /// [`PowFunction::evaluate_lanes`] call, and a short final chunk one
+    /// at a time; only a PoW that overrides that hook (double SHA-256)
+    /// hashes them faster. Then each block goes through the acceptance
+    /// sequence of [`ForkTree::apply`] with no [`ApplyOutcome`] built: no
+    /// reorg walk, and no clone but the stored block. A failing block's
+    /// later lanes are evaluated already, so one bad block can cost up to
+    /// `NONCE_LANES - 1` wasted evaluations. Gossip and sync, which bound
+    /// that work, apply one block at a time.
+    pub fn apply_stored<E>(
+        &mut self,
+        blocks: &[Block],
+        mut rejected: impl FnMut(usize, ForkError) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let nominal = self.pow.nominal_cost();
+        let mut headers: [Vec<u8>; NONCE_LANES] = Default::default();
+        let mut accepted = 0;
+        for (chunk_index, chunk) in blocks.chunks(NONCE_LANES).enumerate() {
+            for (bytes, block) in headers.iter_mut().zip(chunk) {
+                block.header.write_bytes(bytes);
+            }
+            let lanes = (chunk.len() == NONCE_LANES).then(|| {
+                self.pow
+                    .evaluate_lanes(headers.each_ref().map(Vec::as_slice), &mut self.scratch)
+            });
+            for (lane, block) in chunk.iter().enumerate() {
+                let (digest, cost) = match lanes {
+                    Some(evaluated) => evaluated[lane],
+                    None => self.pow.evaluate(&headers[lane], &mut self.scratch),
+                };
+                let result = self.chain.accept_item(
+                    block.clone(),
+                    digest,
+                    cost.ratio(nominal),
+                    Block::merkle_consistent,
+                );
+                match result {
+                    Ok(_) => accepted += 1,
+                    Err(error) => rejected(chunk_index * NONCE_LANES + lane, error)?,
+                }
+            }
+        }
+        Ok(accepted)
+    }
+
     /// The acceptance path of [`ForkTree::apply`] and
     /// [`ForkTree::apply_evaluated`]: the [`HeaderChain`] acceptance
     /// sequence for `block`, whose header has PoW `digest` and cost ratio
-    /// `cost_ratio`, and its outcome. [`ForkTree::mine_next`] runs the same
-    /// sequence but builds no outcome.
+    /// `cost_ratio`, and its outcome. [`ForkTree::mine_next`] and
+    /// [`ForkTree::apply_stored`] run the same sequence but build no
+    /// outcome.
     fn accept(
         &mut self,
         block: Block,
@@ -729,10 +783,11 @@ impl<P: PowFunction> ForkTree<P> {
     /// snapshot's root block (when the snapshot is of a pruned tree) is
     /// verified against its recorded digest and its own PoW target, then
     /// trusted at `root_height`/`root_work`; every other block replays
-    /// through [`ForkTree::apply`], so the usual Merkle/PoW/target checks
-    /// all run and fork choice recomputes the tip from scratch. On success
-    /// the restored tree's [`ForkTree::fingerprint`] equals the source
-    /// tree's.
+    /// through [`ForkTree::apply_stored`], in 4-lane batches of PoW
+    /// evaluations and with no [`ApplyOutcome`] built, so the usual
+    /// Merkle/PoW/target checks all run and fork choice recomputes the tip
+    /// from scratch. On success the restored tree's
+    /// [`ForkTree::fingerprint`] equals the source tree's.
     ///
     /// # Errors
     ///
@@ -741,9 +796,9 @@ impl<P: PowFunction> ForkTree<P> {
     /// case.
     pub fn restore_from_snapshot(&mut self, snapshot: &TreeSnapshot) -> Result<(), RestoreError> {
         self.chain.restart(snapshot.rule, None);
-        let mut blocks = snapshot.blocks.iter().enumerate();
+        let mut blocks = &snapshot.blocks[..];
         if snapshot.root != GENESIS_HASH {
-            let Some((_, root_block)) = blocks.next() else {
+            let Some((root_block, rest)) = blocks.split_first() else {
                 return Err(RestoreError::RootMismatch {
                     want: snapshot.root,
                     got: [0u8; 32],
@@ -768,12 +823,18 @@ impl<P: PowFunction> ForkTree<P> {
                 cost_ratio,
             };
             self.chain.restart(snapshot.rule, Some((digest, root)));
+            blocks = rest;
         }
-        for (index, block) in blocks {
-            if let Err(error) = self.apply(block.clone()) {
-                self.chain.restart(snapshot.rule, None);
-                return Err(RestoreError::Apply { index, error });
-            }
+        let first = snapshot.blocks.len() - blocks.len();
+        let replayed = self.apply_stored(blocks, |index, error| {
+            Err(RestoreError::Apply {
+                index: first + index,
+                error,
+            })
+        });
+        if let Err(error) = replayed {
+            self.chain.restart(snapshot.rule, None);
+            return Err(error);
         }
         Ok(())
     }
@@ -1505,5 +1566,92 @@ mod tests {
             ForkTree::from_snapshot(Sha256dPow, &empty),
             Err(RestoreError::RootMismatch { .. })
         ));
+    }
+
+    /// The three ways a stored block fails, each as a stand-in for
+    /// `block` with the reason it fails for (`None` for
+    /// [`ForkError::UnknownParent`]): a nonce that misses its target, an
+    /// altered transaction and a valid block on a foreign parent.
+    fn failing_stand_ins(block: &Block) -> [(Block, Option<InvalidReason>); 3] {
+        let mut weak = block.clone();
+        weak.header.nonce = weak.header.nonce.wrapping_add(1);
+        while Target::from_threshold(weak.header.target).is_met_by(&digest(&weak)) {
+            weak.header.nonce = weak.header.nonce.wrapping_add(1);
+        }
+        let mut forged = block.clone();
+        forged.transactions[0] = b"forged".to_vec();
+        [
+            (weak, Some(InvalidReason::Pow)),
+            (forged, Some(InvalidReason::Merkle)),
+            (mine_child([0x42; 32], "foreign", 2), None),
+        ]
+    }
+
+    /// A restore one block at a time, as it ran before stored blocks were
+    /// batched: the root (if any) through the root path, then every other
+    /// block through `apply`, stopping at the first error. Returns the
+    /// restored fingerprint.
+    fn restore_block_by_block(snapshot: &TreeSnapshot) -> Result<Digest256, RestoreError> {
+        let roots = usize::from(snapshot.root != GENESIS_HASH);
+        let base = TreeSnapshot {
+            blocks: snapshot.blocks[..roots].to_vec(),
+            ..snapshot.clone()
+        };
+        let mut tree = ForkTree::from_snapshot(Sha256dPow, &base)?;
+        for (index, block) in snapshot.blocks.iter().enumerate().skip(roots) {
+            tree.apply(block.clone())
+                .map_err(|error| RestoreError::Apply { index, error })?;
+        }
+        Ok(tree.fingerprint())
+    }
+
+    #[test]
+    fn batched_restore_matches_a_block_by_block_reference() {
+        let chain = mined_line(14, "trunk");
+        let mut unpruned = ForkTree::new(Sha256dPow);
+        for block in &chain[..10] {
+            unpruned.apply(block.clone()).expect("valid");
+        }
+        let mut pruned = ForkTree::new(Sha256dPow);
+        for block in &chain {
+            pruned.apply(block.clone()).expect("valid");
+        }
+        pruned.prune(7);
+        let empty = ForkTree::new(Sha256dPow).fingerprint();
+        for source in [unpruned, pruned] {
+            let snapshot = source.snapshot();
+            let roots = usize::from(snapshot.root != GENESIS_HASH);
+            // Two full 4-lane chunks and a short one of two unpruned; a full
+            // chunk and a short one of three after the pruned root.
+            assert_eq!(snapshot.blocks.len() - roots, [10, 7][roots]);
+            let restored = ForkTree::from_snapshot(Sha256dPow, &snapshot).expect("restores");
+            assert_eq!(restored.fingerprint(), source.fingerprint());
+            assert_eq!(restore_block_by_block(&snapshot), Ok(source.fingerprint()));
+            // One failing block at every lane position of every chunk: the
+            // same error at the same index, and a reset tree.
+            for index in roots..snapshot.blocks.len() {
+                for (stand_in, reason) in failing_stand_ins(&snapshot.blocks[index]) {
+                    let mut tampered = snapshot.clone();
+                    tampered.blocks[index] = stand_in;
+                    let want = restore_block_by_block(&tampered);
+                    let failed = match &want {
+                        Err(RestoreError::Apply { index: i, error }) if *i == index => error,
+                        other => panic!("block {index}: {other:?}"),
+                    };
+                    let failed_for = match failed {
+                        ForkError::InvalidBlock { reason } => Some(*reason),
+                        ForkError::UnknownParent { .. } => None,
+                    };
+                    assert_eq!(failed_for, reason);
+                    let mut tree =
+                        ForkTree::from_snapshot(Sha256dPow, &snapshot).expect("restores");
+                    let got = tree.restore_from_snapshot(&tampered);
+                    assert_eq!(got.map(|()| tree.fingerprint()), want, "block {index}");
+                    assert!(tree.is_empty());
+                    assert_eq!(tree.tip(), GENESIS_HASH);
+                    assert_eq!(tree.fingerprint(), empty);
+                }
+            }
+        }
     }
 }

@@ -12,6 +12,7 @@ use hashcore_chain::{
 use hashcore_crypto::Digest256;
 use hashcore_store::{ChainStore, RecoveryReport};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::convert::Infallible;
 use std::io;
 use std::path::Path;
 
@@ -319,11 +320,10 @@ where
                 format!("recovered snapshot failed restore: {error}"),
             )
         })?;
-        for block in &recovered.replay {
-            if self.tree.apply(block.clone()).is_ok() {
-                self.stats.blocks_replayed += 1;
-            }
-        }
+        let Ok(replayed) = self
+            .tree
+            .apply_stored(&recovered.replay, |_, _| Ok::<_, Infallible>(()));
+        self.stats.blocks_replayed += replayed as u64;
         self.persistence = Some(Persistence {
             store,
             snapshot_interval,

@@ -724,6 +724,22 @@ fn crash_restart_recovers_the_exact_tree_and_keeps_persisting() {
     assert_eq!(node.tip(), tip);
     assert_eq!(node.stats().crash_restarts, 1);
     assert_eq!(node.stats().recoveries_identical, 1);
+    // The two appends after the snapshot replay, counted as a replay one
+    // block at a time counts them.
+    let (_reopened, recovered) = ChainStore::open(dir.path()).unwrap();
+    let base = recovered
+        .snapshot
+        .as_ref()
+        .expect("a snapshot every 3 appends");
+    let mut reference = hashcore_chain::ForkTree::from_snapshot(Sha256dPow, base).unwrap();
+    let replayed = recovered
+        .replay
+        .iter()
+        .filter(|block| reference.apply(Block::clone(block)).is_ok())
+        .count();
+    assert_eq!(replayed, 2);
+    assert_eq!(node.stats().blocks_replayed, replayed as u64);
+    assert_eq!(reference.fingerprint(), fingerprint);
     assert!(
         matches!(&out[..], [Outgoing::Broadcast(Message::Block(b))]
             if b == node.tree().tip_block().unwrap()),

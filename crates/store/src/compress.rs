@@ -24,6 +24,13 @@
 //! and rejects malformed streams instead of panicking: a corrupt snapshot
 //! must surface as a recoverable error so the recovery ladder can fall back
 //! to an older snapshot.
+//!
+//! The decompressor copies a match whose source lies wholly in the decoded
+//! output (`offset >= length`) in one slice copy, and an overlapping match
+//! byte by byte, since it re-reads bytes it writes. Its tests keep the
+//! all-bytewise decompressor as a reference and hold it to that on
+//! hand-built streams of both kinds, at, past and short of the declared
+//! length.
 
 use std::fmt;
 
@@ -196,12 +203,17 @@ pub fn decompress(input: &[u8], output_len: usize) -> Result<Vec<u8>, CompressEr
                 if offset == 0 || offset > out.len() {
                     return Err(CompressError::BadOffset);
                 }
-                // Byte-at-a-time copy: overlapping matches must re-read
-                // bytes this very copy produced.
                 let start = out.len() - offset;
-                for i in 0..len {
-                    let byte = out[start + i];
-                    out.push(byte);
+                if offset >= len {
+                    // The whole source is decoded already: one copy.
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Byte-at-a-time copy: an overlapping match re-reads
+                    // bytes this very copy produces.
+                    for i in 0..len {
+                        let byte = out[start + i];
+                        out.push(byte);
+                    }
                 }
             }
         }
@@ -274,5 +286,158 @@ mod tests {
         // An offset pointing before the output start is rejected.
         let bogus = [0x01, 0x10, 0x00, 0x00]; // match at offset 16, empty out
         assert_eq!(decompress(&bogus, 3).unwrap_err(), CompressError::BadOffset);
+    }
+
+    /// The decompressor before matches were copied whole: every match
+    /// byte at a time. The reference `decompress` is held to.
+    fn reference_decompress(input: &[u8], output_len: usize) -> Result<Vec<u8>, CompressError> {
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while pos < input.len() && out.len() < output_len {
+            let flags = input[pos];
+            pos += 1;
+            for bit in 0..8 {
+                if out.len() >= output_len {
+                    break;
+                }
+                if pos >= input.len() {
+                    return Err(CompressError::TruncatedStream);
+                }
+                if flags & (1 << bit) == 0 {
+                    out.push(input[pos]);
+                    pos += 1;
+                } else {
+                    if pos + 3 > input.len() {
+                        return Err(CompressError::TruncatedStream);
+                    }
+                    let offset = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
+                    let len = input[pos + 2] as usize + MIN_MATCH;
+                    pos += 3;
+                    if offset == 0 || offset > out.len() {
+                        return Err(CompressError::BadOffset);
+                    }
+                    let start = out.len() - offset;
+                    for i in 0..len {
+                        let byte = out[start + i];
+                        out.push(byte);
+                    }
+                }
+            }
+        }
+        if out.len() != output_len {
+            return Err(CompressError::LengthMismatch {
+                want: output_len,
+                got: out.len(),
+            });
+        }
+        Ok(out)
+    }
+
+    /// A token of a hand-built stream.
+    enum Token {
+        Literal(u8),
+        Match { offset: u16, len: usize },
+    }
+
+    /// Encodes `tokens` as an LZSS stream and returns it with the length
+    /// it decodes to.
+    fn stream(tokens: &[Token]) -> (Vec<u8>, usize) {
+        let mut out = Vec::new();
+        let mut decoded = 0;
+        for group in tokens.chunks(8) {
+            let flags_at = out.len();
+            out.push(0);
+            for (bit, token) in group.iter().enumerate() {
+                match *token {
+                    Token::Literal(byte) => {
+                        out.push(byte);
+                        decoded += 1;
+                    }
+                    Token::Match { offset, len } => {
+                        out[flags_at] |= 1 << bit;
+                        out.extend_from_slice(&offset.to_le_bytes());
+                        out.push((len - MIN_MATCH) as u8);
+                        decoded += len;
+                    }
+                }
+            }
+        }
+        (out, decoded)
+    }
+
+    #[test]
+    fn whole_match_copies_match_the_byte_loop_reference() {
+        use Token::{Literal, Match};
+        let literals = |n: u8| (0..n).map(|i| Literal(b'a' + i)).collect::<Vec<_>>();
+        let with = |mut tokens: Vec<Token>, tail: Vec<Token>| {
+            tokens.extend(tail);
+            tokens
+        };
+        let cases = [
+            // offset == len: the source ends where the copy starts.
+            with(literals(3), vec![Match { offset: 3, len: 3 }]),
+            with(
+                literals(8),
+                vec![Match { offset: 8, len: 8 }, Literal(b'z')],
+            ),
+            // offset == len - 1: the copy re-reads its own first byte.
+            with(literals(3), vec![Match { offset: 3, len: 4 }]),
+            with(literals(9), vec![Match { offset: 9, len: 10 }]),
+            // offset == 1: a run of the last byte.
+            with(
+                literals(1),
+                vec![Match {
+                    offset: 1,
+                    len: 258,
+                }],
+            ),
+            // A long source well before the copy, then every shape in one
+            // stream, crossing groups.
+            with(
+                literals(20),
+                vec![
+                    Match { offset: 20, len: 5 },
+                    Match {
+                        offset: 25,
+                        len: 25,
+                    },
+                    Match { offset: 2, len: 7 },
+                    Literal(b'q'),
+                    Match { offset: 1, len: 3 },
+                    Match {
+                        offset: 40,
+                        len: 41,
+                    },
+                    Match {
+                        offset: 58,
+                        len: 58,
+                    },
+                ],
+            ),
+        ];
+        for tokens in &cases {
+            let (packed, len) = stream(tokens);
+            // The exact length, one byte more, and one and three bytes
+            // less: a last match that overruns the declared length, or a
+            // match that ends exactly at it with a literal left over.
+            for output_len in [len, len + 1, len - 1, len - 3] {
+                let want = reference_decompress(&packed, output_len);
+                assert_eq!(
+                    decompress(&packed, output_len),
+                    want,
+                    "{output_len} of {len}"
+                );
+            }
+            assert!(decompress(&packed, len).is_ok());
+            if let Some(Match { .. }) = tokens.last() {
+                assert_eq!(
+                    decompress(&packed, len - 1),
+                    Err(CompressError::LengthMismatch {
+                        want: len - 1,
+                        got: len,
+                    })
+                );
+            }
+        }
     }
 }

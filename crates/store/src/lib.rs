@@ -57,6 +57,7 @@ pub use snapshot::SnapshotFault;
 pub use tempdir::TempDir;
 
 use hashcore_chain::{Block, DifficultyRule, ForkTree, PowFunction, RestoreError, TreeSnapshot};
+use std::convert::Infallible;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -349,10 +350,12 @@ fn list_seqs(dir: &Path, prefix: &str, ext: &str) -> io::Result<Vec<u64>> {
 
 /// Rebuilds a [`ForkTree`] from a recovery result: restore the base
 /// snapshot (or start at genesis with `genesis_rule`), then re-apply every
-/// replayed block through the tree's full validation. Replayed blocks that
-/// no longer attach (their parent fell below a pruned snapshot's retention
-/// root, or sat in a lost log suffix) are skipped and counted — recovery
-/// must degrade to "the durable prefix", never fail outright on them.
+/// replayed block through the tree's full validation, in 4-lane batches of
+/// PoW evaluations and with no outcome built ([`ForkTree::apply_stored`]).
+/// Replayed blocks that no longer attach (their parent fell below a pruned
+/// snapshot's retention root, or sat in a lost log suffix) are skipped and
+/// counted — recovery must degrade to "the durable prefix", never fail
+/// outright on them.
 ///
 /// Returns the tree and the number of skipped replay blocks.
 ///
@@ -371,20 +374,15 @@ pub fn rebuild<P: PowFunction>(
         (None, Some(rule)) => ForkTree::with_rule(pow, rule),
         (None, None) => ForkTree::new(pow),
     };
-    let mut skipped = 0usize;
-    for block in &recovered.replay {
-        if tree.apply(block.clone()).is_err() {
-            skipped += 1;
-        }
-    }
-    Ok((tree, skipped))
+    let Ok(accepted) = tree.apply_stored(&recovered.replay, |_, _| Ok::<_, Infallible>(()));
+    Ok((tree, recovered.replay.len() - accepted))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hashcore::Target;
-    use hashcore_baselines::{PowFunction, Sha256dPow};
+    use hashcore_baselines::{PowFunction, Sha256dPow, NONCE_LANES};
     use hashcore_chain::BlockHeader;
 
     fn mine_child(prev: [u8; 32], tag: &str) -> Block {
@@ -557,5 +555,71 @@ mod tests {
         let (_s, recovered) = ChainStore::open(dir.path()).unwrap();
         assert!(recovered.report.clean());
         assert_eq!(recovered.replay.len(), 5);
+    }
+
+    /// A rebuild one block at a time, as it ran before replays were
+    /// batched: the skip count and the rebuilt fingerprint.
+    fn rebuild_block_by_block(recovered: &Recovered) -> (usize, [u8; 32]) {
+        let mut tree = match &recovered.snapshot {
+            Some(snapshot) => ForkTree::from_snapshot(Sha256dPow, snapshot).unwrap(),
+            None => ForkTree::new(Sha256dPow),
+        };
+        let skipped = recovered
+            .replay
+            .iter()
+            .filter(|block| tree.apply(Block::clone(block)).is_err())
+            .count();
+        (skipped, tree.fingerprint())
+    }
+
+    #[test]
+    fn batched_rebuild_matches_a_block_by_block_reference() {
+        let chain = mined_line(14);
+        let mut live = ForkTree::new(Sha256dPow);
+        for block in &chain[..5] {
+            live.apply(block.clone()).unwrap();
+        }
+        let unpruned = live.snapshot();
+        for block in &chain[5..9] {
+            live.apply(block.clone()).unwrap();
+        }
+        live.prune(3);
+        let pruned = live.snapshot();
+        assert_ne!(pruned.root, hashcore_chain::GENESIS_HASH);
+        let mut forged = chain[10].clone();
+        forged.transactions[0] = b"forged".to_vec();
+        // Duplicates of snapshot and replay blocks, children before their
+        // parents, a foreign orphan and a forged body.
+        let mixed = [
+            chain[2].clone(),
+            chain[5].clone(),
+            chain[6].clone(),
+            chain[6].clone(),
+            chain[8].clone(),
+            chain[7].clone(),
+            mine_child([0x42; 32], "foreign"),
+            chain[8].clone(),
+            forged,
+            chain[9].clone(),
+            chain[10].clone(),
+            chain[12].clone(),
+            chain[11].clone(),
+            chain[13].clone(),
+        ];
+        for snapshot in [None, Some(unpruned), Some(pruned)] {
+            // Leading duplicates move every block across the lane
+            // positions of its 4-lane chunk.
+            for shift in 0..NONCE_LANES {
+                let recovered = Recovered {
+                    snapshot: snapshot.clone(),
+                    replay: chain[..shift].iter().chain(&mixed).cloned().collect(),
+                    report: RecoveryReport::default(),
+                };
+                let want = rebuild_block_by_block(&recovered);
+                assert!(want.0 > 0);
+                let (tree, skipped) = rebuild(Sha256dPow, None, &recovered).unwrap();
+                assert_eq!((skipped, tree.fingerprint()), want, "shift {shift}");
+            }
+        }
     }
 }
