@@ -477,7 +477,7 @@ mod tests {
     /// Inputs of 0, 55, 64, 116 and 150 bytes: empty, the longest that
     /// pads into one block, one whole block, a block header, and more
     /// than two blocks.
-    fn lane_inputs() -> Vec<Vec<u8>> {
+    pub(crate) fn lane_inputs() -> Vec<Vec<u8>> {
         [0usize, 55, 64, 116, 150]
             .into_iter()
             .map(|len| (0..len).map(|i| (i * 31 + len) as u8).collect())

@@ -11,10 +11,10 @@ use hashcore_crypto::{
 /// outperform general purpose processors.
 ///
 /// The whole function vectorises, and both lane hooks use that: the
-/// miner's hashes four nonces per 4-lane pass, and the verifier's four
-/// independent inputs. The miner's lane hook and evaluations one input at
-/// a time both resume from the midstate of their header's first block that
-/// their [`Sha256dScratch`] stores.
+/// miner's hook hashes four nonces per 4-lane pass, and the verifier's
+/// hook four independent inputs. The miner's hook and evaluations one
+/// input at a time both resume from the midstate of their header's first
+/// block that their [`Sha256dScratch`] stores.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sha256dPow;
 
@@ -305,10 +305,7 @@ mod tests {
 
     #[test]
     fn lane_evaluations_match_sha256d_beside_a_stored_midstate() {
-        let inputs: Vec<Vec<u8>> = [0usize, 55, 64, 116, 150]
-            .into_iter()
-            .map(|len| (0..len).map(|i| (i * 13 + len) as u8).collect())
-            .collect();
+        let inputs = crate::tests::lane_inputs();
         // A scratch holding the midstate of a 116-byte header's head.
         let header = headed(5, &[7; 52]);
         let mut scratch = Sha256dScratch::default();
