@@ -1,6 +1,6 @@
 //! Blocks and block headers.
 
-use hashcore_crypto::{Digest256, MerkleTree};
+use hashcore_crypto::{sha256_x4, Digest256, MerkleTree, SHA256_LANES};
 
 /// A block header: the only data that flows through the PoW function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +81,46 @@ impl Block {
     /// of `[a, b, c]`, and a node that stored either could serve it under
     /// the other's header.
     pub fn merkle_consistent(&self) -> bool {
-        let tree = MerkleTree::from_items(self.transactions.iter().map(|t| t.as_slice()));
+        self.commits_to(&MerkleTree::from_items(
+            self.transactions.iter().map(|t| t.as_slice()),
+        ))
+    }
+
+    /// [`Block::merkle_consistent`] of four blocks at once. Their
+    /// transactions are hashed in order across the four bodies, four per
+    /// [`sha256_x4`] call, so one call may hash the last leaves of one body
+    /// beside the first of the next; each body's tree is then built from
+    /// its own leaves. Lane `i` is `blocks[i].merkle_consistent()`.
+    pub(crate) fn merkle_consistent_x4(blocks: &[Block; SHA256_LANES]) -> [bool; SHA256_LANES] {
+        let mut leaves = blocks
+            .each_ref()
+            .map(|b| Vec::with_capacity(b.transactions.len()));
+        let mut items = blocks
+            .iter()
+            .enumerate()
+            .flat_map(|(body, block)| block.transactions.iter().map(move |tx| (body, &tx[..])))
+            .peekable();
+        while items.peek().is_some() {
+            // Up to four transactions, each with the body it belongs to; a
+            // spare lane hashes the empty message, and its digest is dropped.
+            let mut group = [(None, &[][..]); SHA256_LANES];
+            for (slot, (body, tx)) in group.iter_mut().zip(&mut items) {
+                *slot = (Some(body), tx);
+            }
+            for ((body, _), leaf) in group.into_iter().zip(sha256_x4(group.map(|(_, tx)| tx))) {
+                if let Some(body) = body {
+                    leaves[body].push(leaf);
+                }
+            }
+        }
+        let trees = leaves.map(MerkleTree::from_leaves);
+        std::array::from_fn(|lane| blocks[lane].commits_to(&trees[lane]))
+    }
+
+    /// The verdict of [`Block::merkle_consistent`] on `tree`, built from
+    /// this block's transactions: its root is the header's, and it pairs no
+    /// two equal nodes.
+    fn commits_to(&self, tree: &MerkleTree) -> bool {
         tree.root() == self.header.merkle_root && !tree.has_equal_siblings()
     }
 }
@@ -157,6 +196,53 @@ mod tests {
         assert!(block.merkle_consistent());
         block.transactions.push(b"forged".to_vec());
         assert!(!block.merkle_consistent());
+    }
+
+    /// A block whose header commits to `txs`.
+    fn committed(txs: &[&[u8]]) -> Block {
+        let transactions: Vec<Vec<u8>> = txs.iter().map(|tx| tx.to_vec()).collect();
+        Block {
+            header: BlockHeader {
+                merkle_root: Block::merkle_root(&transactions),
+                ..header()
+            },
+            transactions,
+        }
+    }
+
+    #[test]
+    fn lane_verdicts_match_merkle_consistent() {
+        let long = [0x6c; 100];
+        let mut forged = committed(&[b"f0", b"f1", b"f2", b"f3"]);
+        forged.transactions[2] = b"forged".to_vec();
+        let mut wrong_root = committed(&[b"w0", b"w1"]);
+        wrong_root.header.merkle_root = [0x5a; 32];
+        let mut repeated_tail = committed(&[b"r0", b"r1", b"r2"]);
+        repeated_tail.transactions.push(b"r2".to_vec());
+        let bodies = [
+            committed(&[]),
+            committed(&[b"one"]),
+            committed(&[b"two-0", &long]),
+            committed(&[b"three-0", b"three-1", b"three-2"]),
+            committed(&[b"five-0", &long, b"five-2", b"five-3", b"five-4"]),
+            forged,
+            wrong_root,
+            repeated_tail,
+        ];
+        let want: Vec<bool> = bodies.iter().map(Block::merkle_consistent).collect();
+        assert_eq!(want, [true, true, true, true, true, false, false, false]);
+        // Every body at every lane, beside every other body in turn: each
+        // 4-lane call hashes leaves of two or more bodies together.
+        for start in 0..bodies.len() {
+            let at = |lane: usize| (start + lane) % bodies.len();
+            let lanes: [Block; SHA256_LANES] = std::array::from_fn(|lane| bodies[at(lane)].clone());
+            let expected: [bool; SHA256_LANES] = std::array::from_fn(|lane| want[at(lane)]);
+            assert_eq!(
+                Block::merkle_consistent_x4(&lanes),
+                expected,
+                "rotation {start}"
+            );
+        }
     }
 
     #[test]

@@ -360,6 +360,15 @@ impl<P: PowFunction> ForkTree<P> {
         self.chain.is_empty()
     }
 
+    /// Makes room for at least `additional` more blocks, so that storing
+    /// them does not grow the block map. A restore keeps the room, so a
+    /// restart that knows how many blocks it reads back (a snapshot plus a
+    /// log, as `hashcore_store::rebuild` does) can reserve for all of them
+    /// before restoring.
+    pub fn reserve(&mut self, additional: usize) {
+        self.chain.reserve(additional);
+    }
+
     /// See [`HeaderChain::tip`].
     pub fn tip(&self) -> Digest256 {
         self.chain.tip()
@@ -512,15 +521,24 @@ impl<P: PowFunction> ForkTree<P> {
     /// on, and `Err` ends the run with that error.
     ///
     /// This is how a node reads its blocks back from disk: a snapshot
-    /// restore, a log replay. Headers are evaluated [`NONCE_LANES`] per
-    /// [`PowFunction::evaluate_lanes`] call, and a short final chunk one
-    /// at a time; only a PoW that overrides that hook (double SHA-256)
-    /// hashes them faster. Then each block goes through the acceptance
-    /// sequence of [`ForkTree::apply`] with no [`ApplyOutcome`] built: no
-    /// reorg walk, and no clone but the stored block. A failing block's
-    /// later lanes are evaluated already, so one bad block can cost up to
-    /// `NONCE_LANES - 1` wasted evaluations. Gossip and sync, which bound
-    /// that work, apply one block at a time.
+    /// restore, a log replay. Each full chunk of [`NONCE_LANES`] blocks is
+    /// checked together: its headers in one [`PowFunction::evaluate_lanes`]
+    /// call, and its bodies' Merkle commitments with their transactions
+    /// hashed four per 4-lane SHA-256 pass, under every PoW. A pass runs
+    /// as long as its longest message, so transactions of uneven lengths
+    /// gain less than uniform ones. A short final chunk is checked one
+    /// block at a time. Only a PoW that overrides the lane hook (double
+    /// SHA-256) hashes headers faster. Then each block goes through the
+    /// acceptance sequence of [`ForkTree::apply`], its Merkle verdict as
+    /// the body check, with no [`ApplyOutcome`] built: no reorg walk, and
+    /// no clone but the stored block. The verdicts of a full chunk are
+    /// computed before any of its blocks is accepted, so a block found
+    /// known has its body hashed too, which [`ForkTree::apply`] skips (a
+    /// replay of many known blocks can cost more than per-block checks),
+    /// and a failing block's later lanes are checked already: one bad
+    /// block can cost up to `NONCE_LANES - 1` wasted PoW evaluations and as
+    /// many wasted Merkle checks. Gossip and sync, which bound that work,
+    /// apply one block at a time.
     pub fn apply_stored<E>(
         &mut self,
         blocks: &[Block],
@@ -533,21 +551,24 @@ impl<P: PowFunction> ForkTree<P> {
             for (bytes, block) in headers.iter_mut().zip(chunk) {
                 block.header.write_bytes(bytes);
             }
-            let lanes = (chunk.len() == NONCE_LANES).then(|| {
-                self.pow
-                    .evaluate_lanes(headers.each_ref().map(Vec::as_slice), &mut self.scratch)
+            let lanes = <&[Block; NONCE_LANES]>::try_from(chunk).ok().map(|full| {
+                let evaluated = self
+                    .pow
+                    .evaluate_lanes(headers.each_ref().map(Vec::as_slice), &mut self.scratch);
+                (evaluated, Block::merkle_consistent_x4(full))
             });
             for (lane, block) in chunk.iter().enumerate() {
                 let (digest, cost) = match lanes {
-                    Some(evaluated) => evaluated[lane],
+                    Some((evaluated, _)) => evaluated[lane],
                     None => self.pow.evaluate(&headers[lane], &mut self.scratch),
                 };
-                let result = self.chain.accept_item(
-                    block.clone(),
-                    digest,
-                    cost.ratio(nominal),
-                    Block::merkle_consistent,
-                );
+                let body_valid = |block: &Block| match lanes {
+                    Some((_, consistent)) => consistent[lane],
+                    None => block.merkle_consistent(),
+                };
+                let result =
+                    self.chain
+                        .accept_item(block.clone(), digest, cost.ratio(nominal), body_valid);
                 match result {
                     Ok(_) => accepted += 1,
                     Err(error) => rejected(chunk_index * NONCE_LANES + lane, error)?,
@@ -783,10 +804,12 @@ impl<P: PowFunction> ForkTree<P> {
     /// snapshot's root block (when the snapshot is of a pruned tree) is
     /// verified against its recorded digest and its own PoW target, then
     /// trusted at `root_height`/`root_work`; every other block replays
-    /// through [`ForkTree::apply_stored`], in 4-lane batches of PoW
-    /// evaluations and with no [`ApplyOutcome`] built, so the usual
+    /// through [`ForkTree::apply_stored`], its PoW and Merkle checks in
+    /// 4-lane batches and with no [`ApplyOutcome`] built, so the usual
     /// Merkle/PoW/target checks all run and fork choice recomputes the tip
-    /// from scratch. On success the restored tree's
+    /// from scratch. The block map keeps its capacity, so room reserved
+    /// beforehand ([`ForkTree::reserve`]) serves the snapshot's blocks and
+    /// any applied after it. On success the restored tree's
     /// [`ForkTree::fingerprint`] equals the source tree's.
     ///
     /// # Errors
@@ -875,7 +898,11 @@ mod tests {
 
     /// Mines a child of `prev` tagged by `tag` at `bits` leading-zero bits.
     fn mine_child(prev: Digest256, tag: &str, bits: u32) -> Block {
-        let txs = vec![tag.as_bytes().to_vec()];
+        mine_body(prev, vec![tag.as_bytes().to_vec()], bits)
+    }
+
+    /// Mines a child of `prev` with body `txs` at `bits` leading-zero bits.
+    fn mine_body(prev: Digest256, txs: Vec<Vec<u8>>, bits: u32) -> Block {
         let target = Target::from_leading_zero_bits(bits);
         let mut header = BlockHeader {
             version: 1,
@@ -1172,6 +1199,23 @@ mod tests {
         (0..len)
             .map(|i| {
                 let block = mine_child(prev, &format!("{tag}-{i}"), 2);
+                prev = digest(&block);
+                block
+            })
+            .collect()
+    }
+
+    /// [`mined_line`] with bodies of 3, 2, 3, 1, 5, 3 and 0 transactions in
+    /// turn, so a 4-lane chunk's leaves straddle its bodies.
+    fn mixed_line(len: usize, tag: &str) -> Vec<Block> {
+        let mut prev = GENESIS_HASH;
+        (0..len)
+            .map(|i| {
+                let count = [3, 2, 3, 1, 5, 3, 0][i % 7];
+                let txs = (0..count)
+                    .map(|j| format!("{tag}-{i}-{j}").into_bytes())
+                    .collect();
+                let block = mine_body(prev, txs, 2);
                 prev = digest(&block);
                 block
             })
@@ -1568,23 +1612,41 @@ mod tests {
         ));
     }
 
-    /// The three ways a stored block fails, each as a stand-in for
-    /// `block` with the reason it fails for (`None` for
-    /// [`ForkError::UnknownParent`]): a nonce that misses its target, an
-    /// altered transaction and a valid block on a foreign parent.
-    fn failing_stand_ins(block: &Block) -> [(Block, Option<InvalidReason>); 3] {
+    /// The ways a stored block fails, each as a stand-in for `block` with
+    /// the reason it fails for (`None` for [`ForkError::UnknownParent`]): a
+    /// nonce that misses its target, an altered transaction, a valid block
+    /// on a foreign parent and, when `block` has an odd body of three or
+    /// more transactions, that body with its last transaction repeated,
+    /// which has the header's root and fails only the equal-siblings test.
+    fn failing_stand_ins(block: &Block) -> Vec<(Block, Option<InvalidReason>)> {
         let mut weak = block.clone();
         weak.header.nonce = weak.header.nonce.wrapping_add(1);
         while Target::from_threshold(weak.header.target).is_met_by(&digest(&weak)) {
             weak.header.nonce = weak.header.nonce.wrapping_add(1);
         }
         let mut forged = block.clone();
-        forged.transactions[0] = b"forged".to_vec();
-        [
+        match forged.transactions.last_mut() {
+            Some(tx) => *tx = b"forged".to_vec(),
+            None => forged.transactions.push(b"forged".to_vec()),
+        }
+        let mut stand_ins = vec![
             (weak, Some(InvalidReason::Pow)),
             (forged, Some(InvalidReason::Merkle)),
             (mine_child([0x42; 32], "foreign", 2), None),
-        ]
+        ];
+        let count = block.transactions.len();
+        if count >= 3 && count % 2 == 1 {
+            let mut repeated = block.clone();
+            repeated
+                .transactions
+                .push(block.transactions[count - 1].clone());
+            assert_eq!(
+                Block::merkle_root(&repeated.transactions),
+                block.header.merkle_root
+            );
+            stand_ins.push((repeated, Some(InvalidReason::Merkle)));
+        }
+        stand_ins
     }
 
     /// A restore one block at a time, as it ran before stored blocks were
@@ -1607,7 +1669,7 @@ mod tests {
 
     #[test]
     fn batched_restore_matches_a_block_by_block_reference() {
-        let chain = mined_line(14, "trunk");
+        let chain = mixed_line(14, "trunk");
         let mut unpruned = ForkTree::new(Sha256dPow);
         for block in &chain[..10] {
             unpruned.apply(block.clone()).expect("valid");
@@ -1618,19 +1680,33 @@ mod tests {
         }
         pruned.prune(7);
         let empty = ForkTree::new(Sha256dPow).fingerprint();
+        // Lane positions of full chunks (and `NONCE_LANES` for the short
+        // final chunk) that a repeated-tail body was restored at.
+        let mut repeated_tails_at = std::collections::BTreeSet::new();
         for source in [unpruned, pruned] {
             let snapshot = source.snapshot();
             let roots = usize::from(snapshot.root != GENESIS_HASH);
             // Two full 4-lane chunks and a short one of two unpruned; a full
             // chunk and a short one of three after the pruned root.
-            assert_eq!(snapshot.blocks.len() - roots, [10, 7][roots]);
+            let replayed = snapshot.blocks.len() - roots;
+            assert_eq!(replayed, [10, 7][roots]);
             let restored = ForkTree::from_snapshot(Sha256dPow, &snapshot).expect("restores");
             assert_eq!(restored.fingerprint(), source.fingerprint());
             assert_eq!(restore_block_by_block(&snapshot), Ok(source.fingerprint()));
             // One failing block at every lane position of every chunk: the
             // same error at the same index, and a reset tree.
             for index in roots..snapshot.blocks.len() {
-                for (stand_in, reason) in failing_stand_ins(&snapshot.blocks[index]) {
+                let stand_ins = failing_stand_ins(&snapshot.blocks[index]);
+                if stand_ins.len() == 4 {
+                    let offset = index - roots;
+                    let full = replayed - replayed % NONCE_LANES;
+                    repeated_tails_at.insert(if offset < full {
+                        offset % NONCE_LANES
+                    } else {
+                        NONCE_LANES
+                    });
+                }
+                for (stand_in, reason) in stand_ins {
                     let mut tampered = snapshot.clone();
                     tampered.blocks[index] = stand_in;
                     let want = restore_block_by_block(&tampered);
@@ -1653,5 +1729,6 @@ mod tests {
                 }
             }
         }
+        assert_eq!(repeated_tails_at.len(), NONCE_LANES + 1);
     }
 }

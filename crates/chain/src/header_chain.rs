@@ -267,9 +267,15 @@ impl<T: AsRef<BlockHeader>> HeaderChain<T> {
         self.entries.iter()
     }
 
+    /// Makes room for at least `additional` more items, so that storing
+    /// them does not grow the map.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+    }
+
     /// Empties the chain and installs `rule`, optionally planting a
     /// retention root at a recorded position — the starting state of a
-    /// snapshot restore.
+    /// snapshot restore. The map keeps its capacity.
     pub(crate) fn restart(
         &mut self,
         rule: Option<DifficultyRule>,

@@ -350,12 +350,14 @@ fn list_seqs(dir: &Path, prefix: &str, ext: &str) -> io::Result<Vec<u64>> {
 
 /// Rebuilds a [`ForkTree`] from a recovery result: restore the base
 /// snapshot (or start at genesis with `genesis_rule`), then re-apply every
-/// replayed block through the tree's full validation, in 4-lane batches of
-/// PoW evaluations and with no outcome built ([`ForkTree::apply_stored`]).
-/// Replayed blocks that no longer attach (their parent fell below a pruned
-/// snapshot's retention root, or sat in a lost log suffix) are skipped and
-/// counted — recovery must degrade to "the durable prefix", never fail
-/// outright on them.
+/// replayed block through the tree's full validation, its PoW and Merkle
+/// checks in 4-lane batches and with no outcome built
+/// ([`ForkTree::apply_stored`]). The tree's block map is sized once, for
+/// the snapshot's blocks and the replay together, before anything is
+/// stored. Replayed blocks that no longer attach (their parent fell below
+/// a pruned snapshot's retention root, or sat in a lost log suffix) are
+/// skipped and counted — recovery must degrade to "the durable prefix",
+/// never fail outright on them.
 ///
 /// Returns the tree and the number of skipped replay blocks.
 ///
@@ -370,10 +372,17 @@ pub fn rebuild<P: PowFunction>(
     recovered: &Recovered,
 ) -> Result<(ForkTree<P>, usize), RestoreError> {
     let mut tree = match (&recovered.snapshot, genesis_rule) {
-        (Some(snap), _) => ForkTree::from_snapshot(pow, snap)?,
         (None, Some(rule)) => ForkTree::with_rule(pow, rule),
-        (None, None) => ForkTree::new(pow),
+        _ => ForkTree::new(pow),
     };
+    let stored = recovered
+        .snapshot
+        .as_ref()
+        .map_or(0, |snap| snap.blocks.len());
+    tree.reserve(stored + recovered.replay.len());
+    if let Some(snap) = &recovered.snapshot {
+        tree.restore_from_snapshot(snap)?;
+    }
     let Ok(accepted) = tree.apply_stored(&recovered.replay, |_, _| Ok::<_, Infallible>(()));
     Ok((tree, recovered.replay.len() - accepted))
 }
@@ -386,7 +395,10 @@ mod tests {
     use hashcore_chain::BlockHeader;
 
     fn mine_child(prev: [u8; 32], tag: &str) -> Block {
-        let txs = vec![tag.as_bytes().to_vec()];
+        mine_body(prev, vec![tag.as_bytes().to_vec()])
+    }
+
+    fn mine_body(prev: [u8; 32], txs: Vec<Vec<u8>>) -> Block {
         let target = Target::from_leading_zero_bits(2);
         let mut header = BlockHeader {
             version: 1,
@@ -572,9 +584,39 @@ mod tests {
         (skipped, tree.fingerprint())
     }
 
+    /// Mined blocks with bodies of 3, 1, 2, 3, 5 and 1 transactions in
+    /// turn, so a 4-lane chunk's leaves straddle its bodies.
+    fn mixed_line(n: usize) -> Vec<Block> {
+        let mut prev = hashcore_chain::GENESIS_HASH;
+        (0..n)
+            .map(|i| {
+                let count = [3, 1, 2, 3, 5, 1][i % 6];
+                let txs = (0..count)
+                    .map(|j| format!("b{i}-{j}").into_bytes())
+                    .collect();
+                let block = mine_body(prev, txs);
+                prev = digest(&block);
+                block
+            })
+            .collect()
+    }
+
+    /// `block` with the last of its odd body repeated: the header's root,
+    /// failing only the equal-siblings test.
+    fn repeated_tail(block: &Block) -> Block {
+        let mut repeated = block.clone();
+        let last = block.transactions.last().expect("a non-empty body").clone();
+        repeated.transactions.push(last);
+        assert_eq!(
+            Block::merkle_root(&repeated.transactions),
+            block.header.merkle_root
+        );
+        repeated
+    }
+
     #[test]
     fn batched_rebuild_matches_a_block_by_block_reference() {
-        let chain = mined_line(14);
+        let chain = mixed_line(14);
         let mut live = ForkTree::new(Sha256dPow);
         for block in &chain[..5] {
             live.apply(block.clone()).unwrap();
@@ -589,21 +631,26 @@ mod tests {
         let mut forged = chain[10].clone();
         forged.transactions[0] = b"forged".to_vec();
         // Duplicates of snapshot and replay blocks, children before their
-        // parents, a foreign orphan and a forged body.
+        // parents, a foreign orphan, a forged body, and bodies repeating
+        // their odd tail: before their block is stored (rejected) and after
+        // it (known, whatever the body).
         let mixed = [
             chain[2].clone(),
             chain[5].clone(),
             chain[6].clone(),
-            chain[6].clone(),
+            repeated_tail(&chain[6]),
             chain[8].clone(),
             chain[7].clone(),
             mine_child([0x42; 32], "foreign"),
             chain[8].clone(),
             forged,
+            repeated_tail(&chain[9]),
             chain[9].clone(),
             chain[10].clone(),
             chain[12].clone(),
             chain[11].clone(),
+            repeated_tail(&chain[12]),
+            chain[12].clone(),
             chain[13].clone(),
         ];
         for snapshot in [None, Some(unpruned), Some(pruned)] {

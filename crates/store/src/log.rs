@@ -74,14 +74,21 @@ impl SegmentLog {
 
     /// Opens an existing log for appending at `committed_len` — the valid
     /// prefix a [`scan`] reported. Any torn tail beyond it is truncated
-    /// away first, so the next append lands at the committed boundary.
+    /// away first, so the next append lands at the committed boundary; a
+    /// log that is already `committed_len` bytes long is not truncated,
+    /// because a truncation that changes nothing still dirties the file's
+    /// metadata and makes the fsync after it dearer. The log is fsynced
+    /// either way: a process that crashed with per-append sync off may
+    /// have left committed records that never reached the disk.
     ///
     /// # Errors
     ///
-    /// Any I/O error from opening or truncating.
+    /// Any I/O error from opening, truncating or syncing.
     pub fn open_at(path: &Path, committed_len: u64) -> io::Result<Self> {
         let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(committed_len)?;
+        if file.metadata()?.len() != committed_len {
+            file.set_len(committed_len)?;
+        }
         file.sync_all()?;
         let mut log = SegmentLog {
             file,
@@ -242,5 +249,77 @@ pub fn scan_bytes(bytes: &[u8]) -> ScanOutcome {
         blocks,
         committed_len: pos as u64,
         fault,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tempdir::TempDir;
+    use hashcore_chain::BlockHeader;
+
+    fn block(tag: u8) -> Block {
+        let transactions = vec![vec![tag; 5]];
+        Block {
+            header: BlockHeader {
+                version: 1,
+                prev_hash: [tag; 32],
+                merkle_root: Block::merkle_root(&transactions),
+                timestamp: u64::from(tag),
+                target: [0xff; 32],
+                nonce: 0,
+            },
+            transactions,
+        }
+    }
+
+    #[test]
+    fn a_clean_reopen_leaves_the_log_as_it_was_and_appends_at_its_end() {
+        let dir = TempDir::new("clean-reopen").unwrap();
+        let path = dir.path().join("log-0.log");
+        let mut log = SegmentLog::create(&path).unwrap();
+        for tag in 0..3 {
+            log.append(&block(tag)).unwrap();
+        }
+        drop(log);
+        let before = std::fs::read(&path).unwrap();
+        let outcome = scan(&path).unwrap();
+        assert_eq!(outcome.fault, None);
+        assert_eq!(outcome.committed_len, before.len() as u64);
+
+        let mut log = SegmentLog::open_at(&path, outcome.committed_len).unwrap();
+        assert_eq!(log.len(), before.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        log.append(&block(3)).unwrap();
+        drop(log);
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(after[..before.len()], before[..]);
+        let outcome = scan(&path).unwrap();
+        assert_eq!(outcome.fault, None);
+        assert_eq!(outcome.committed_len, after.len() as u64);
+        assert_eq!(outcome.blocks, (0..4).map(block).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_torn_reopen_truncates_the_file_to_its_committed_length() {
+        let dir = TempDir::new("torn-reopen").unwrap();
+        let path = dir.path().join("log-0.log");
+        let mut log = SegmentLog::create(&path).unwrap();
+        for tag in 0..2 {
+            log.append(&block(tag)).unwrap();
+        }
+        drop(log);
+        let committed = std::fs::read(&path).unwrap();
+        // Half a frame header: a record whose append never finished.
+        let mut torn = committed.clone();
+        torn.extend_from_slice(&[0xAB; RECORD_HEADER_LEN / 2]);
+        std::fs::write(&path, &torn).unwrap();
+        let outcome = scan(&path).unwrap();
+        assert_eq!(outcome.fault, Some(TailFault::TornHeader));
+        assert_eq!(outcome.committed_len, committed.len() as u64);
+
+        let log = SegmentLog::open_at(&path, outcome.committed_len).unwrap();
+        assert_eq!(log.len(), committed.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), committed);
     }
 }
