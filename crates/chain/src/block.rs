@@ -1,6 +1,6 @@
 //! Blocks and block headers.
 
-use hashcore_crypto::{sha256_x4, Digest256, MerkleTree, SHA256_LANES};
+use hashcore_crypto::{merkle, sha256, sha256_x4, Digest256, SHA256_LANES};
 
 /// A block header: the only data that flows through the PoW function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,61 +67,86 @@ pub struct Block {
     pub transactions: Vec<Vec<u8>>,
 }
 
+/// Leaves a Merkle check holds on the stack; more spill to the heap.
+const STACK_LEAVES: usize = 16;
+
+/// Runs `f` on a buffer of `len` leaves: a stack array up to
+/// [`STACK_LEAVES`], so checking a small body allocates nothing.
+fn with_leaves<R>(len: usize, f: impl FnOnce(&mut [Digest256]) -> R) -> R {
+    if len <= STACK_LEAVES {
+        f(&mut [[0u8; 32]; STACK_LEAVES][..len])
+    } else {
+        f(&mut vec![[0u8; 32]; len])
+    }
+}
+
+/// The root of the Merkle tree over `transactions`, and whether it pairs
+/// two equal real nodes, folded in place from their leaves
+/// ([`merkle::fold_leaves`]).
+fn fold_transactions(transactions: &[Vec<u8>]) -> (Digest256, bool) {
+    with_leaves(transactions.len(), |leaves| {
+        for (leaf, tx) in leaves.iter_mut().zip(transactions) {
+            *leaf = sha256(tx);
+        }
+        merkle::fold_leaves(leaves)
+    })
+}
+
 impl Block {
-    /// Computes the Merkle root of a transaction list.
+    /// Computes the Merkle root of a transaction list: the root of
+    /// [`MerkleTree::from_items`](hashcore_crypto::MerkleTree::from_items)
+    /// over it, with no tree built.
     pub fn merkle_root(transactions: &[Vec<u8>]) -> Digest256 {
-        MerkleTree::from_items(transactions.iter().map(|t| t.as_slice())).root()
+        fold_transactions(transactions).0
     }
 
     /// Returns `true` if the header's Merkle root matches the transactions
     /// and their tree pairs no two equal nodes
-    /// ([`MerkleTree::has_equal_siblings`]).
+    /// ([`MerkleTree::has_equal_siblings`](hashcore_crypto::MerkleTree::has_equal_siblings)).
     ///
     /// The second test keeps one body per root: `[a, b, c, c]` has the root
     /// of `[a, b, c]`, and a node that stored either could serve it under
-    /// the other's header.
+    /// the other's header. Both answers come from folding the tree in place
+    /// from its leaves ([`merkle::fold_leaves`]), which a body of up to 16
+    /// transactions holds on the stack.
     pub fn merkle_consistent(&self) -> bool {
-        self.commits_to(&MerkleTree::from_items(
-            self.transactions.iter().map(|t| t.as_slice()),
-        ))
+        self.commits_to(fold_transactions(&self.transactions))
     }
 
     /// [`Block::merkle_consistent`] of four blocks at once. Their
     /// transactions are hashed in order across the four bodies, four per
-    /// [`sha256_x4`] call, so one call may hash the last leaves of one body
-    /// beside the first of the next; each body's tree is then built from
-    /// its own leaves. Lane `i` is `blocks[i].merkle_consistent()`.
+    /// [`sha256_x4`] call, into one buffer of leaves, so one call may hash
+    /// the last leaves of one body beside the first of the next; each
+    /// body's tree is then folded over its own leaves. Four bodies of up to
+    /// 16 transactions between them hold their leaves on the stack. Lane
+    /// `i` is `blocks[i].merkle_consistent()`.
     pub(crate) fn merkle_consistent_x4(blocks: &[Block; SHA256_LANES]) -> [bool; SHA256_LANES] {
-        let mut leaves = blocks
-            .each_ref()
-            .map(|b| Vec::with_capacity(b.transactions.len()));
-        let mut items = blocks
-            .iter()
-            .enumerate()
-            .flat_map(|(body, block)| block.transactions.iter().map(move |tx| (body, &tx[..])))
-            .peekable();
-        while items.peek().is_some() {
-            // Up to four transactions, each with the body it belongs to; a
-            // spare lane hashes the empty message, and its digest is dropped.
-            let mut group = [(None, &[][..]); SHA256_LANES];
-            for (slot, (body, tx)) in group.iter_mut().zip(&mut items) {
-                *slot = (Some(body), tx);
-            }
-            for ((body, _), leaf) in group.into_iter().zip(sha256_x4(group.map(|(_, tx)| tx))) {
-                if let Some(body) = body {
-                    leaves[body].push(leaf);
+        let count = blocks.iter().map(|block| block.transactions.len()).sum();
+        with_leaves(count, |leaves| {
+            let mut txs = blocks.iter().flat_map(|block| &block.transactions);
+            for group in leaves.chunks_mut(SHA256_LANES) {
+                // A spare lane hashes the empty message, and its digest is
+                // dropped.
+                let mut messages = [&[][..]; SHA256_LANES];
+                for (message, tx) in messages.iter_mut().zip(&mut txs) {
+                    *message = tx;
                 }
+                group.copy_from_slice(&sha256_x4(messages)[..group.len()]);
             }
-        }
-        let trees = leaves.map(MerkleTree::from_leaves);
-        std::array::from_fn(|lane| blocks[lane].commits_to(&trees[lane]))
+            let mut rest = leaves;
+            blocks.each_ref().map(|block| {
+                let (own, after) = std::mem::take(&mut rest).split_at_mut(block.transactions.len());
+                rest = after;
+                block.commits_to(merkle::fold_leaves(own))
+            })
+        })
     }
 
-    /// The verdict of [`Block::merkle_consistent`] on `tree`, built from
-    /// this block's transactions: its root is the header's, and it pairs no
-    /// two equal nodes.
-    fn commits_to(&self, tree: &MerkleTree) -> bool {
-        tree.root() == self.header.merkle_root && !tree.has_equal_siblings()
+    /// The verdict of [`Block::merkle_consistent`] on the root and
+    /// equal-siblings answer of this block's folded Merkle tree: the root
+    /// is the header's, and no level pairs two equal nodes.
+    fn commits_to(&self, (root, equal_siblings): (Digest256, bool)) -> bool {
+        root == self.header.merkle_root && !equal_siblings
     }
 }
 
@@ -219,18 +244,24 @@ mod tests {
         wrong_root.header.merkle_root = [0x5a; 32];
         let mut repeated_tail = committed(&[b"r0", b"r1", b"r2"]);
         repeated_tail.transactions.push(b"r2".to_vec());
+        // More leaves than a check holds on the stack.
+        let many: Vec<Vec<u8>> = (0..STACK_LEAVES + 1).map(|i| vec![i as u8; i]).collect();
         let bodies = [
             committed(&[]),
             committed(&[b"one"]),
             committed(&[b"two-0", &long]),
             committed(&[b"three-0", b"three-1", b"three-2"]),
             committed(&[b"five-0", &long, b"five-2", b"five-3", b"five-4"]),
+            committed(&many.iter().map(Vec::as_slice).collect::<Vec<_>>()),
             forged,
             wrong_root,
             repeated_tail,
         ];
         let want: Vec<bool> = bodies.iter().map(Block::merkle_consistent).collect();
-        assert_eq!(want, [true, true, true, true, true, false, false, false]);
+        assert_eq!(
+            want,
+            [true, true, true, true, true, true, false, false, false]
+        );
         // Every body at every lane, beside every other body in turn: each
         // 4-lane call hashes leaves of two or more bodies together.
         for start in 0..bodies.len() {

@@ -109,6 +109,11 @@ pub struct RuleContext<'a> {
 /// One [`PowFunction::Scratch`] and one header buffer serve every block.
 /// Heights in errors are relative to the start of the segment.
 ///
+/// A valid segment returns each block's PoW digest and cost ratio (cost
+/// units over the PoW function's nominal budget), in order: what
+/// [`ForkTree::apply_evaluated`](crate::ForkTree::apply_evaluated) takes,
+/// so a node that syncs the segment evaluates each block once.
+///
 /// # Errors
 ///
 /// Returns the first [`ChainError::InvalidBlock`] found.
@@ -117,11 +122,12 @@ pub fn validate_segment_with_rule<P: PowFunction>(
     blocks: &[Block],
     mut prev_hash: Digest256,
     ctx: Option<RuleContext<'_>>,
-) -> Result<(), ChainError> {
+) -> Result<Vec<(Digest256, f64)>, ChainError> {
     let nominal = pow.nominal_cost();
     let mut scratch = P::Scratch::default();
     let mut header_bytes = Vec::new();
     let mut state = ctx.and_then(|ctx| ctx.anchor);
+    let mut evaluated = Vec::with_capacity(blocks.len());
     for (height, block) in blocks.iter().enumerate() {
         let invalid = |reason| Err(ChainError::InvalidBlock { height, reason });
         if block.header.prev_hash != prev_hash {
@@ -135,16 +141,17 @@ pub fn validate_segment_with_rule<P: PowFunction>(
         if !Target::from_threshold(block.header.target).is_met_by(&digest) {
             return invalid(InvalidReason::Pow);
         }
+        let ratio = cost.ratio(nominal);
         if let Some(ctx) = &ctx {
-            let ratio = cost.ratio(nominal);
             if let Err(reason) = ctx.rule.check_child(state, &block.header, &digest, ratio) {
                 return invalid(reason);
             }
             state = Some(branch_state(&block.header, ratio));
         }
+        evaluated.push((digest, ratio));
         prev_hash = digest;
     }
-    Ok(())
+    Ok(evaluated)
 }
 
 /// The per-chunk result of one parallel-validation worker.
@@ -157,11 +164,11 @@ struct ChunkOutcome {
     /// PoW digest of the chunk's last block header, for the next chunk's
     /// boundary linkage check.
     last_digest: Digest256,
-    /// Per-block `(digest, cost ratio)` observations, in chunk order —
-    /// collected only for rule-aware validation, where the stitch phase
-    /// replays the (pure-arithmetic) rule walk over them. May stop short
-    /// when the worker was cut off, which can only happen above the
-    /// globally first error height.
+    /// Per-block `(digest, cost ratio)` observations, in chunk order: the
+    /// stitch phase replays the (pure-arithmetic) rule walk over them, and
+    /// a valid segment returns them. May stop short when the worker was
+    /// cut off, which can only happen above the globally first error
+    /// height.
     observed: Vec<(Digest256, f64)>,
 }
 
@@ -183,29 +190,28 @@ pub fn validate_segment_parallel<P: PowFunction + Sync>(
     blocks: &[Block],
     threads: usize,
     prev_hash: Digest256,
-) -> Result<(), ChainError> {
+) -> Result<Vec<(Digest256, f64)>, ChainError> {
     validate_segment_parallel_with_rule(pow, blocks, threads, prev_hash, None)
 }
 
 /// The parallel form of [`validate_segment_with_rule`], with results —
-/// acceptance, rejection, and the height *and reason* of the first invalid
-/// block — identical to it.
+/// each block's digest and cost ratio on acceptance, and the height *and
+/// reason* of the first invalid block on rejection — identical to it.
 ///
 /// The sequence is split into contiguous chunks, one per worker, fanned out
 /// with `std::thread::scope` exactly like `HashCore::mine_parallel`: each
 /// worker owns one [`PowFunction::Scratch`] and one header buffer, so
 /// per-block validation performs no steady-state allocation. Workers check
 /// internal linkage, Merkle commitments and PoW targets in the sequential
-/// order, recording each block's `(digest, cost ratio)` when a rule is
-/// enforced; chunk-boundary linkage is stitched afterwards from each
-/// chunk's last digest, and the rule walk (version commitment, expected
-/// target, cost admission) is pure arithmetic that runs in the stitch
-/// phase over the recorded observations, in sequential order. Error
-/// reporting is deterministic lowest-height-first, and at equal heights a
-/// basic failure wins over a rule failure: every block below the
-/// sequential path's first failure validates cleanly here too, so the
-/// minimum-height failure is exactly the sequential failure, regardless of
-/// thread count or scheduling.
+/// order, recording each block's `(digest, cost ratio)`; chunk-boundary
+/// linkage is stitched afterwards from each chunk's last digest, and the
+/// rule walk (version commitment, expected target, cost admission) is pure
+/// arithmetic that runs in the stitch phase over the recorded
+/// observations, in sequential order. Error reporting is deterministic
+/// lowest-height-first, and at equal heights a basic failure wins over a
+/// rule failure: every block below the sequential path's first failure
+/// validates cleanly here too, so the minimum-height failure is exactly
+/// the sequential failure, regardless of thread count or scheduling.
 ///
 /// # Errors
 ///
@@ -220,7 +226,7 @@ pub fn validate_segment_parallel_with_rule<P: PowFunction + Sync>(
     threads: usize,
     prev_hash: Digest256,
     ctx: Option<RuleContext<'_>>,
-) -> Result<(), ChainError> {
+) -> Result<Vec<(Digest256, f64)>, ChainError> {
     assert!(
         threads > 0,
         "segment validation requires at least one thread"
@@ -229,7 +235,6 @@ pub fn validate_segment_parallel_with_rule<P: PowFunction + Sync>(
     if threads <= 1 {
         return validate_segment_with_rule(pow, blocks, prev_hash, ctx);
     }
-    let observe = ctx.is_some();
     let nominal = pow.nominal_cost();
 
     // Lowest height at which any worker found a genuine check failure.
@@ -281,9 +286,7 @@ pub fn validate_segment_parallel_with_rule<P: PowFunction + Sync>(
                         }
                         block.header.write_bytes(&mut header_bytes);
                         let (digest, cost) = pow.evaluate(&header_bytes, &mut scratch);
-                        if observe {
-                            observed.push((digest, cost.ratio(nominal)));
-                        }
+                        observed.push((digest, cost.ratio(nominal)));
                         if first_error.is_none()
                             && !Target::from_threshold(block.header.target).is_met_by(&digest)
                         {
@@ -347,7 +350,12 @@ pub fn validate_segment_parallel_with_rule<P: PowFunction + Sync>(
         }
     }
     match first {
-        None => Ok(()),
+        // No worker found an error, so none was cut off: every block was
+        // observed, in order.
+        None => Ok(outcomes
+            .into_iter()
+            .flat_map(|outcome| outcome.observed)
+            .collect()),
         Some((height, reason)) => Err(ChainError::InvalidBlock { height, reason }),
     }
 }
@@ -394,8 +402,21 @@ mod tests {
     }
 
     /// Re-validates a received whole chain, trusting embedded targets.
-    fn validate(blocks: &[Block]) -> Result<(), ChainError> {
+    fn validate(blocks: &[Block]) -> Result<Vec<(Digest256, f64)>, ChainError> {
         validate_segment_with_rule(&Sha256dPow, blocks, GENESIS_HASH, None)
+    }
+
+    /// Each block's digest and cost ratio, evaluated on its own: what a
+    /// validator accepting `blocks` returns.
+    fn evaluated(blocks: &[Block]) -> Vec<(Digest256, f64)> {
+        blocks
+            .iter()
+            .map(|block| {
+                let (digest, cost) =
+                    Sha256dPow.evaluate(&block.header.bytes(), &mut Default::default());
+                (digest, cost.ratio(Sha256dPow.nominal_cost()))
+            })
+            .collect()
     }
 
     #[test]
@@ -488,7 +509,7 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             assert_eq!(
                 validate_segment_parallel(&Sha256dPow, segment, threads, anchor),
-                Ok(()),
+                Ok(evaluated(segment)),
                 "{threads} threads"
             );
         }

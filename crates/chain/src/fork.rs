@@ -494,7 +494,9 @@ impl<P: PowFunction> ForkTree<P> {
     /// [`ForkTree::digest_and_cost_of_header`] does: `digest` and
     /// `cost_ratio` are that evaluation's, and the block is not hashed
     /// again. A miner that has just checked its hit's admission stores the
-    /// block this way. Debug builds re-evaluate the header to check
+    /// block this way, and a node that has just validated a segment stores
+    /// each of its blocks with the digest and cost ratio the segment
+    /// validator returned. Debug builds re-evaluate the header to check
     /// `digest`.
     ///
     /// # Errors
@@ -885,7 +887,7 @@ impl<P: PowFunction> ForkTree<P> {
         let anchor = self
             .block(&self.root())
             .map_or(GENESIS_HASH, |root| root.header.prev_hash);
-        validate_segment_with_rule(&self.pow, &self.best_chain(), anchor, None)
+        validate_segment_with_rule(&self.pow, &self.best_chain(), anchor, None).map(drop)
     }
 }
 

@@ -22,8 +22,7 @@ use crate::chain::{InvalidReason, RuleContext};
 use crate::difficulty::{branch_state, BranchState, DifficultyRule};
 use crate::fork::{ForkError, GENESIS_HASH};
 use hashcore::Target;
-use hashcore_crypto::Digest256;
-use std::collections::{HashMap, HashSet};
+use hashcore_crypto::{Digest256, DigestMap, DigestSet, DigestState};
 
 /// What [`HeaderChain::accept`] did with a header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +89,9 @@ impl<T: AsRef<BlockHeader>> Entry<T> {
 /// transactions against `merkle_root` with batched inclusion proofs.
 #[derive(Debug, Clone)]
 pub struct HeaderChain<T = BlockHeader> {
-    entries: HashMap<Digest256, Entry<T>>,
+    /// Every stored item by its PoW digest, hashed under this chain's own
+    /// [`DigestState`] keys.
+    entries: DigestMap<Entry<T>>,
     tip: Digest256,
     /// The oldest item every stored branch descends from: [`GENESIS_HASH`]
     /// until the first [`HeaderChain::prune`], afterwards the best-chain
@@ -104,7 +105,7 @@ pub struct HeaderChain<T = BlockHeader> {
 impl<T> Default for HeaderChain<T> {
     fn default() -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: DigestMap::default(),
             tip: GENESIS_HASH,
             root: GENESIS_HASH,
             rule: None,
@@ -500,7 +501,7 @@ impl<T: AsRef<BlockHeader>> HeaderChain<T> {
     /// `tip_height - max_side_branch_height` as the honest tip's safety
     /// margin.
     pub fn max_side_branch_height(&self) -> u64 {
-        let on_best: HashSet<Digest256> = self.best_path().into_iter().collect();
+        let on_best: DigestSet = self.best_path().into_iter().collect();
         self.entries
             .iter()
             .filter(|(digest, _)| !on_best.contains(*digest))
@@ -576,7 +577,8 @@ impl<T: AsRef<BlockHeader>> HeaderChain<T> {
         // Keep exactly the items whose ancestry stays above the cutoff all
         // the way to the new root; everything else (older history, branches
         // forked below the cutoff) is evicted.
-        let mut keep: HashSet<Digest256> = HashSet::with_capacity(self.entries.len());
+        let mut keep =
+            DigestSet::with_capacity_and_hasher(self.entries.len(), DigestState::default());
         keep.insert(root);
         let mut path = Vec::new();
         for digest in self.entries.keys() {

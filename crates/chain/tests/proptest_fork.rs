@@ -33,6 +33,18 @@ fn mine_child(prev: Digest256, tag: &str) -> Block {
     }
 }
 
+/// The digest and cost ratio `tree` stored each block of `run` with, a
+/// contiguous run that ends at the tree's tip: what a validator accepting
+/// `run` returns.
+fn stored(tree: &ForkTree<Sha256dPow>, run: &[Block]) -> Vec<(Digest256, f64)> {
+    run.iter()
+        .skip(1)
+        .map(|block| block.header.prev_hash)
+        .chain([tree.tip()])
+        .map(|digest| (digest, tree.cost_ratio_of(&digest)))
+        .collect()
+}
+
 /// Builds a random block tree: entry `i` extends the block chosen by
 /// `parent_picks[i]` among genesis and the blocks built so far.
 fn build_blocks(parent_picks: &[usize]) -> Vec<Block> {
@@ -82,7 +94,7 @@ fn apply_in_order(blocks: &[Block], order: &[usize]) -> ForkTree<Sha256dPow> {
                     let anchor = reorg.attached[0].header.prev_hash;
                     assert_eq!(
                         validate_segment_parallel(&Sha256dPow, &reorg.attached, 3, anchor),
-                        Ok(()),
+                        Ok(stored(&tree, &reorg.attached)),
                         "an attached segment must revalidate from its anchor"
                     );
                 }
@@ -123,7 +135,7 @@ proptest! {
         // The winning chain is a verifier-accepted segment from genesis.
         prop_assert_eq!(
             validate_segment_parallel(&Sha256dPow, &a.best_chain(), 4, GENESIS_HASH),
-            Ok(())
+            Ok(stored(&a, &a.best_chain()))
         );
     }
 

@@ -18,6 +18,19 @@ use hashcore_crypto::Digest256;
 
 const THREADS: [usize; 5] = [1, 2, 3, 5, 8];
 
+/// Each block's digest and cost ratio, evaluated on its own: what a
+/// validator accepting `blocks` returns.
+fn evaluated(blocks: &[Block]) -> Vec<(Digest256, f64)> {
+    blocks
+        .iter()
+        .map(|block| {
+            let (digest, cost) =
+                Sha256dPow.evaluate(&block.header.bytes(), &mut Default::default());
+            (digest, cost.ratio(Sha256dPow.nominal_cost()))
+        })
+        .collect()
+}
+
 /// The 6-block suffix of a single miner's 12-block honest chain (2-bit,
 /// 15 s, gain 0.3 EMA rule; one second per hash attempt) plus the anchor
 /// digest it extends.
@@ -65,12 +78,12 @@ fn clean_segment_is_accepted_by_both_paths() {
     let (blocks, anchor) = segment_fixture();
     assert_eq!(
         validate_segment_with_rule(&Sha256dPow, &blocks, anchor, None),
-        Ok(())
+        Ok(evaluated(&blocks))
     );
     for threads in THREADS {
         assert_eq!(
             validate_segment_parallel(&Sha256dPow, &blocks, threads, anchor),
-            Ok(()),
+            Ok(evaluated(&blocks)),
             "{threads} threads"
         );
     }
@@ -292,26 +305,31 @@ fn corrupt(rule: &DifficultyRule, chain: &[Block], class: &str, at: usize) -> Op
 }
 
 /// The first `(height, reason)` at which replaying `segment` on top of
-/// `prefix` through a rule-enforcing tree fails; an orphan is the
-/// validators' linkage failure.
+/// `prefix` through a rule-enforcing tree fails, or each block's digest
+/// and cost ratio as the tree stored it; an orphan is the validators'
+/// linkage failure.
 fn tree_replay(
     rule: &DifficultyRule,
     prefix: &[Block],
     segment: &[Block],
-) -> Result<(), ChainError> {
+) -> Result<Vec<(Digest256, f64)>, ChainError> {
     let mut tree = ForkTree::with_rule(Sha256dPow, *rule);
     for block in prefix {
         tree.apply(block.clone()).expect("honest prefix");
     }
+    let mut stored = Vec::new();
     for (height, block) in segment.iter().enumerate() {
         let reason = match tree.apply(block.clone()) {
-            Ok(_) => continue,
+            Ok(outcome) => {
+                stored.push((outcome.digest(), tree.cost_ratio_of(&outcome.digest())));
+                continue;
+            }
             Err(ForkError::UnknownParent { .. }) => InvalidReason::Linkage,
             Err(ForkError::InvalidBlock { reason }) => reason,
         };
         return Err(ChainError::InvalidBlock { height, reason });
     }
-    Ok(())
+    Ok(stored)
 }
 
 /// Asserts that the rule-aware validators agree with each other at 1–4
@@ -321,7 +339,7 @@ fn assert_rule_validators_agree(
     rule: &DifficultyRule,
     blocks: &[Block],
     split: usize,
-) -> Result<(), ChainError> {
+) -> Result<Vec<(Digest256, f64)>, ChainError> {
     let mut tree = ForkTree::with_rule(Sha256dPow, *rule);
     for block in &blocks[..split] {
         tree.apply(block.clone()).expect("honest prefix");
@@ -373,7 +391,10 @@ fn rule_aware_validators_agree_with_the_tree_replay_for_every_rule() {
             None => (3, Linkage),
         };
         for split in [0, 3] {
-            assert_eq!(assert_rule_validators_agree(&rule, &chain, split), Ok(()));
+            assert_eq!(
+                assert_rule_validators_agree(&rule, &chain, split),
+                Ok(evaluated(&chain[split..]))
+            );
             for (class, (height, reason)) in [
                 ("linkage", (2, Linkage)),
                 ("merkle", (2, Merkle)),
@@ -417,11 +438,11 @@ fn cost_aware_genesis_child_is_accepted_at_a_wide_initial_target() {
     });
     assert_eq!(
         validate_segment_with_rule(&Sha256dPow, &segment, GENESIS_HASH, ctx),
-        Ok(())
+        Ok(vec![(digest, ratio)])
     );
     assert_eq!(
         validate_segment_parallel_with_rule(&Sha256dPow, &segment, 1, GENESIS_HASH, ctx),
-        Ok(())
+        Ok(vec![(digest, ratio)])
     );
     assert!(rule.segment_targets_valid(None, &segment));
     assert!(tree.apply(child).is_ok());

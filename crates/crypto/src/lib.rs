@@ -16,10 +16,22 @@
 //! * [`hmac_sha256`] — keyed hashing used by the deterministic stream cipher
 //!   in the widget-selection baseline,
 //! * [`MerkleTree`] — transaction commitment trees for the chain substrate,
+//!   and [`merkle::fold_leaves`], the allocation-free root and
+//!   equal-siblings verdict of one,
+//! * [`DigestMap`] / [`DigestSet`] — hash maps keyed by SHA-256 digests,
+//!   hashed by [`DigestState`]'s one keyed multiply instead of SipHash,
 //! * [`hex`] — hexadecimal encoding/decoding helpers.
 //!
 //! Everything is pure, deterministic Rust with no `unsafe` code, so PoW
 //! verification is bit-exact across platforms.
+//!
+//! The 4-lane kernels are written for LLVM's vectoriser and are fast only
+//! when the build targets the host's vector ISA (`-C target-cpu=native`, set
+//! by this repository's `.cargo/config.toml`). Built for the portable
+//! x86-64 baseline, as another package depending on this crate would build
+//! it by default, [`sha256_x4`] over four 32-byte messages is slower than
+//! four scalar [`sha256()`](fn@sha256) calls (1,386–1,449 ns against
+//! 1,183–1,189 ns); see the [`sha256x4`] module.
 //!
 //! # Examples
 //!
@@ -36,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest_map;
 pub mod hex;
 pub mod hmac;
 pub mod merkle;
@@ -43,6 +56,7 @@ pub mod sha256;
 pub mod sha256x4;
 pub mod sha512;
 
+pub use digest_map::{DigestMap, DigestSet, DigestState};
 pub use hmac::hmac_sha256;
 pub use merkle::{BatchProof, MerkleTree};
 pub use sha256::{sha256, sha256d, Digest256, Sha256};

@@ -281,6 +281,37 @@ impl MerkleTree {
     }
 }
 
+/// The root of the tree over `leaves`, and whether any of its levels pairs
+/// two equal real nodes: what `MerkleTree::from_leaves(leaves.to_vec())`
+/// answers through [`MerkleTree::root`] and
+/// [`MerkleTree::has_equal_siblings`], with no tree built.
+///
+/// The levels are folded in place, each over the front of the one below,
+/// so `leaves` is overwritten and nothing is allocated. With no leaves the
+/// root is `SHA256("")`, as in [`MerkleTree::from_items`].
+pub fn fold_leaves(leaves: &mut [Digest256]) -> (Digest256, bool) {
+    if leaves.is_empty() {
+        return (sha256(b""), false);
+    }
+    let mut equal_siblings = false;
+    let mut len = leaves.len();
+    while len > 1 {
+        for parent in 0..len.div_ceil(2) {
+            let left = leaves[2 * parent];
+            let right = match leaves[..len].get(2 * parent + 1) {
+                Some(&right) => {
+                    equal_siblings |= left == right;
+                    right
+                }
+                None => left,
+            };
+            leaves[parent] = hash_pair(&left, &right);
+        }
+        len = len.div_ceil(2);
+    }
+    (leaves[0], equal_siblings)
+}
+
 /// Number of levels above the leaves in a tree of `leaf_count ≥ 1` leaves:
 /// ⌈log₂ `leaf_count`⌉.
 fn tree_height(leaf_count: usize) -> usize {
@@ -388,6 +419,44 @@ mod tests {
             assert_eq!(honest.root(), forged.root(), "{short} leaves");
             assert!(!honest.has_equal_siblings(), "{short} leaves");
             assert!(forged.has_equal_siblings(), "{short} leaves");
+        }
+    }
+
+    #[test]
+    fn folded_leaves_answer_as_the_tree_does() {
+        let tree_answers = |leaves: &[Digest256]| {
+            let tree = MerkleTree::from_leaves(leaves.to_vec());
+            (tree.root(), tree.has_equal_siblings())
+        };
+        let folded = |leaves: &[Digest256]| fold_leaves(&mut leaves.to_vec());
+        let leaves: Vec<Digest256> = items(33).iter().map(|item| sha256(item)).collect();
+        for n in 0..=33 {
+            assert_eq!(
+                folded(&leaves[..n]),
+                tree_answers(&leaves[..n]),
+                "{n} leaves"
+            );
+            assert!(!folded(&leaves[..n]).1, "{n} distinct leaves");
+        }
+        for n in 1..=17 {
+            let honest = &leaves[..n];
+            // Forged tails: the last `k` leaves repeated where they are the
+            // lone last node of a level below the root, which keeps the
+            // honest root.
+            for k in [1, 2, 4] {
+                if n > k && (n - k) % (2 * k) == 0 {
+                    let forged = [honest, &honest[n - k..]].concat();
+                    assert_eq!(folded(&forged), tree_answers(&forged), "{n} + {k}");
+                    assert_eq!(folded(&forged), (folded(honest).0, true), "{n} + {k}");
+                }
+            }
+            // Two equal leaves at an even and the next index.
+            if n % 2 == 0 {
+                let mut forged = honest.to_vec();
+                forged[n - 2] = forged[n - 1];
+                assert_eq!(folded(&forged), tree_answers(&forged), "{n} paired");
+                assert!(folded(&forged).1, "{n} paired");
+            }
         }
     }
 

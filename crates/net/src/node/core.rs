@@ -9,9 +9,9 @@ use hashcore_chain::{
     ApplyOutcome, Block, BlockHeader, DifficultyRule, ForkTree, HeaderChain, TreeSnapshot,
     GENESIS_HASH,
 };
-use hashcore_crypto::Digest256;
+use hashcore_crypto::{Digest256, DigestMap, DigestSet};
 use hashcore_store::{ChainStore, RecoveryReport};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
 use std::io;
 use std::path::Path;
@@ -77,11 +77,11 @@ where
     /// Orphan digests with a segment request in flight: concurrent
     /// duplicate announcements of the same unknown block must not each
     /// trigger a full segment fetch and re-validation.
-    pub(crate) requested: HashMap<Digest256, PendingRequest>,
+    pub(crate) requested: DigestMap<PendingRequest>,
     /// Digests whose requests were abandoned after every retry: a reply
     /// that limps in afterwards is stale, not unsolicited — it must not
     /// earn its (possibly honest, merely slow) sender a penalty.
-    pub(crate) abandoned: HashSet<Digest256>,
+    pub(crate) abandoned: DigestSet,
     /// Total peers in the simulation (for retry round-robin); 0 disables
     /// re-requests.
     pub(crate) peers: usize,
@@ -99,7 +99,7 @@ where
     pub(crate) public_work: f64,
     pub(crate) public_tip: Digest256,
     /// Valid-PoW bait blocks mined over a fabricated parent, by digest.
-    pub(crate) fabricated: HashMap<Digest256, Block>,
+    pub(crate) fabricated: DigestMap<Block>,
     /// Rejection count per peer (lookup-only; never iterated, so the map
     /// order cannot leak into behaviour).
     pub(crate) penalties: HashMap<usize, u32>,
@@ -139,8 +139,8 @@ where
             sync_threads: sync_threads.max(1),
             miner: Miner::new(),
             strategy: Box::new(Honest),
-            requested: HashMap::new(),
-            abandoned: HashSet::new(),
+            requested: DigestMap::default(),
+            abandoned: DigestSet::default(),
             peers: 0,
             request_timeout_ms: None,
             ban_threshold: 0,
@@ -148,7 +148,7 @@ where
             withheld: Vec::new(),
             public_work: 0.0,
             public_tip: GENESIS_HASH,
-            fabricated: HashMap::new(),
+            fabricated: DigestMap::default(),
             penalties: HashMap::new(),
             banned: BTreeSet::new(),
             persistence: None,

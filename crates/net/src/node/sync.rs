@@ -279,21 +279,23 @@ where
             ctx.rule.cost_aware().is_some().then_some(ctx),
         );
         self.stats.sync_wall_seconds += started.elapsed().as_secs_f64();
-        if verdict.is_err() {
+        let Ok(evaluated) = verdict else {
             self.stats.rejections.invalid_segment += 1;
             self.penalize(from);
             return Vec::new();
-        }
+        };
         self.stats.segments_synced += 1;
         self.stats.segment_blocks += blocks.len() as u64;
 
         let mut deepest: Option<Reorg> = None;
         let mut tip_changed = false;
         let mut out = Vec::new();
-        for block in &blocks {
-            // The segment validated as a whole, so individual apply errors
-            // can only be duplicates raced in by gossip — skip them.
-            let Ok(outcome) = self.tree.apply(block.clone()) else {
+        for (block, (digest, cost_ratio)) in blocks.iter().zip(evaluated) {
+            // The verifier evaluated every block, so each is accepted with
+            // its digest and cost ratio rather than hashed again. The
+            // segment validated as a whole, so individual apply errors can
+            // only be duplicates raced in by gossip — skip them.
+            let Ok(outcome) = self.tree.apply_evaluated(block.clone(), digest, cost_ratio) else {
                 continue;
             };
             if outcome.newly_stored() {

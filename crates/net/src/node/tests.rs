@@ -242,6 +242,41 @@ fn a_mined_block_is_hashed_once_after_its_scan() {
 }
 
 #[test]
+fn a_synced_block_is_evaluated_once() {
+    const BLOCKS: u64 = 5;
+    let mut miner = node(0);
+    let mut fresh = Node::new(
+        1,
+        CountingPow::default(),
+        Target::from_leading_zero_bits(2),
+        1,
+    );
+    let evaluations = |node: &Node<CountingPow>| node.tree().pow().0.load(Ordering::Relaxed);
+    let mut tip_block = None;
+    for _ in 0..BLOCKS {
+        tip_block = Some(mine_one(&mut miner, 0));
+    }
+    // The orphan's own evaluation puts the fresh node's tree scratch to use.
+    let request = fresh.handle(0, 0, Message::Block(tip_block.expect("mined")));
+    let Some(Outgoing::To(0, get @ Message::GetSegment { .. })) = request.first().cloned() else {
+        panic!("unknown parent must request a segment, got {request:?}");
+    };
+    let response = miner.handle(0, 1, get);
+    let Some(Outgoing::To(1, segment @ Message::Segment(_))) = response.first().cloned() else {
+        panic!("the miner serves the missing segment, got {response:?}");
+    };
+    let before = evaluations(&fresh);
+    fresh.handle(0, 0, segment);
+    assert_eq!(fresh.tip(), miner.tip());
+    assert_eq!(fresh.stats().segment_blocks, BLOCKS);
+    // N + 1 evaluations: the lookup of the segment's last block, then the
+    // verifier's N, the first of which runs through the verifier's fresh
+    // scratch and is not counted. The blocks are accepted with the
+    // verifier's digests, not hashed a second time.
+    assert_eq!(evaluations(&fresh) - before, BLOCKS);
+}
+
+#[test]
 fn gossiped_blocks_are_stored_and_relayed_once() {
     let mut miner = node(0);
     let mut listener = node(1);

@@ -3,7 +3,7 @@
 //! one tip, and every sync-driven reorg replays blocks the batched verifier
 //! accepted.
 
-use hashcore_baselines::Sha256dPow;
+use hashcore_baselines::{PowFunction, Sha256dPow};
 use hashcore_chain::validate_segment_parallel;
 use hashcore_net::{LatencyModel, Partition, SimConfig, Simulation};
 use proptest::prelude::*;
@@ -50,9 +50,16 @@ proptest! {
                 let attached = &sync.reorg.attached;
                 prop_assert!(!attached.is_empty());
                 let anchor = attached[0].header.prev_hash;
+                let stored: Vec<_> = attached
+                    .iter()
+                    .map(|block| {
+                        let digest = Sha256dPow.pow_hash(&block.header.bytes());
+                        (digest, node.tree().cost_ratio_of(&digest))
+                    })
+                    .collect();
                 prop_assert_eq!(
                     validate_segment_parallel(node.tree().pow(), attached, 3, anchor),
-                    Ok(())
+                    Ok(stored)
                 );
                 prop_assert!(sync.segment.contains(attached.last().unwrap()));
             }

@@ -27,10 +27,14 @@
 //!
 //! The decompressor copies a match whose source lies wholly in the decoded
 //! output (`offset >= length`) in one slice copy, and an overlapping match
-//! byte by byte, since it re-reads bytes it writes. Its tests keep the
-//! all-bytewise decompressor as a reference and hold it to that on
-//! hand-built streams of both kinds, at, past and short of the declared
-//! length.
+//! byte by byte, since it re-reads bytes it writes. A group of eight
+//! literals (control byte 0) that the stream holds and the declared length
+//! takes is one slice copy too; snapshots are mostly such groups, since
+//! digests and transaction tags do not repeat. Any other group is decoded
+//! token by token, so every error is raised where it always was. Its tests
+//! keep the all-bytewise decompressor as a reference and hold it to that
+//! on hand-built streams of every kind, at, past and short of the declared
+//! length, and cut short.
 
 use std::fmt;
 
@@ -183,6 +187,13 @@ pub fn decompress(input: &[u8], output_len: usize) -> Result<Vec<u8>, CompressEr
     while pos < input.len() && out.len() < output_len {
         let flags = input[pos];
         pos += 1;
+        // Eight literals that the input holds and the declared length
+        // takes: the token loop would copy them all and stop at nothing.
+        if flags == 0 && input.len() - pos >= 8 && output_len - out.len() >= 8 {
+            out.extend_from_slice(&input[pos..pos + 8]);
+            pos += 8;
+            continue;
+        }
         for bit in 0..8 {
             if out.len() >= output_len {
                 break;
@@ -436,6 +447,46 @@ mod tests {
                         want: len - 1,
                         got: len,
                     })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn literal_groups_match_the_byte_loop_reference() {
+        use Token::{Literal, Match};
+        let literals = |n: usize| (0..n).map(|i| Literal(i as u8)).collect::<Vec<_>>();
+        let cases = [
+            // Whole literal groups that end the stream, and a short one.
+            literals(8),
+            literals(24),
+            literals(21),
+            // Literal groups around a match group.
+            literals(8)
+                .into_iter()
+                .chain([Match { offset: 8, len: 8 }])
+                .chain(literals(15))
+                .collect(),
+        ];
+        for tokens in &cases {
+            let (packed, len) = stream(tokens);
+            assert!(decompress(&packed, len).is_ok());
+            // The declared length, one that cuts a group short, and one
+            // that asks for more.
+            for output_len in [len, 0, 1, 7, 8, 9, len - 8, len - 1, len + 1, len + 8] {
+                assert_eq!(
+                    decompress(&packed, output_len),
+                    reference_decompress(&packed, output_len),
+                    "{output_len} of {len}"
+                );
+            }
+            // The stream is cut short, inside a group or at its end.
+            for cut in 0..packed.len() {
+                assert_eq!(
+                    decompress(&packed[..cut], len),
+                    reference_decompress(&packed[..cut], len),
+                    "{cut} of {} bytes",
+                    packed.len()
                 );
             }
         }

@@ -58,9 +58,16 @@ fn tampering_is_detected_regardless_of_the_pow_function() {
         let mut tree = ForkTree::with_rule(pow, rule());
         mine(&mut tree, &["tx"; 3], 100_000);
         let mut received = tree.best_chain();
+        let stored: Vec<_> = received
+            .iter()
+            .skip(1)
+            .map(|block| block.header.prev_hash)
+            .chain([tree.tip()])
+            .map(|digest| (digest, tree.cost_ratio_of(&digest)))
+            .collect();
         assert_eq!(
             validate_segment_with_rule(tree.pow(), &received, GENESIS_HASH, None),
-            Ok(()),
+            Ok(stored),
             "{}: the untampered chain validates",
             tree.pow().name()
         );

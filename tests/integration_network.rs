@@ -3,7 +3,7 @@
 //! HashCore PoW securing the race.
 
 use hashcore::HashCore;
-use hashcore_baselines::{HashCorePow, Sha256dPow};
+use hashcore_baselines::{HashCorePow, PowFunction, Sha256dPow};
 use hashcore_chain::validate_segment_parallel;
 use hashcore_net::{LatencyModel, Partition, SimConfig, Simulation};
 use hashcore_profile::PerformanceProfile;
@@ -75,9 +75,16 @@ fn partitioned_network_converges_through_deep_reorgs() {
          (the blocks past the switch point extend the new tip one by one)"
     );
     let anchor = attached[0].header.prev_hash;
+    let stored: Vec<_> = attached
+        .iter()
+        .map(|block| {
+            let digest = Sha256dPow.pow_hash(&block.header.bytes());
+            (digest, sim.nodes()[0].tree().cost_ratio_of(&digest))
+        })
+        .collect();
     assert_eq!(
         validate_segment_parallel(&Sha256dPow, attached, 4, anchor),
-        Ok(())
+        Ok(stored)
     );
 }
 
