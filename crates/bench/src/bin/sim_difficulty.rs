@@ -560,6 +560,22 @@ mod tests {
         };
         let outcome = run_scenario(&scenario, 20_000, 2);
         assert!(outcome.runs_identical);
+        assert_eq!(
+            outcome.report.fingerprint_extended(),
+            "nodes=5 seed=13762332 duration=20000 converged=true convergence=Some(13675) \
+             tip=00009e4bb5211cc41ebc0650d01d20b73e6c14f69bc987678d86854298c97ae7 height=10 \
+             mined=10 reorgs=[] max_reorg=0 segments=0 segment_blocks=0 sent=120 dropped=0 \
+             spam_sent=0 spam_accepted=0 fake_orphans=0 rejections=RejectionCounts { merkle: \
+             0, pow: 0, target_policy: 0, timestamp: 0, unsolicited_segment: 0, \
+             invalid_segment: 0, from_banned: 0, invalid_proof: 0, unsolicited_proof: 0 } \
+             stalls=0 retried=0 abandoned=0 banned=0 withheld=0 released=0 \
+             abandoned_private=0 pruned=0 safety_margin=10 crashes=0 recovered_identical=0 \
+             replayed=0 lost_bytes=0 crash_dropped=0 events=1120 connects=0 evictions=0 \
+             rotations=0 lights=0 light_converged=true bytes=18000 light_bytes=0 \
+             headers_served=0 headers_accepted=0 proofs_served=0 proofs_verified=0 \
+             proof_retries=0 proofs_withheld=0 fake_proofs=0 quota_refusals=0 verify_ops=0 \
+             tx_proved=0 seeds_discarded=85 seeds_inadmissible=33 tip_cost=1.2302"
+        );
         assert!(outcome.report.converged);
         assert!(
             outcome.report.seeds_discarded > 0,

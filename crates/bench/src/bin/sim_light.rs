@@ -359,6 +359,23 @@ mod tests {
         };
         let outcome = run_scenario(&scenario, 12_000, 2);
         assert!(outcome.runs_identical);
+        assert_eq!(
+            outcome.report.fingerprint_extended(),
+            "nodes=12 seed=298089489 duration=12000 converged=true convergence=Some(11987) \
+             tip=00247fc5e3a848e528fef7603ccb5a486031eb5291cf8c1ff8aa21a69413da7c height=45 \
+             mined=53 reorgs=[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1] max_reorg=1 \
+             segments=0 segment_blocks=0 sent=1149 dropped=0 spam_sent=0 spam_accepted=0 \
+             fake_orphans=0 rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, \
+             timestamp: 0, unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, \
+             invalid_proof: 0, unsolicited_proof: 0 } stalls=0 retried=0 abandoned=0 banned=0 \
+             withheld=0 released=0 abandoned_private=0 pruned=0 safety_margin=4 crashes=0 \
+             recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 events=2589 \
+             connects=0 evictions=0 rotations=0 lights=8 light_converged=true bytes=258067 \
+             light_bytes=86580 headers_served=3 headers_accepted=424 proofs_served=64 \
+             proofs_verified=64 proof_retries=78 proofs_withheld=0 fake_proofs=0 \
+             quota_refusals=85 verify_ops=849 tx_proved=1573 seeds_discarded=0 \
+             seeds_inadmissible=0 tip_cost=1.5926"
+        );
         assert!(outcome.report.converged && outcome.report.light_converged);
         assert!(outcome.report.quota_refusals > 0);
     }

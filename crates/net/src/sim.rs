@@ -1718,6 +1718,23 @@ mod tests {
         assert_eq!(baseline.tip_height, spammed.tip_height);
         assert_eq!(baseline.convergence_ms, spammed.convergence_ms);
         assert_eq!(baseline.reorg_depths, spammed.reorg_depths);
+        assert_eq!(
+            spammed.fingerprint_extended(),
+            "nodes=4 seed=42 duration=20000 converged=true convergence=Some(19999) \
+             tip=00aa0e320d1f08ac168ebb0aef1116d4ad09611ec01ea55f9a45b8de08928edd height=73 \
+             mined=83 reorgs=[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1] \
+             max_reorg=1 segments=0 segment_blocks=0 sent=975 dropped=0 spam_sent=197 \
+             spam_accepted=0 fake_orphans=0 rejections=RejectionCounts { merkle: 0, pow: 0, \
+             target_policy: 0, timestamp: 0, unsolicited_segment: 9, invalid_segment: 0, \
+             from_banned: 381, invalid_proof: 0, unsolicited_proof: 0 } stalls=0 retried=0 \
+             abandoned=0 banned=3 withheld=0 released=0 abandoned_private=0 pruned=0 \
+             safety_margin=6 crashes=0 recovered_identical=0 replayed=0 lost_bytes=0 \
+             crash_dropped=0 events=1775 connects=0 evictions=0 rotations=0 lights=0 \
+             light_converged=true bytes=264442 light_bytes=0 headers_served=0 \
+             headers_accepted=0 proofs_served=0 proofs_verified=0 proof_retries=0 \
+             proofs_withheld=0 fake_proofs=0 quota_refusals=0 verify_ops=0 tx_proved=0 \
+             seeds_discarded=0 seeds_inadmissible=0 tip_cost=1.2723"
+        );
         assert!(spammed.spam_segments_sent > 0, "the spammer must spam");
         assert_eq!(spammed.spam_accepted, 0, "no spam in any honest tree");
         assert!(spammed.rejections.unsolicited_segment > 0);
@@ -1729,10 +1746,70 @@ mod tests {
     /// re-request path the test is named for.
     #[test]
     fn stalling_is_survived_through_timeouts_and_rerequests() {
-        for mode in [
-            StallMode::Ignore,
-            StallMode::Prefix(1),
-            StallMode::Delay(30_000),
+        for (mode, pinned) in [
+            (
+                StallMode::Ignore,
+                "nodes=5 seed=99 duration=40000 converged=true convergence=Some(40063) \
+                 tip=0014d8e4d28580d4cd91019a819c3dc9c63f8547ab92253711660eb77f65a6c9 \
+                 height=167 mined=248 reorgs=[38, 37, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1] max_reorg=38 segments=7 segment_blocks=380 sent=2167 dropped=393 \
+                 spam_sent=0 spam_accepted=0 fake_orphans=0 rejections=RejectionCounts { \
+                 merkle: 0, pow: 0, target_policy: 0, timestamp: 0, unsolicited_segment: 0, \
+                 invalid_segment: 0, from_banned: 0, invalid_proof: 0, unsolicited_proof: 0 } \
+                 stalls=4 retried=4 abandoned=0 banned=0 withheld=0 released=0 \
+                 abandoned_private=0 pruned=0 safety_margin=10 crashes=0 \
+                 recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 events=4180 \
+                 connects=0 evictions=0 rotations=0 lights=0 light_converged=true \
+                 bytes=388149 light_bytes=0 headers_served=0 headers_accepted=0 \
+                 proofs_served=0 proofs_verified=0 proof_retries=0 proofs_withheld=0 \
+                 fake_proofs=0 quota_refusals=0 verify_ops=0 tx_proved=0 seeds_discarded=0 \
+                 seeds_inadmissible=0 tip_cost=1.4749",
+            ),
+            (
+                StallMode::Prefix(1),
+                "nodes=5 seed=99 duration=40000 converged=true convergence=Some(39886) \
+                 tip=005a648fdf24fc68c6ec54152a6186dd395b5520211043b7ba2be193752d8ba0 \
+                 height=179 mined=260 reorgs=[38, 37, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1] max_reorg=38 segments=7 segment_blocks=380 sent=2315 \
+                 dropped=393 spam_sent=0 spam_accepted=0 fake_orphans=0 \
+                 rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, timestamp: \
+                 0, unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, \
+                 invalid_proof: 0, unsolicited_proof: 0 } stalls=4 retried=4 abandoned=0 \
+                 banned=0 withheld=0 released=0 abandoned_private=0 pruned=0 safety_margin=5 \
+                 crashes=0 recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 \
+                 events=4328 connects=0 evictions=0 rotations=0 lights=0 light_converged=true \
+                 bytes=410797 light_bytes=0 headers_served=0 headers_accepted=0 \
+                 proofs_served=0 proofs_verified=0 proof_retries=0 proofs_withheld=0 \
+                 fake_proofs=0 quota_refusals=0 verify_ops=0 tx_proved=0 seeds_discarded=0 \
+                 seeds_inadmissible=0 tip_cost=1.4389",
+            ),
+            (
+                StallMode::Delay(30_000),
+                "nodes=5 seed=99 duration=40000 converged=true convergence=Some(39886) \
+                 tip=005a648fdf24fc68c6ec54152a6186dd395b5520211043b7ba2be193752d8ba0 \
+                 height=179 mined=260 reorgs=[38, 37, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+                 1, 1, 1, 1, 1, 1] max_reorg=38 segments=7 segment_blocks=380 sent=2315 \
+                 dropped=393 spam_sent=0 spam_accepted=0 fake_orphans=0 \
+                 rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, timestamp: \
+                 0, unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, \
+                 invalid_proof: 0, unsolicited_proof: 0 } stalls=4 retried=4 abandoned=0 \
+                 banned=0 withheld=0 released=0 abandoned_private=0 pruned=0 safety_margin=5 \
+                 crashes=0 recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 \
+                 events=4328 connects=0 evictions=0 rotations=0 lights=0 light_converged=true \
+                 bytes=441803 light_bytes=0 headers_served=0 headers_accepted=0 \
+                 proofs_served=0 proofs_verified=0 proof_retries=0 proofs_withheld=0 \
+                 fake_proofs=0 quota_refusals=0 verify_ops=0 tx_proved=0 seeds_discarded=0 \
+                 seeds_inadmissible=0 tip_cost=1.4389",
+            ),
         ] {
             let config = SimConfig {
                 nodes: 5,
@@ -1760,6 +1837,7 @@ mod tests {
                 },
             );
             let report = sim.run();
+            assert_eq!(report.fingerprint_extended(), pinned, "{mode:?}");
             assert!(
                 report.converged,
                 "honest nodes must converge despite {mode:?}: {}",
@@ -1847,6 +1925,23 @@ mod tests {
             },
         );
         let report = sim.run();
+        assert_eq!(
+            report.fingerprint_extended(),
+            "nodes=5 seed=31 duration=30000 converged=true convergence=Some(24270) \
+             tip=0032568c61b2eb8dc02b4a7dc70d0b8e941054333de38fa6880de021b5032468 height=11 \
+             mined=201 reorgs=[105, 27, 7, 1, 1] max_reorg=105 segments=0 segment_blocks=0 \
+             sent=892 dropped=0 spam_sent=0 spam_accepted=0 fake_orphans=0 \
+             rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, timestamp: \
+             760, unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, invalid_proof: \
+             0, unsolicited_proof: 0 } stalls=0 retried=0 abandoned=0 banned=0 withheld=0 \
+             released=0 abandoned_private=0 pruned=0 safety_margin=11 crashes=0 \
+             recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 events=2392 \
+             connects=0 evictions=0 rotations=0 lights=0 light_converged=true bytes=135124 \
+             light_bytes=0 headers_served=0 headers_accepted=0 proofs_served=0 \
+             proofs_verified=0 proof_retries=0 proofs_withheld=0 fake_proofs=0 \
+             quota_refusals=0 verify_ops=0 tx_proved=0 seeds_discarded=0 seeds_inadmissible=0 \
+             tip_cost=1.2287"
+        );
         assert!(report.converged, "{}", report.fingerprint_extended());
         assert!(
             report.rejections.timestamp > 0,
@@ -1897,6 +1992,27 @@ mod tests {
         let a = run(config.clone());
         let b = run(config);
         assert_eq!(a.fingerprint_extended(), b.fingerprint_extended());
+        assert_eq!(
+            a.fingerprint_extended(),
+            "nodes=4 seed=1234 duration=30000 converged=true convergence=Some(29349) \
+             tip=0007d83ed0da33b46b8e17007a3ef129ceebffbbbaf1d28f9816bec289122331 height=91 \
+             mined=181 reorgs=[5, 5, 5, 5, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 3, 3, \
+             3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, \
+             2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1] max_reorg=5 segments=5 segment_blocks=10 sent=1553 \
+             dropped=0 spam_sent=0 spam_accepted=0 fake_orphans=0 rejections=RejectionCounts \
+             { merkle: 0, pow: 0, target_policy: 0, timestamp: 0, unsolicited_segment: 0, \
+             invalid_segment: 0, from_banned: 0, invalid_proof: 0, unsolicited_proof: 0 } \
+             stalls=0 retried=0 abandoned=0 banned=0 withheld=84 released=74 \
+             abandoned_private=6 pruned=0 safety_margin=0 crashes=0 recovered_identical=0 \
+             replayed=0 lost_bytes=0 crash_dropped=0 events=2753 connects=0 evictions=0 \
+             rotations=0 lights=0 light_converged=true bytes=237354 light_bytes=0 \
+             headers_served=0 headers_accepted=0 proofs_served=0 proofs_verified=0 \
+             proof_retries=0 proofs_withheld=0 fake_proofs=0 quota_refusals=0 verify_ops=0 \
+             tx_proved=0 seeds_discarded=0 seeds_inadmissible=0 tip_cost=1.0929"
+        );
         assert!(a.blocks_withheld > 0, "{}", a.fingerprint_extended());
         assert!(
             a.blocks_released > 0 || a.withheld_abandoned > 0,
@@ -1957,6 +2073,24 @@ mod tests {
         // The whole crash/recovery cycle is deterministic.
         let b = run("sim-crash-b");
         assert_eq!(a.fingerprint_extended(), b.fingerprint_extended());
+        assert_eq!(
+            a.fingerprint_extended(),
+            "nodes=4 seed=42 duration=20000 converged=true convergence=Some(19981) \
+             tip=003ce102c6202c148d8ee568c020c21236b840ce74d20cf574313bb06dbc74c5 height=67 \
+             mined=88 reorgs=[2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1] max_reorg=2 segments=1 \
+             segment_blocks=9 sent=756 dropped=0 spam_sent=0 spam_accepted=0 fake_orphans=0 \
+             rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, timestamp: 0, \
+             unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, invalid_proof: 0, \
+             unsolicited_proof: 0 } stalls=0 retried=0 abandoned=0 banned=0 withheld=0 \
+             released=0 abandoned_private=0 pruned=0 safety_margin=1 crashes=1 \
+             recovered_identical=1 replayed=1 lost_bytes=0 crash_dropped=21 events=1558 \
+             connects=0 evictions=0 rotations=0 lights=0 light_converged=true bytes=115898 \
+             light_bytes=0 headers_served=0 headers_accepted=0 proofs_served=0 \
+             proofs_verified=0 proof_retries=0 proofs_withheld=0 fake_proofs=0 \
+             quota_refusals=0 verify_ops=0 tx_proved=0 seeds_discarded=0 seeds_inadmissible=0 \
+             tip_cost=1.3142"
+        );
     }
 
     #[test]
@@ -1971,6 +2105,23 @@ mod tests {
                 torn_tail_bytes: 7,
             }],
             0,
+        );
+        assert_eq!(
+            report.fingerprint_extended(),
+            "nodes=4 seed=42 duration=20000 converged=true convergence=Some(19763) \
+             tip=007e18aed68258e98bf64416bd130f80523bf122d3e3cb747b4e335894b2133d height=72 \
+             mined=89 reorgs=[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1] max_reorg=1 segments=2 segment_blocks=21 sent=769 \
+             dropped=0 spam_sent=0 spam_accepted=0 fake_orphans=0 rejections=RejectionCounts \
+             { merkle: 0, pow: 0, target_policy: 0, timestamp: 0, unsolicited_segment: 0, \
+             invalid_segment: 0, from_banned: 0, invalid_proof: 0, unsolicited_proof: 0 } \
+             stalls=0 retried=0 abandoned=0 banned=0 withheld=0 released=0 \
+             abandoned_private=0 pruned=0 safety_margin=0 crashes=1 recovered_identical=0 \
+             replayed=30 lost_bytes=151 crash_dropped=21 events=1571 connects=0 evictions=0 \
+             rotations=0 lights=0 light_converged=true bytes=119622 light_bytes=0 \
+             headers_served=0 headers_accepted=0 proofs_served=0 proofs_verified=0 \
+             proof_retries=0 proofs_withheld=0 fake_proofs=0 quota_refusals=0 verify_ops=0 \
+             tx_proved=0 seeds_discarded=0 seeds_inadmissible=0 tip_cost=1.3574"
         );
         assert_eq!(report.crash_restarts, 1);
         assert!(
@@ -2179,6 +2330,28 @@ mod tests {
             },
         );
         let report = sim.run();
+        assert_eq!(
+            report.fingerprint_extended(),
+            "nodes=12 seed=2024 duration=20000 converged=false convergence=None \
+             tip=00542495d4db13bc8f7164dae20faad462b3d1c8f3292b35f917807801ee41e3 height=16 \
+             mined=137 reorgs=[11, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, \
+             2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1] max_reorg=11 segments=2 \
+             segment_blocks=4 sent=2125 dropped=0 spam_sent=0 spam_accepted=0 fake_orphans=0 \
+             rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, timestamp: 0, \
+             unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, invalid_proof: 0, \
+             unsolicited_proof: 0 } stalls=0 retried=0 abandoned=0 banned=0 withheld=0 \
+             released=0 abandoned_private=0 pruned=0 safety_margin=1 crashes=0 \
+             recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 events=4527 \
+             connects=1200 evictions=1201 rotations=0 lights=0 light_converged=true \
+             bytes=322333 light_bytes=0 headers_served=0 headers_accepted=0 proofs_served=0 \
+             proofs_verified=0 proof_retries=0 proofs_withheld=0 fake_proofs=0 \
+             quota_refusals=0 verify_ops=0 tx_proved=0 seeds_discarded=0 seeds_inadmissible=0 \
+             tip_cost=1.7339"
+        );
         assert!(report.connect_attempts > 0, "sybils must dial");
         assert!(report.peer_evictions > 0, "pressure must evict");
         // The monopoly: every slot of the victim's table holds a sybil.
@@ -2221,6 +2394,30 @@ mod tests {
             },
         );
         let report = sim.run();
+        assert_eq!(
+            report.fingerprint_extended(),
+            "nodes=12 seed=2024 duration=20000 converged=true convergence=Some(20003) \
+             tip=00a3afe03b99e87304263c69dfd65988df46d980b69278f22c695d33b71dde2a height=95 \
+             mined=153 reorgs=[9, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, \
+             2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, \
+             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1] max_reorg=9 segments=11 \
+             segment_blocks=135 sent=3068 dropped=25 spam_sent=0 spam_accepted=0 \
+             fake_orphans=0 rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, \
+             timestamp: 0, unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, \
+             invalid_proof: 0, unsolicited_proof: 0 } stalls=14 retried=12 abandoned=2 \
+             banned=0 withheld=0 released=0 abandoned_private=0 pruned=0 safety_margin=0 \
+             crashes=0 recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 \
+             events=5507 connects=1200 evictions=1200 rotations=60 lights=0 \
+             light_converged=true bytes=486151 light_bytes=0 headers_served=0 \
+             headers_accepted=0 proofs_served=0 proofs_verified=0 proof_retries=0 \
+             proofs_withheld=0 fake_proofs=0 quota_refusals=0 verify_ops=0 tx_proved=0 \
+             seeds_discarded=0 seeds_inadmissible=0 tip_cost=1.4339"
+        );
         assert!(report.connect_attempts > 0, "sybils must dial");
         assert!(
             report.converged,
@@ -2330,6 +2527,23 @@ mod tests {
             },
         );
         let report = sim.run();
+        assert_eq!(
+            report.fingerprint_extended(),
+            "nodes=8 seed=42 duration=20000 converged=true convergence=Some(19900) \
+             tip=001d3892614ca9be5246b0d496761c3e3a84f4137cd98e31ba6a4a625b730b11 height=59 \
+             mined=67 reorgs=[1, 1, 1, 1, 1, 1, 1, 1, 1, 1] max_reorg=1 segments=0 \
+             segment_blocks=0 sent=1299 dropped=0 spam_sent=0 spam_accepted=0 fake_orphans=0 \
+             rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, timestamp: 0, \
+             unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, invalid_proof: 5, \
+             unsolicited_proof: 0 } stalls=0 retried=0 abandoned=0 banned=0 withheld=0 \
+             released=0 abandoned_private=0 pruned=0 safety_margin=0 crashes=0 \
+             recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 events=2899 \
+             connects=0 evictions=0 rotations=0 lights=5 light_converged=true bytes=128974 \
+             light_bytes=83386 headers_served=2 headers_accepted=335 proofs_served=265 \
+             proofs_verified=260 proof_retries=15 proofs_withheld=0 fake_proofs=5 \
+             quota_refusals=0 verify_ops=1045 tx_proved=6861 seeds_discarded=0 \
+             seeds_inadmissible=0 tip_cost=1.2868"
+        );
         assert!(
             report.fake_proofs_sent > 0,
             "the faker must get asked at least once: {}",
@@ -2372,6 +2586,23 @@ mod tests {
             },
         );
         let report = sim.run();
+        assert_eq!(
+            report.fingerprint_extended(),
+            "nodes=8 seed=42 duration=20000 converged=true convergence=Some(19875) \
+             tip=001d3892614ca9be5246b0d496761c3e3a84f4137cd98e31ba6a4a625b730b11 height=59 \
+             mined=67 reorgs=[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1] max_reorg=1 \
+             segments=0 segment_blocks=0 sent=1016 dropped=0 spam_sent=0 spam_accepted=0 \
+             fake_orphans=0 rejections=RejectionCounts { merkle: 0, pow: 0, target_policy: 0, \
+             timestamp: 0, unsolicited_segment: 0, invalid_segment: 0, from_banned: 0, \
+             invalid_proof: 0, unsolicited_proof: 0 } stalls=0 retried=0 abandoned=0 banned=0 \
+             withheld=0 released=0 abandoned_private=0 pruned=0 safety_margin=0 crashes=0 \
+             recovered_identical=0 replayed=0 lost_bytes=0 crash_dropped=0 events=2616 \
+             connects=0 evictions=0 rotations=0 lights=5 light_converged=true bytes=110699 \
+             light_bytes=72143 headers_served=2 headers_accepted=335 proofs_served=102 \
+             proofs_verified=102 proof_retries=53 proofs_withheld=52 fake_proofs=0 \
+             quota_refusals=0 verify_ops=733 tx_proved=2683 seeds_discarded=0 \
+             seeds_inadmissible=0 tip_cost=1.2868"
+        );
         assert!(
             report.proofs_withheld > 0,
             "the withholder must get asked: {}",
