@@ -112,7 +112,8 @@ pub struct RuleContext<'a> {
 /// A valid segment returns each block's PoW digest and cost ratio (cost
 /// units over the PoW function's nominal budget), in order: what
 /// [`ForkTree::apply_evaluated`](crate::ForkTree::apply_evaluated) takes,
-/// so a node that syncs the segment evaluates each block once.
+/// with a body verdict of `true` since every body was checked, so a node
+/// that syncs the segment evaluates and checks each block once.
 ///
 /// # Errors
 ///

@@ -486,34 +486,42 @@ impl<P: PowFunction> ForkTree<P> {
             return Ok(ApplyOutcome::AlreadyKnown { digest: self.tip() });
         }
         let (digest, cost_ratio) = self.digest_and_cost_of_header(&block.header);
-        self.accept(block, digest, cost_ratio)
+        self.accept(block, digest, cost_ratio, Block::merkle_consistent)
     }
 
-    /// [`ForkTree::apply`] for a block whose header the caller has already
-    /// evaluated through this tree's PoW, as
-    /// [`ForkTree::digest_and_cost_of_header`] does: `digest` and
-    /// `cost_ratio` are that evaluation's, and the block is not hashed
-    /// again. A miner that has just checked its hit's admission stores the
-    /// block this way, and a node that has just validated a segment stores
-    /// each of its blocks with the digest and cost ratio the segment
-    /// validator returned. Debug builds re-evaluate the header to check
-    /// `digest`.
+    /// [`ForkTree::apply`] for a block the caller has already checked:
+    /// `digest` and `cost_ratio` are the evaluation of its header through
+    /// this tree's PoW, as [`ForkTree::digest_and_cost_of_header`] returns
+    /// them, and `body_valid` is the verdict of
+    /// [`Block::merkle_consistent`] on it. Neither is computed again. A
+    /// miner stores the block it has just built from its own transactions
+    /// this way, and a node that has just validated a segment stores each
+    /// of its blocks with the digest and cost ratio the segment validator
+    /// returned, which also checked every body. Debug builds recompute
+    /// both to check the caller's.
     ///
     /// # Errors
     ///
-    /// As [`ForkTree::apply`].
+    /// As [`ForkTree::apply`]; a new block with `body_valid == false` is
+    /// [`InvalidReason::Merkle`].
     pub fn apply_evaluated(
         &mut self,
         block: Block,
         digest: Digest256,
         cost_ratio: f64,
+        body_valid: bool,
     ) -> Result<ApplyOutcome, ForkError> {
         debug_assert_eq!(
             digest,
             self.pow.pow_hash(&block.header.bytes()),
             "the digest is the PoW digest of the block's header"
         );
-        self.accept(block, digest, cost_ratio)
+        debug_assert_eq!(
+            body_valid,
+            block.merkle_consistent(),
+            "the body verdict is the block's Merkle consistency"
+        );
+        self.accept(block, digest, cost_ratio, |_| body_valid)
     }
 
     /// Applies a run of stored `blocks` in order, as [`ForkTree::apply`]
@@ -583,18 +591,19 @@ impl<P: PowFunction> ForkTree<P> {
     /// The acceptance path of [`ForkTree::apply`] and
     /// [`ForkTree::apply_evaluated`]: the [`HeaderChain`] acceptance
     /// sequence for `block`, whose header has PoW `digest` and cost ratio
-    /// `cost_ratio`, and its outcome. [`ForkTree::mine_next`] and
-    /// [`ForkTree::apply_stored`] run the same sequence but build no
-    /// outcome.
+    /// `cost_ratio` and whose body check is `body_valid`, and its outcome.
+    /// [`ForkTree::mine_next`] and [`ForkTree::apply_stored`] run the same
+    /// sequence but build no outcome.
     fn accept(
         &mut self,
         block: Block,
         digest: Digest256,
         cost_ratio: f64,
+        body_valid: impl FnOnce(&Block) -> bool,
     ) -> Result<ApplyOutcome, ForkError> {
-        let accepted =
-            self.chain
-                .accept_item(block, digest, cost_ratio, Block::merkle_consistent)?;
+        let accepted = self
+            .chain
+            .accept_item(block, digest, cost_ratio, body_valid)?;
         Ok(match accepted {
             Accepted::Known => ApplyOutcome::AlreadyKnown { digest },
             Accepted::Side => ApplyOutcome::SideChain { digest },
@@ -968,6 +977,41 @@ mod tests {
             Ok(ApplyOutcome::TipChanged { .. })
         ));
         assert_eq!(tree.block(&tree.tip()), Some(&honest));
+    }
+
+    /// A forged body: a mined header over other transactions than its own.
+    fn forged_child() -> Block {
+        let mut forged = mine_child(GENESIS_HASH, "honest", 2);
+        forged.transactions = vec![b"forged".to_vec()];
+        forged
+    }
+
+    #[test]
+    fn apply_evaluated_stores_no_body_the_caller_found_inconsistent() {
+        use crate::chain::InvalidReason;
+        let forged = forged_child();
+        let mut tree = ForkTree::new(Sha256dPow);
+        let (digest, cost_ratio) = tree.digest_and_cost_of_header(&forged.header);
+        assert_eq!(
+            tree.apply_evaluated(forged, digest, cost_ratio, false),
+            Err(ForkError::InvalidBlock {
+                reason: InvalidReason::Merkle,
+            })
+        );
+        assert_eq!(tree.tip(), GENESIS_HASH);
+    }
+
+    /// `apply_evaluated` takes the caller's body verdict without hashing
+    /// the body; a debug build checks it, so a forged body passed as
+    /// consistent panics there.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the body verdict is the block's Merkle consistency")]
+    fn apply_evaluated_checks_the_body_verdict_in_debug_builds() {
+        let forged = forged_child();
+        let mut tree = ForkTree::new(Sha256dPow);
+        let (digest, cost_ratio) = tree.digest_and_cost_of_header(&forged.header);
+        let _ = tree.apply_evaluated(forged, digest, cost_ratio, true);
     }
 
     #[test]

@@ -291,11 +291,15 @@ where
         let mut tip_changed = false;
         let mut out = Vec::new();
         for (block, (digest, cost_ratio)) in blocks.iter().zip(evaluated) {
-            // The verifier evaluated every block, so each is accepted with
-            // its digest and cost ratio rather than hashed again. The
-            // segment validated as a whole, so individual apply errors can
-            // only be duplicates raced in by gossip — skip them.
-            let Ok(outcome) = self.tree.apply_evaluated(block.clone(), digest, cost_ratio) else {
+            // The verifier evaluated every header and checked every body,
+            // so each block is accepted with its digest, cost ratio and
+            // body verdict rather than checked again. The segment
+            // validated as a whole, so individual apply errors can only be
+            // duplicates raced in by gossip — skip them.
+            let Ok(outcome) = self
+                .tree
+                .apply_evaluated(block.clone(), digest, cost_ratio, true)
+            else {
                 continue;
             };
             if outcome.newly_stored() {
