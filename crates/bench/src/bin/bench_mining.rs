@@ -33,11 +33,10 @@
 
 use hashcore::{HashCore, HashScratch, MiningInput, Target, NONCE_LANES};
 use hashcore_baselines::{PowFunction, Sha256dPow};
-use hashcore_bench::simbench::positional_arg;
+use hashcore_bench::simbench::{host_json, logical_cores, positional_arg, write_json, JsonObject};
 use hashcore_profile::PerformanceProfile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 thread_local! {
@@ -117,7 +116,7 @@ fn sweep_thread_counts(max_threads: usize) -> Vec<usize> {
 fn main() {
     let nonces = positional_arg(1, 192).max(NONCE_LANES as u64);
     let instructions = positional_arg(2, 20_000).max(1_000);
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let parallelism = logical_cores();
     // Default: never spawn more miners than the host can run. An explicit
     // third argument overrides the clamp for contention experiments.
     let max_threads = match positional_arg(3, 0) {
@@ -306,8 +305,7 @@ fn main() {
         threads_used,
         allocations_per_hash,
     );
-    std::fs::write("BENCH_mining.json", &json).expect("BENCH_mining.json is writable");
-    println!("wrote BENCH_mining.json");
+    write_json("BENCH_mining.json", &json);
 }
 
 /// Rate of the unique measurement matching `mode` and `threads`, if taken.
@@ -318,7 +316,7 @@ fn rate_of(measurements: &[Measurement], mode: &str, threads: usize) -> Option<f
         .map(Measurement::hashes_per_sec)
 }
 
-/// Renders the measurement set as a small, dependency-free JSON document.
+/// Renders the measurement set as a JSON document.
 ///
 /// Every speedup is a ratio of two measurements that were actually taken
 /// under matched configurations (same nonce count, same mode family); a
@@ -328,7 +326,7 @@ fn render_json(
     measurements: &[Measurement],
     nonces: u64,
     instructions: u64,
-    logical_cores: usize,
+    cores: usize,
     threads_used: usize,
     allocations_per_hash: f64,
 ) -> String {
@@ -356,70 +354,48 @@ fn render_json(
         (Some(x4), Some(scalar)) => Some(x4 / scalar),
         _ => None,
     };
-    let within_cores = measurements.iter().all(|m| m.threads <= logical_cores);
+    let within_cores = measurements.iter().all(|m| m.threads <= cores);
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"mining_throughput\",");
-    let _ = writeln!(
-        json,
-        "{}",
-        hashcore_bench::simbench::host_json(threads_used)
-    );
-    let _ = writeln!(json, "  \"nonces_per_measurement\": {nonces},");
-    let _ = writeln!(json, "  \"target_dynamic_instructions\": {instructions},");
-    let _ = writeln!(
-        json,
-        "  \"allocations_per_hash\": {allocations_per_hash:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"simd_faster_than_scalar\": {},",
-        simd_vs_scalar.is_some_and(|ratio| ratio >= 1.0)
-    );
-    let _ = writeln!(json, "  \"thread_counts_within_cores\": {within_cores},");
-    let _ = writeln!(json, "  \"measurements\": [");
-    for (index, m) in measurements.iter().enumerate() {
-        let comma = if index + 1 == measurements.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"mode\": \"{}\", \"threads\": {}, \"hashes\": {}, \
-             \"seconds\": {:.6}, \"hashes_per_sec\": {:.3}}}{comma}",
-            m.mode,
-            m.threads,
-            m.hashes,
-            m.seconds,
-            m.hashes_per_sec()
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"speedups\": {{");
-    let mut ratios: Vec<(String, f64)> = Vec::new();
+    let rows = measurements.iter().map(|m| {
+        let mut row = JsonObject::default();
+        row.text("mode", m.mode)
+            .field("threads", m.threads)
+            .field("hashes", m.hashes)
+            .fixed("seconds", m.seconds, 6)
+            .fixed("hashes_per_sec", m.hashes_per_sec(), 3);
+        row
+    });
+    let mut speedups = JsonObject::default();
     if let (Some(scratch), Some(naive)) = (scratch_rate, naive_rate) {
-        ratios.push(("scratch_vs_naive_single_thread".into(), scratch / naive));
+        speedups.fixed("scratch_vs_naive_single_thread", scratch / naive, 3);
     }
     if let (Some(batch), Some(scratch)) = (batch_rate, scratch_rate) {
-        ratios.push(("batch_x4_vs_scratch_single_thread".into(), batch / scratch));
+        speedups.fixed("batch_x4_vs_scratch_single_thread", batch / scratch, 3);
     }
     if let Some(ratio) = simd_vs_scalar {
-        ratios.push(("simd_vs_scalar".into(), ratio));
+        speedups.fixed("simd_vs_scalar", ratio, 3);
     }
     if let (Some(threads), Some(speedup)) = (parallel_threads, parallel_speedup) {
-        ratios.push((
-            format!("parallel_{threads}_threads_vs_single_thread"),
+        speedups.fixed(
+            &format!("parallel_{threads}_threads_vs_single_thread"),
             speedup,
-        ));
+            3,
+        );
     }
-    for (index, (name, ratio)) in ratios.iter().enumerate() {
-        let comma = if index + 1 == ratios.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"{name}\": {ratio:.3}{comma}");
-    }
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-    json
+    let mut json = JsonObject::default();
+    json.text("bench", "mining_throughput")
+        .value("host", host_json(threads_used))
+        .field("nonces_per_measurement", nonces)
+        .field("target_dynamic_instructions", instructions)
+        .fixed("allocations_per_hash", allocations_per_hash, 4)
+        .field(
+            "simd_faster_than_scalar",
+            simd_vs_scalar.is_some_and(|ratio| ratio >= 1.0),
+        )
+        .field("thread_counts_within_cores", within_cores)
+        .array("measurements", rows)
+        .value("speedups", speedups);
+    json.render()
 }
 
 #[cfg(test)]
@@ -447,19 +423,78 @@ mod tests {
             row("mine_parallel", 4, 40, 1.0),
         ];
         let json = render_json(&measurements, 10, 20_000, 4, 4, 0.0);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"hashes_per_sec\": 20.000"));
-        assert!(json.contains("\"host\""));
-        assert!(json.contains("\"threads_used\": 4"));
-        assert!(json.contains("\"allocations_per_hash\": 0.0000"));
-        assert!(json.contains("\"simd_faster_than_scalar\": true"));
-        assert!(json.contains("\"thread_counts_within_cores\": true"));
-        assert!(json.contains("\"scratch_vs_naive_single_thread\": 2.000"));
-        assert!(json.contains("\"batch_x4_vs_scratch_single_thread\": 1.500"));
-        assert!(json.contains("\"simd_vs_scalar\": 2.000"));
-        assert!(json.contains("\"parallel_4_threads_vs_single_thread\": 2.000"));
-        assert!(json.ends_with("}\n"));
+        let expected = r#"{
+  "bench": "mining_throughput",
+  "host": {
+    "logical_cores": CORES,
+    "threads_used": 4
+  },
+  "nonces_per_measurement": 10,
+  "target_dynamic_instructions": 20000,
+  "allocations_per_hash": 0.0000,
+  "simd_faster_than_scalar": true,
+  "thread_counts_within_cores": true,
+  "measurements": [
+    {
+      "mode": "hash_naive",
+      "threads": 1,
+      "hashes": 10,
+      "seconds": 1.000000,
+      "hashes_per_sec": 10.000
+    },
+    {
+      "mode": "hash_with_scratch",
+      "threads": 1,
+      "hashes": 20,
+      "seconds": 1.000000,
+      "hashes_per_sec": 20.000
+    },
+    {
+      "mode": "hash_batch_x4",
+      "threads": 1,
+      "hashes": 30,
+      "seconds": 1.000000,
+      "hashes_per_sec": 30.000
+    },
+    {
+      "mode": "sha256d_scalar",
+      "threads": 1,
+      "hashes": 1000,
+      "seconds": 1.000000,
+      "hashes_per_sec": 1000.000
+    },
+    {
+      "mode": "sha256d_x4",
+      "threads": 1,
+      "hashes": 2000,
+      "seconds": 1.000000,
+      "hashes_per_sec": 2000.000
+    },
+    {
+      "mode": "mine_parallel",
+      "threads": 1,
+      "hashes": 40,
+      "seconds": 2.000000,
+      "hashes_per_sec": 20.000
+    },
+    {
+      "mode": "mine_parallel",
+      "threads": 4,
+      "hashes": 40,
+      "seconds": 1.000000,
+      "hashes_per_sec": 40.000
+    }
+  ],
+  "speedups": {
+    "scratch_vs_naive_single_thread": 2.000,
+    "batch_x4_vs_scratch_single_thread": 1.500,
+    "simd_vs_scalar": 2.000,
+    "parallel_4_threads_vs_single_thread": 2.000
+  }
+}
+"#
+        .replace("CORES", &logical_cores().to_string());
+        assert_eq!(json, expected);
     }
 
     #[test]

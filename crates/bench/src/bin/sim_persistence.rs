@@ -39,10 +39,11 @@
 //! (0 = all logical cores); it never changes a deterministic metric.
 
 use hashcore_baselines::Sha256dPow;
-use hashcore_bench::simbench::{host_json, positional_arg, run_twice, threads_arg, write_json};
+use hashcore_bench::simbench::{
+    host_json, positional_arg, run_twice, threads_arg, write_json, JsonObject,
+};
 use hashcore_net::{CrashRestart, PersistenceConfig, SimConfig, SimReport, Simulation};
 use hashcore_store::TempDir;
-use std::fmt::Write as _;
 
 /// Nodes in every scenario; one of them crashes.
 const NODES: usize = 4;
@@ -213,7 +214,7 @@ fn main() {
     write_json("BENCH_persistence.json", &json);
 }
 
-/// Renders the sweep as a small, dependency-free JSON document.
+/// Renders the sweep as a JSON document.
 fn render_json(
     outcomes: &[(&Scenario, Outcome)],
     duration_ms: u64,
@@ -222,61 +223,35 @@ fn render_json(
     runs_identical: bool,
     threads: usize,
 ) -> String {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"persistence_recovery\",");
-    let _ = writeln!(json, "{}", host_json(threads));
-    let _ = writeln!(json, "  \"duration_ms\": {duration_ms},");
-    let _ = writeln!(json, "  \"nodes\": {NODES},");
-    let _ = writeln!(json, "  \"crash_node\": {CRASH_NODE},");
-    let _ = writeln!(json, "  \"scenarios\": [");
-    for (i, (scenario, outcome)) in outcomes.iter().enumerate() {
+    let scenarios = outcomes.iter().map(|(scenario, outcome)| {
         let r = &outcome.report;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", scenario.name);
-        let _ = writeln!(
-            json,
-            "      \"snapshot_interval\": {},",
-            scenario.snapshot_interval
-        );
-        let _ = writeln!(json, "      \"crash_at_ms\": {},", scenario.crash_at_ms);
-        let _ = writeln!(json, "      \"down_ms\": {},", scenario.down_ms);
-        let _ = writeln!(
-            json,
-            "      \"torn_tail_bytes\": {},",
-            scenario.torn_tail_bytes
-        );
-        let _ = writeln!(json, "      \"converged\": {},", r.converged);
-        let _ = writeln!(json, "      \"tip_height\": {},", r.tip_height);
-        let _ = writeln!(json, "      \"crash_restarts\": {},", r.crash_restarts);
-        let _ = writeln!(
-            json,
-            "      \"recoveries_identical\": {},",
-            r.recoveries_identical
-        );
-        let _ = writeln!(json, "      \"blocks_replayed\": {},", r.blocks_replayed);
-        let _ = writeln!(
-            json,
-            "      \"recovery_lost_bytes\": {},",
-            r.recovery_lost_bytes
-        );
-        let _ = writeln!(
-            json,
-            "      \"messages_lost_to_crashes\": {},",
-            r.messages_lost_to_crashes
-        );
-        let _ = writeln!(json, "      \"runs_identical\": {}", outcome.runs_identical);
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < outcomes.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"recovered_identical\": {recovered_identical},");
-    let _ = writeln!(json, "  \"torn_tail_truncated\": {torn_tail_truncated},");
-    let _ = writeln!(json, "  \"runs_identical\": {runs_identical}");
-    json.push_str("}\n");
-    json
+        let mut row = JsonObject::default();
+        row.text("name", &scenario.name)
+            .field("snapshot_interval", scenario.snapshot_interval)
+            .field("crash_at_ms", scenario.crash_at_ms)
+            .field("down_ms", scenario.down_ms)
+            .field("torn_tail_bytes", scenario.torn_tail_bytes)
+            .field("converged", r.converged)
+            .field("tip_height", r.tip_height)
+            .field("crash_restarts", r.crash_restarts)
+            .field("recoveries_identical", r.recoveries_identical)
+            .field("blocks_replayed", r.blocks_replayed)
+            .field("recovery_lost_bytes", r.recovery_lost_bytes)
+            .field("messages_lost_to_crashes", r.messages_lost_to_crashes)
+            .field("runs_identical", outcome.runs_identical);
+        row
+    });
+    let mut json = JsonObject::default();
+    json.text("bench", "persistence_recovery")
+        .value("host", host_json(threads))
+        .field("duration_ms", duration_ms)
+        .field("nodes", NODES)
+        .field("crash_node", CRASH_NODE)
+        .array("scenarios", scenarios)
+        .field("recovered_identical", recovered_identical)
+        .field("torn_tail_truncated", torn_tail_truncated)
+        .field("runs_identical", runs_identical);
+    json.render()
 }
 
 #[cfg(test)]
@@ -310,10 +285,7 @@ mod tests {
         };
         let outcome = run_scenario(&scenario, 16_000, 2);
         let json = render_json(&[(&scenario, outcome)], 16_000, true, true, true, 2);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"bench\": \"persistence_recovery\""));
         assert!(json.contains("\"recovered_identical\": true"));
-        assert!(json.ends_with("}\n"));
     }
 }

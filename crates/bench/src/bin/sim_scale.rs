@@ -29,9 +29,8 @@
 //! `threads` defaults to every logical core (0 = all cores).
 
 use hashcore_baselines::Sha256dPow;
-use hashcore_bench::simbench::{host_json, positional_arg, threads_arg, write_json};
+use hashcore_bench::simbench::{host_json, positional_arg, threads_arg, write_json, JsonObject};
 use hashcore_net::{Eclipse, Honest, SimConfig, SimReport, Simulation, TopologyConfig};
-use std::fmt::Write as _;
 
 /// Sybil node ids in the eclipse scenarios (the victim is node 0).
 const SYBILS: std::ops::Range<usize> = 6..12;
@@ -261,7 +260,7 @@ fn main() {
     write_json("BENCH_scale.json", &json);
 }
 
-/// Renders the scenario table as a small, dependency-free JSON document.
+/// Renders the scenario table as a JSON document.
 fn render_json(results: &[ScenarioResult], duration_s: u64, threads: usize) -> String {
     let runs_identical = results.iter().all(|r| r.runs_identical);
     let threads_identical = results.iter().all(|r| r.threads_identical);
@@ -271,93 +270,48 @@ fn render_json(results: &[ScenarioResult], duration_s: u64, threads: usize) -> S
     let defended_converged = results
         .iter()
         .any(|r| r.name == "eclipse-defended" && r.report.converged);
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"sim_scale\",");
-    let _ = writeln!(json, "{}", host_json(threads));
-    let _ = writeln!(json, "  \"duration_s\": {duration_s},");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"scenarios\": [");
-    for (index, result) in results.iter().enumerate() {
+    let scenarios = results.iter().map(|result| {
         let report = &result.report;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", result.name);
-        let _ = writeln!(json, "      \"nodes\": {},", report.nodes);
-        let _ = writeln!(json, "      \"converged\": {},", report.converged);
-        let _ = writeln!(
-            json,
-            "      \"convergence_ms\": {},",
-            report.convergence_ms.map_or(-1i64, |t| t as i64)
-        );
-        let _ = writeln!(json, "      \"tip_height\": {},", report.tip_height);
-        let _ = writeln!(json, "      \"blocks_mined\": {},", report.blocks_mined);
-        let _ = writeln!(
-            json,
-            "      \"events_processed\": {},",
-            report.events_processed
-        );
-        let _ = writeln!(
-            json,
-            "      \"events_per_sec_1t\": {:.0},",
-            result.events_per_sec_1t
-        );
-        let _ = writeln!(
-            json,
-            "      \"events_per_sec_nt\": {:.0},",
-            result.events_per_sec_nt
-        );
-        let _ = writeln!(
-            json,
-            "      \"parallel_speedup\": {:.3},",
-            if result.events_per_sec_1t > 0.0 {
-                result.events_per_sec_nt / result.events_per_sec_1t
-            } else {
-                0.0
-            }
-        );
+        let speedup = if result.events_per_sec_1t > 0.0 {
+            result.events_per_sec_nt / result.events_per_sec_1t
+        } else {
+            0.0
+        };
+        let mut row = JsonObject::default();
+        row.text("name", result.name)
+            .field("nodes", report.nodes)
+            .field("converged", report.converged)
+            .field(
+                "convergence_ms",
+                report.convergence_ms.map_or(-1i64, |t| t as i64),
+            )
+            .field("tip_height", report.tip_height)
+            .field("blocks_mined", report.blocks_mined)
+            .field("events_processed", report.events_processed)
+            .fixed("events_per_sec_1t", result.events_per_sec_1t, 0)
+            .fixed("events_per_sec_nt", result.events_per_sec_nt, 0)
+            .fixed("parallel_speedup", speedup, 3);
         if result.eclipse {
-            let _ = writeln!(
-                json,
-                "      \"victim_isolated\": {},",
-                result.victim_isolated
-            );
-            let _ = writeln!(
-                json,
-                "      \"connect_attempts\": {},",
-                report.connect_attempts
-            );
-            let _ = writeln!(json, "      \"peer_evictions\": {},", report.peer_evictions);
-            let _ = writeln!(
-                json,
-                "      \"anchor_rotations\": {},",
-                report.anchor_rotations
-            );
+            row.field("victim_isolated", result.victim_isolated)
+                .field("connect_attempts", report.connect_attempts)
+                .field("peer_evictions", report.peer_evictions)
+                .field("anchor_rotations", report.anchor_rotations);
         }
-        let _ = writeln!(
-            json,
-            "      \"scenario_runs_identical\": {},",
-            result.runs_identical
-        );
-        let _ = writeln!(
-            json,
-            "      \"scenario_threads_identical\": {}",
-            result.threads_identical
-        );
-        let comma = if index + 1 == results.len() { "" } else { "," };
-        let _ = writeln!(json, "    }}{comma}");
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"eclipse_undefended_isolated\": {undefended_isolated},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"eclipse_defended_converged\": {defended_converged},"
-    );
-    let _ = writeln!(json, "  \"threads_identical\": {threads_identical},");
-    let _ = writeln!(json, "  \"runs_identical\": {runs_identical}");
-    json.push_str("}\n");
-    json
+        row.field("scenario_runs_identical", result.runs_identical)
+            .field("scenario_threads_identical", result.threads_identical);
+        row
+    });
+    let mut json = JsonObject::default();
+    json.text("bench", "sim_scale")
+        .value("host", host_json(threads))
+        .field("duration_s", duration_s)
+        .field("threads", threads)
+        .array("scenarios", scenarios)
+        .field("eclipse_undefended_isolated", undefended_isolated)
+        .field("eclipse_defended_converged", defended_converged)
+        .field("threads_identical", threads_identical)
+        .field("runs_identical", runs_identical);
+    json.render()
 }
 
 #[cfg(test)]
@@ -368,11 +322,8 @@ mod tests {
     fn json_rendering_is_well_formed() {
         let result = run_scenario("scale-8", scale_config(10, 8, 9, 2), 2, false);
         let json = render_json(&[result], 10, 2);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"bench\": \"sim_scale\""));
         assert!(json.contains("\"host\""));
         assert!(json.contains("\"events_per_sec_1t\""));
-        assert!(json.ends_with("}\n"));
     }
 }

@@ -119,8 +119,8 @@ mod strategy;
 pub mod topology;
 
 pub use node::{
-    LightConfig, Message, Node, NodeStats, Outgoing, RejectionCounts, Role, SyncReorg,
-    TimestampRule, MAX_HEADERS_PER_MSG,
+    LightConfig, Message, Node, NodeCounters, NodeStats, Outgoing, RejectionCounts, Role,
+    SyncReorg, TimestampRule, MAX_HEADERS_PER_MSG,
 };
 pub use sched::{EventQueue, Scheduled};
 pub use sim::{

@@ -23,7 +23,7 @@ mod tests;
 
 pub use self::core::Node;
 pub use light::LightConfig;
-pub use stats::{NodeStats, RejectionCounts, SyncReorg};
+pub use stats::{NodeCounters, NodeStats, RejectionCounts, SyncReorg};
 
 /// Most headers a full node packs into one `Headers` response. A light
 /// client receiving a full batch immediately requests the next one, so a

@@ -1,7 +1,7 @@
 //! The deterministic event-driven scheduler: seeded latency, gossip
 //! fan-out, partitions, request timeouts, and the simulation report.
 
-use crate::node::{LightConfig, Message, Node, Outgoing, RejectionCounts, Role, TimestampRule};
+use crate::node::{LightConfig, Message, Node, NodeCounters, Outgoing, Role, TimestampRule};
 use crate::sched::{EventQueue, Scheduled};
 use crate::strategy::{Honest, Strategy};
 use crate::topology::{Overlay, TopologyConfig};
@@ -349,6 +349,10 @@ struct EventOutcome {
 /// (non-adversarial) nodes — a withholding miner's private tip or a silent
 /// spammer's stale tree must not mask honest agreement. In all-honest runs
 /// this is every node, exactly as before the adversary framework.
+///
+/// The per-node counters are summed into [`SimReport::counters`], which the
+/// report derefs to: `report.blocks_mined` is every node's
+/// [`NodeCounters::blocks_mined`] added up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Number of nodes simulated.
@@ -367,64 +371,27 @@ pub struct SimReport {
     pub tip: Digest256,
     /// Height of that tip.
     pub tip_height: u64,
-    /// Blocks mined across all nodes.
-    pub blocks_mined: u64,
     /// Every non-trivial reorg depth observed by any node, sorted
     /// descending.
     pub reorg_depths: Vec<usize>,
     /// The deepest reorg any node performed.
     pub max_reorg_depth: usize,
-    /// Segments validated through `validate_segment_parallel`, all nodes.
-    pub segments_synced: u64,
-    /// Total blocks across those segments.
-    pub segment_blocks: u64,
     /// Messages delivered (or in flight) across the run.
     pub messages_sent: u64,
     /// Messages dropped at partition boundaries.
     pub messages_dropped: u64,
     /// Wall-clock seconds spent inside segment validation, all nodes.
-    /// Excluded from [`SimReport::fingerprint`] — it is the one
-    /// non-deterministic field.
+    /// Excluded from the fingerprints, like
+    /// [`SimReport::run_wall_seconds`]: both are wall-clock time.
     pub sync_wall_seconds: f64,
-    /// Corrupted segments fabricated by adversarial nodes.
-    pub spam_segments_sent: u64,
     /// Spam blocks (fabricated or header-corrupted) found in any honest
     /// node's fork tree at the end of the run. The acceptance gate is 0.
     pub spam_accepted: u64,
-    /// Valid-PoW bait orphans mined over fabricated parents.
-    pub fake_orphans: u64,
-    /// Rejected incoming messages across all nodes, by class.
-    pub rejections: RejectionCounts,
-    /// Sync-request timeouts observed across all nodes.
-    pub stalls_detected: u64,
-    /// Timed-out requests re-issued to another peer.
-    pub requests_retried: u64,
-    /// Requests abandoned after exhausting retries.
-    pub requests_abandoned: u64,
-    /// Ban events across all nodes.
-    pub peers_banned: u64,
-    /// Blocks withheld by selfish strategies (total ever).
-    pub blocks_withheld: u64,
-    /// Withheld blocks later released.
-    pub blocks_released: u64,
-    /// Withheld blocks abandoned to a winning public chain.
-    pub withheld_abandoned: u64,
-    /// Blocks evicted by fork-tree pruning, all nodes.
-    pub blocks_pruned: u64,
     /// Minimum over honest nodes of `tip height − best side-branch
     /// height`: how far the closest runner-up branch sits below each
     /// honest tip. Large margins mean adversarial branches never came
     /// close.
     pub honest_tip_safety_margin: u64,
-    /// Crash-restarts performed across all nodes.
-    pub crash_restarts: u64,
-    /// Crash-restarts whose recovered tree was fingerprint-identical to
-    /// the pre-crash tree (always, unless torn-tail bytes were injected).
-    pub recoveries_identical: u64,
-    /// Log records re-applied on top of recovered snapshots, all nodes.
-    pub blocks_replayed: u64,
-    /// Torn/corrupt log bytes recovery discarded, all nodes.
-    pub recovery_lost_bytes: u64,
     /// Messages dropped because the sender or receiver was crashed.
     pub messages_lost_to_crashes: u64,
     /// Scheduler events processed across the whole run — identical for
@@ -443,40 +410,6 @@ pub struct SimReport {
     /// `true` when every light client's header tip equals the honest full
     /// tip at the end of the run (vacuously `true` with no light nodes).
     pub light_converged: bool,
-    /// Serialized bytes sent across the whole network.
-    pub bytes_sent: u64,
-    /// Serialized bytes received by the light nodes — the light-client
-    /// bandwidth footprint the header-first protocol exists to shrink.
-    pub light_bytes_received: u64,
-    /// Headers full nodes served to `GetHeaders` requests.
-    pub headers_served: u64,
-    /// Headers light clients accepted into their header chains.
-    pub headers_accepted: u64,
-    /// Proof batches full nodes served (honest and fake alike).
-    pub proofs_served: u64,
-    /// Proof batches light clients verified against committed roots.
-    pub proofs_verified: u64,
-    /// Proof requests re-issued after a timeout or a rejection.
-    pub proof_retries: u64,
-    /// Proof requests adversarial servers deliberately ignored.
-    pub proofs_withheld: u64,
-    /// Fabricated proof batches adversarial servers sent. The acceptance
-    /// gate demands `rejections.invalid_proof` equals this — every fake
-    /// caught, none accepted.
-    pub fake_proofs_sent: u64,
-    /// Proof requests full nodes refused over the per-peer quota.
-    pub quota_refusals: u64,
-    /// Hash evaluations light clients spent verifying (header digests
-    /// plus batch leaves and nodes) — the verify-CPU account.
-    pub verify_hash_ops: u64,
-    /// Transaction bytes light clients accepted under verified proofs.
-    pub tx_bytes_proved: u64,
-    /// PoW-winning seeds strategies discarded for verifying too cheaply —
-    /// the cost-steering adversary's grinding bill.
-    pub seeds_discarded: u64,
-    /// PoW-winning seeds the cost-aware admission bound rejected at the
-    /// miner before a block was built.
-    pub seeds_inadmissible: u64,
     /// Mean observed verifier-cost ratio (actual over nominal) along the
     /// first honest node's best chain — the per-block verification bill
     /// the cost-steering adversary inflates and the cost-aware rule
@@ -485,6 +418,20 @@ pub struct SimReport {
     /// Wall-clock seconds the whole run took. Excluded from the
     /// fingerprints, like [`SimReport::sync_wall_seconds`].
     pub run_wall_seconds: f64,
+    /// Every node's counters, summed.
+    pub counters: NodeCounters,
+    /// The light nodes' counters alone, summed: `light.bytes_received` is
+    /// the light-client bandwidth footprint the header-first protocol
+    /// exists to shrink.
+    pub light: NodeCounters,
+}
+
+impl std::ops::Deref for SimReport {
+    type Target = NodeCounters;
+
+    fn deref(&self) -> &NodeCounters {
+        &self.counters
+    }
 }
 
 impl SimReport {
@@ -566,7 +513,7 @@ impl SimReport {
             self.light_nodes,
             self.light_converged,
             self.bytes_sent,
-            self.light_bytes_received,
+            self.light.bytes_received,
             self.headers_served,
             self.headers_accepted,
             self.proofs_served,
@@ -600,7 +547,7 @@ impl SimReport {
     /// client's bandwidth bill looks like next to a full node's.
     pub fn bytes_per_light_peer(&self) -> f64 {
         if self.light_nodes > 0 {
-            self.light_bytes_received as f64 / self.light_nodes as f64
+            self.light.bytes_received as f64 / self.light_nodes as f64
         } else {
             0.0
         }
@@ -1233,7 +1180,7 @@ where
                 }
             }
             EventKind::MineSlice { .. } | EventKind::Deliver { .. } | EventKind::Timeout { .. } => {
-                unreachable!("node-local events execute through run_node_events")
+                unreachable!("node-local events execute through Simulation::execute")
             }
         }
     }
@@ -1428,20 +1375,18 @@ where
             })
             .min()
             .unwrap_or(0);
-        let mut rejections = RejectionCounts::default();
+        let mut counters = NodeCounters::default();
+        let mut light = NodeCounters::default();
+        let mut light_nodes = 0;
+        let mut light_converged = true;
         for node in &self.nodes {
-            rejections += node.stats().rejections;
+            counters += node.stats().counters;
+            if node.role() == Role::Light {
+                light += node.stats().counters;
+                light_nodes += 1;
+                light_converged &= tip != [0u8; 32] && node.tip() == tip;
+            }
         }
-        let sum = |f: &dyn Fn(&crate::node::NodeStats) -> u64| -> u64 {
-            self.nodes.iter().map(|n| f(n.stats())).sum()
-        };
-        let lights: Vec<&Node<P>> = self
-            .nodes
-            .iter()
-            .filter(|n| n.role() == Role::Light)
-            .collect();
-        let light_converged =
-            lights.is_empty() || (tip != [0u8; 32] && lights.iter().all(|n| n.tip() == tip));
         // The per-block verification bill of the honest canonical chain:
         // walk the first honest node's best branch tip-to-root over the
         // cached cost observations (pure header facts, so every honest
@@ -1466,23 +1411,6 @@ where
             }
         };
         SimReport {
-            light_nodes: lights.len() as u64,
-            light_converged,
-            light_bytes_received: lights.iter().map(|n| n.stats().bytes_received).sum(),
-            bytes_sent: sum(&|s| s.bytes_sent),
-            headers_served: sum(&|s| s.headers_served),
-            headers_accepted: sum(&|s| s.headers_accepted),
-            proofs_served: sum(&|s| s.proofs_served),
-            proofs_verified: sum(&|s| s.proofs_verified),
-            proof_retries: sum(&|s| s.proof_retries),
-            proofs_withheld: sum(&|s| s.proofs_withheld),
-            fake_proofs_sent: sum(&|s| s.fake_proofs_sent),
-            quota_refusals: sum(&|s| s.quota_refusals),
-            verify_hash_ops: sum(&|s| s.verify_hash_ops),
-            tx_bytes_proved: sum(&|s| s.tx_bytes_proved),
-            seeds_discarded: sum(&|s| s.seeds_discarded),
-            seeds_inadmissible: sum(&|s| s.seeds_inadmissible),
-            tip_mean_cost_ratio,
             nodes: self.config.nodes,
             seed: self.config.seed,
             duration_ms: self.config.duration_ms,
@@ -1490,37 +1418,24 @@ where
             convergence_ms: self.converged_at,
             tip,
             tip_height: first_honest.tip_height(),
-            blocks_mined: sum(&|s| s.blocks_mined),
             max_reorg_depth: reorg_depths.first().copied().unwrap_or(0),
             reorg_depths,
-            segments_synced: sum(&|s| s.segments_synced),
-            segment_blocks: sum(&|s| s.segment_blocks),
             messages_sent: self.messages_sent,
             messages_dropped: self.messages_dropped,
             sync_wall_seconds: self.nodes.iter().map(|n| n.stats().sync_wall_seconds).sum(),
-            spam_segments_sent: sum(&|s| s.spam_segments_sent),
             spam_accepted,
-            fake_orphans: sum(&|s| s.fake_orphans),
-            rejections,
-            stalls_detected: sum(&|s| s.stalls_detected),
-            requests_retried: sum(&|s| s.requests_retried),
-            requests_abandoned: sum(&|s| s.requests_abandoned),
-            peers_banned: sum(&|s| s.peers_banned),
-            blocks_withheld: sum(&|s| s.blocks_withheld),
-            blocks_released: sum(&|s| s.blocks_released),
-            withheld_abandoned: sum(&|s| s.withheld_abandoned),
-            blocks_pruned: sum(&|s| s.blocks_pruned),
             honest_tip_safety_margin,
-            crash_restarts: sum(&|s| s.crash_restarts),
-            recoveries_identical: sum(&|s| s.recoveries_identical),
-            blocks_replayed: sum(&|s| s.blocks_replayed),
-            recovery_lost_bytes: sum(&|s| s.recovery_lost_bytes),
             messages_lost_to_crashes: self.messages_lost_to_crashes,
             events_processed: self.events_processed,
             connect_attempts: self.connect_attempts,
             peer_evictions: self.overlay.as_ref().map_or(0, Overlay::evictions),
             anchor_rotations: self.overlay.as_ref().map_or(0, Overlay::rotations),
+            light_nodes,
+            light_converged,
+            tip_mean_cost_ratio,
             run_wall_seconds: self.run_wall_seconds,
+            counters,
+            light,
         }
     }
 }

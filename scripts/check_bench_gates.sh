@@ -2,10 +2,11 @@
 # Declarative acceptance gates over the BENCH_*.json artifacts.
 #
 # Each gate is one `<artifact>|<"key": value>` entry below. It holds when
-# the artifact exists and is non-empty, its `"key":` occurs at least once,
-# and every line carrying that key — with indentation and a trailing comma
-# stripped — equals the fragment exactly (fixed-string matching, so JSON
-# quotes need no escaping). A gate is therefore universal over every
+# the artifact exists, is non-empty and parses as JSON (python3's `json`
+# module), its `"key":` occurs at least once, and every line carrying that
+# key — with indentation and a trailing comma stripped — equals the
+# fragment exactly (fixed-string matching, so JSON quotes need no
+# escaping). A gate is therefore universal over every
 # scenario that reports the key: one passing line cannot hide another
 # scenario's failure. CI invokes this
 # script once per bench step with the artifact name as the argument —
@@ -68,6 +69,11 @@ for gate in "${selected[@]}"; do
   fragment=${gate#*|}
   if [[ ! -s "$artifact" ]]; then
     echo "FAIL $artifact: missing or empty" >&2
+    failures=$((failures + 1))
+    continue
+  fi
+  if ! python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$artifact" 2>/dev/null; then
+    echo "FAIL $artifact: not valid JSON" >&2
     failures=$((failures + 1))
     continue
   fi
