@@ -148,7 +148,9 @@ counters! {
         pub proof_retries: u64,
         /// Proof requests this node's strategy deliberately left unanswered.
         pub proofs_withheld: u64,
-        /// Corrupted proofs this node's strategy served.
+        /// Corrupted proofs this node's strategy served. The light bench's
+        /// `fake_proofs_rejected` gate requires its sum to equal that of
+        /// `rejections.invalid_proof`: every fake caught, none accepted.
         pub fake_proofs_sent: u64,
         /// Proof requests refused because the requester exhausted its per-peer
         /// serving quota.
